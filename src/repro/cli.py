@@ -82,7 +82,7 @@ def _session(args):
 
 
 def _print_engine_stats(session) -> None:
-    print(session.stats.describe(session.jobs), file=sys.stderr)
+    print(session.describe(), file=sys.stderr)
 
 
 def _app_builders():

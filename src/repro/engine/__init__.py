@@ -32,7 +32,7 @@ from repro.engine.session import (
     RunOutcome,
     Session,
     SessionConfig,
-    SessionStats,
+    engine_counts,
     get_default_session,
 )
 
@@ -48,9 +48,9 @@ __all__ = [
     "RunRequest",
     "Session",
     "SessionConfig",
-    "SessionStats",
     "build_app",
     "code_salt",
     "default_cache_dir",
+    "engine_counts",
     "get_default_session",
 ]

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core import SimulationError
 from repro.core.config import BoardConfig, MachineConfig
@@ -64,9 +63,8 @@ _CACHEABLE_ERRORS = ("SimulationError", "InvariantViolation", "HostError")
 class SessionConfig:
     """Engine knobs, consolidated (``docs/api.md``).
 
-    Pass one of these as ``Session(config=...)``; the scattered
-    keyword arguments (``jobs=``, ``cache=``, ...) survive as
-    deprecated compatibility shims.
+    Pass one of these as ``Session(config=...)``; it is the only way
+    to set these knobs.
 
     Parameters
     ----------
@@ -167,39 +165,30 @@ class RunOutcome:
                 or self.error_type in _CACHEABLE_ERRORS)
 
 
-@dataclass
-class SessionStats:
-    """Engine counters (exported via :meth:`Session.probes`)."""
+def engine_counts(metrics: "MetricsRegistry") -> dict:
+    """Engine counters, read from the ``engine_*`` metric families.
 
-    hits: int = 0
-    misses: int = 0
-    uncached: int = 0
-    executed: int = 0
-    failed: int = 0
-    timeouts: int = 0
-    retried: int = 0
+    The registry is the only source: ``hits``/``misses``/``uncached``
+    are the ``engine_cache_requests_total{result}`` series and
+    ``runs`` is their sum.  Over a registry shared by several
+    sessions (the experiment service's) this is their aggregate.
+    """
+    from repro.obs.metrics import counter_count
 
-    @property
-    def runs(self) -> int:
-        return self.hits + self.misses + self.uncached
+    def count(name: str, **labels: str) -> int:
+        return counter_count(metrics, name, **labels)
 
-    @property
-    def hit_rate(self) -> float:
-        keyed = self.hits + self.misses
-        return self.hits / keyed if keyed else 0.0
-
-    def as_dict(self) -> dict:
-        return {"runs": self.runs, "hits": self.hits,
-                "misses": self.misses, "uncached": self.uncached,
-                "executed": self.executed, "failed": self.failed,
-                "timeouts": self.timeouts, "retried": self.retried,
-                "hit_rate": self.hit_rate}
-
-    def describe(self, jobs: int) -> str:
-        return (f"[engine] jobs={jobs} runs={self.runs} "
-                f"hits={self.hits} misses={self.misses} "
-                f"uncached={self.uncached} "
-                f"hit_rate={self.hit_rate * 100:.1f}%")
+    hits = count("engine_cache_requests_total", result="hit")
+    misses = count("engine_cache_requests_total", result="miss")
+    uncached = count("engine_cache_requests_total", result="uncached")
+    keyed = hits + misses
+    return {"runs": hits + misses + uncached, "hits": hits,
+            "misses": misses, "uncached": uncached,
+            "executed": count("engine_runs_executed_total"),
+            "failed": count("engine_runs_failed_total"),
+            "timeouts": count("engine_worker_timeouts_total"),
+            "retried": count("engine_worker_retries_total"),
+            "hit_rate": hits / keyed if keyed else 0.0}
 
 
 # ----------------------------------------------------------------------
@@ -363,11 +352,6 @@ class RunHandle:
         return self.outcome().unwrap()
 
 
-#: Sentinel distinguishing "not passed" from an explicit ``None``
-#: for the deprecated Session keyword shims.
-_UNSET: Any = object()
-
-
 class Session:
     """The run API: submit requests, shard them, cache the results.
 
@@ -388,44 +372,18 @@ class Session:
         Defaults applied to requests that leave theirs ``None``.
     salt:
         Cache-salt override (defaults to the source-tree code salt).
-
-    The pre-``SessionConfig`` keywords (``jobs=``, ``cache=``,
-    ``cache_dir=``, ``timeout=``, ``retries=``, ``preflight=``,
-    ``history=``) still work but emit a :class:`DeprecationWarning`;
-    see ``docs/api.md`` for the migration table.
+    metrics:
+        Registry for the ``engine_*`` counters (a private one by
+        default); every count the session reports is read from it.
     """
 
-    def __init__(self, config: "SessionConfig | int | None" = None,
-                 *,
+    def __init__(self, *, config: SessionConfig | None = None,
                  backend: str | None = None,
                  machine: MachineConfig | None = None,
                  board: BoardConfig | None = None,
                  salt: str | None = None,
-                 metrics: "MetricsRegistry | None" = None,
-                 jobs: int = _UNSET, cache: bool = _UNSET,
-                 cache_dir=_UNSET, timeout: float | None = _UNSET,
-                 retries: int = _UNSET, preflight: bool = _UNSET,
-                 history=_UNSET) -> None:
-        legacy = {name: value for name, value in (
-            ("jobs", jobs), ("cache", cache), ("cache_dir", cache_dir),
-            ("timeout", timeout), ("retries", retries),
-            ("preflight", preflight), ("history", history))
-            if value is not _UNSET}
-        if isinstance(config, int):
-            # Pre-SessionConfig signature: jobs was the first
-            # positional parameter.
-            legacy.setdefault("jobs", config)
-            config = None
-        if legacy:
-            warnings.warn(
-                f"Session({', '.join(sorted(legacy))}=...) keyword(s) "
-                f"are deprecated; pass "
-                f"Session(config=SessionConfig(...)) instead "
-                f"(docs/api.md)",
-                DeprecationWarning, stacklevel=2)
-            config = dataclasses.replace(config or SessionConfig(),
-                                         **legacy)
-        elif config is None:
+                 metrics: "MetricsRegistry | None" = None) -> None:
+        if config is None:
             config = SessionConfig()
         if backend is not None:
             config = dataclasses.replace(config, backend=backend)
@@ -438,7 +396,6 @@ class Session:
         self.timeout = config.timeout
         self.retries = config.retries
         self.history = config.history
-        self.stats = SessionStats()
         self._salt = salt if salt is not None else code_salt()
         self._init_metrics(metrics)
         self._cache = (ResultCache(config.cache_dir,
@@ -541,30 +498,17 @@ class Session:
             # process boundaries) and bypass the cache.
             from repro.obs.tracer import Tracer
 
-            handle = RunHandle(self, request, digest=None)
-            handle.backend = effective_backend
-            handle.tracer = tracer if tracer is not None else Tracer()
             bundle = prebuilt if prebuilt is not None else \
                 catalog.build_app(request.app, **dict(request.sizes))
-            outcome = _capture(bundle, request, tracer=handle.tracer,
-                               preflight=self.preflight,
-                               backend=effective_backend)
-            self.stats.uncached += 1
-            self.stats.executed += 1
-            self._m_cache.labels(result="uncached").inc()
-            self._m_executed.inc()
-            if not outcome.completed:
-                self.stats.failed += 1
-                self._m_failed.inc()
-            handle._outcome = _stamp(outcome, None, "uncached")
-            handle.cache_status = "uncached"
-            return handle
+            return self._run_uncached(
+                request, bundle,
+                tracer if tracer is not None else Tracer(),
+                effective_backend)
 
         digest = request.digest(salt=self._salt)
         if self._cache is not None:
             shared = self._inflight.get(digest)
             if shared is not None:
-                self.stats.hits += 1
                 self._m_cache.labels(result="hit").inc()
                 self._m_dedup.inc()
                 handle = RunHandle(self, request, digest)
@@ -578,7 +522,6 @@ class Session:
         if self._cache is not None:
             cached = self._cache.load(digest)
             if cached is not None:
-                self.stats.hits += 1
                 self._m_cache.labels(result="hit").inc()
                 handle._outcome = _stamp(cached, digest, "hit")
                 handle.cache_status = "hit"
@@ -632,19 +575,23 @@ class Session:
         request = request.resolved(self.machine, self.board)
         effective_backend = (backend if backend is not None
                              else self.backend)
-        handle = RunHandle(self, request, digest=None)
-        handle.backend = effective_backend
-        handle.tracer = tracer
         self._m_backend.labels(backend=effective_backend).inc()
+        return self._run_uncached(request, bundle, tracer,
+                                  effective_backend)
+
+    def _run_uncached(self, request: RunRequest, bundle: "AppBundle",
+                      tracer: "Tracer | None",
+                      backend: str) -> RunHandle:
+        """Run ``bundle`` in-process, outside the cache (traced and
+        hand-built runs)."""
+        handle = RunHandle(self, request, digest=None)
+        handle.backend = backend
+        handle.tracer = tracer
         outcome = _capture(bundle, request, tracer=tracer,
-                           preflight=self.preflight,
-                           backend=effective_backend)
-        self.stats.uncached += 1
-        self.stats.executed += 1
+                           preflight=self.preflight, backend=backend)
         self._m_cache.labels(result="uncached").inc()
         self._m_executed.inc()
         if not outcome.completed:
-            self.stats.failed += 1
             self._m_failed.inc()
         handle._outcome = _stamp(outcome, None, "uncached")
         handle.cache_status = "uncached"
@@ -698,7 +645,6 @@ class Session:
                 outcome = handle._future.result(timeout=self.timeout)
                 break
             except concurrent.futures.TimeoutError:
-                self.stats.timeouts += 1
                 self._m_timeouts.inc()
                 outcome = RunOutcome(
                     status="failed", error_type="RunTimeout",
@@ -715,7 +661,6 @@ class Session:
                             f"died ({handle._attempts} attempt(s))"))
                     break
                 # Recreate the pool and re-dispatch.
-                self.stats.retried += 1
                 self._m_retries.inc()
                 handle._attempts += 1
                 if self._executor is not None:
@@ -728,13 +673,10 @@ class Session:
         self._complete(handle, outcome)
 
     def _complete(self, handle: RunHandle, outcome: RunOutcome) -> None:
-        self.stats.executed += 1
         self._m_executed.inc()
         if not outcome.completed:
-            self.stats.failed += 1
             self._m_failed.inc()
         if handle.digest is not None and self._cache is not None:
-            self.stats.misses += 1
             self._m_cache.labels(result="miss").inc()
             handle.cache_status = "miss"
             outcome = _stamp(outcome, handle.digest, "miss")
@@ -742,9 +684,6 @@ class Session:
                 self._cache.store(handle.digest, outcome,
                                   handle.request)
         else:
-            if handle.digest is not None:
-                # Declarative but cache disabled.
-                self.stats.uncached += 1
             self._m_cache.labels(result="uncached").inc()
             handle.cache_status = "uncached"
             outcome = _stamp(outcome, handle.digest, "uncached")
@@ -771,7 +710,7 @@ class Session:
         from repro.obs.history import append_history, history_entry
 
         append_history(self.history, [history_entry(
-            outcome.result, engine=self.stats.as_dict())])
+            outcome.result, engine=engine_counts(self.metrics))])
 
     # ------------------------------------------------------------------
     # Profiling.
@@ -839,29 +778,37 @@ class Session:
     # ------------------------------------------------------------------
     # Observability.
     # ------------------------------------------------------------------
+    def describe(self) -> str:
+        """The one-line ``[engine]`` summary the CLI prints to stderr."""
+        stats = engine_counts(self.metrics)
+        return (f"[engine] jobs={self.jobs} runs={stats['runs']} "
+                f"hits={stats['hits']} misses={stats['misses']} "
+                f"uncached={stats['uncached']} "
+                f"hit_rate={stats['hit_rate'] * 100:.1f}%")
+
     def probes(self) -> "ProbeRegistry":
         """Engine counters as a PR 1 probe registry."""
         from repro.obs.registry import ProbeRegistry
 
         registry = ProbeRegistry()
-        stats = self.stats
+        stats = engine_counts(self.metrics)
         registry.add("engine.jobs", self.jobs, "processes",
                      "worker processes available to this session")
-        registry.add("engine.runs", stats.runs, "runs",
+        registry.add("engine.runs", stats["runs"], "runs",
                      "runs delivered by this session")
-        registry.add("engine.cache.hits", stats.hits, "runs",
+        registry.add("engine.cache.hits", stats["hits"], "runs",
                      "runs served from the content-addressed cache")
-        registry.add("engine.cache.misses", stats.misses, "runs",
+        registry.add("engine.cache.misses", stats["misses"], "runs",
                      "cache-keyed runs that had to execute")
-        registry.add("engine.cache.hit_rate", stats.hit_rate,
+        registry.add("engine.cache.hit_rate", stats["hit_rate"],
                      "fraction", "hits / (hits + misses)")
-        registry.add("engine.runs.uncached", stats.uncached, "runs",
+        registry.add("engine.runs.uncached", stats["uncached"], "runs",
                      "runs executed outside the cache")
-        registry.add("engine.runs.executed", stats.executed, "runs",
+        registry.add("engine.runs.executed", stats["executed"], "runs",
                      "simulations actually executed")
-        registry.add("engine.runs.failed", stats.failed, "runs",
+        registry.add("engine.runs.failed", stats["failed"], "runs",
                      "typed simulation failures captured as outcomes")
-        registry.add("engine.runs.timeouts", stats.timeouts, "runs",
+        registry.add("engine.runs.timeouts", stats["timeouts"], "runs",
                      "runs abandoned at the wall-clock timeout")
         # Live metric families (engine_* counters, plus whatever else
         # shares this session's registry) ride along, so one probe
@@ -895,6 +842,6 @@ __all__ = [
     "RunOutcome",
     "Session",
     "SessionConfig",
-    "SessionStats",
+    "engine_counts",
     "get_default_session",
 ]

@@ -2,7 +2,8 @@
 
 One JSONL line per *distinct* engine run -- keyed by the request's
 content digest -- capturing the profile summary, throughput, host
-wall-clock and the session's cache counters at record time.  The store
+simulate wall-clock (``null`` on cache hits, which simulated nothing)
+and the session's cache counters at record time.  The store
 is the repo's performance trajectory: ``repro perf`` appends to it on
 every benchmark sweep and compares fresh numbers against a baseline
 ``BENCH_profile.json``, and ``benchmarks/`` records every simulation
@@ -79,7 +80,10 @@ def history_entry(result: "RunResult",
         "critpath_top": [entry["resource"] for entry
                          in critpath.get("top_resources", [])],
         "critpath_cycles": critpath.get("path_cycles"),
-        "wall_time_s": manifest.wall_time_s,
+        # A hit's manifest carries the original run's simulate time;
+        # replaying it would report work this delivery never did.
+        "wall_time_s": (None if manifest.cache == "hit"
+                        else manifest.wall_time_s),
         "cache": manifest.cache,
         "backend": getattr(manifest, "backend", "event"),
         "recorded_at": manifest.created_at,

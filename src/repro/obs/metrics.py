@@ -48,6 +48,7 @@ __all__ = [
     "LATENCY_BUCKETS_MS",
     "MetricError",
     "MetricsRegistry",
+    "counter_count",
     "counter_totals",
     "parse_prometheus",
     "probes_from_metrics",
@@ -615,6 +616,21 @@ def _check_histograms(families: Mapping[str, dict]) -> None:
                 raise ExpositionError(
                     f"{name}: +Inf bucket ({buckets['+Inf']}) != "
                     f"_count ({counts[key]})")
+
+
+def counter_count(metrics: MetricsRegistry, name: str,
+                  **labels: str) -> int:
+    """The count in a counter family, summed over every series whose
+    labels match ``labels`` (all series when none are given); 0 when
+    the family is unregistered.  Read-only: unlike ``labels(...)`` it
+    never creates a series, so reading leaves scrapes unchanged."""
+    if name not in metrics:
+        return 0
+    metric = metrics.get(name)
+    return int(sum(
+        child.value for key, child in metric.children()
+        if all(dict(zip(metric.label_names, key)).get(label) == value
+               for label, value in labels.items())))
 
 
 def counter_totals(families: Mapping[str, dict]) -> dict[str, float]:

@@ -132,6 +132,7 @@ COUNTER_UNITS: dict[str, str] = {
     "serve_jobs_rejected_total": "jobs",
     "serve_jobs_terminal_total": "jobs",
     "serve_jobs_coalesced_total": "jobs",
+    "serve_jobs_deadline_exceeded_total": "jobs",
     "serve_jobs_recovered_total": "jobs",
     "serve_artifact_hits_total": "jobs",
     "serve_job_retries_total": "retries",

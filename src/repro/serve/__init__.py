@@ -44,7 +44,7 @@ from repro.serve.models import (
     request_from_payload,
 )
 from repro.serve.retry import RetryPolicy, is_retryable
-from repro.serve.service import ExperimentService
+from repro.serve.service import ExperimentService, serve_counts
 from repro.serve.http import ServiceServer, http_request, route_template
 from repro.serve.slo import (
     SLO_SCHEMA,
@@ -83,5 +83,6 @@ __all__ = [
     "render_slo",
     "request_from_payload",
     "route_template",
+    "serve_counts",
     "stable_projection",
 ]

@@ -43,7 +43,7 @@ from repro.serve.models import (
     QueueFull,
     ServiceUnavailable,
 )
-from repro.serve.service import ExperimentService
+from repro.serve.service import ExperimentService, serve_counts
 
 #: Largest request body the server will read.
 MAX_BODY_BYTES = 1 << 20
@@ -277,10 +277,12 @@ class ServiceServer:
             ready, document = service.readiness()
             return (200 if ready else 503), document, None
         if path == "/v1/stats" and method == "GET":
+            from repro.engine.session import engine_counts
+
             return 200, {
-                "serve": service.stats.as_dict(),
+                "serve": serve_counts(service.metrics),
                 "breaker": service.breaker.as_dict(),
-                "engine": service.engine_stats(),
+                "engine": engine_counts(service.metrics),
                 "backend": service.config.backend,
                 "artifacts": service.artifacts.stats(),
             }, None

@@ -31,7 +31,6 @@ import pathlib
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.serve.artifacts import ArtifactStore
@@ -55,25 +54,33 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Tracer
 
 
-@dataclass
-class ServiceStats:
-    """Service counters (exported via :meth:`ExperimentService.probes`)."""
+#: The ``/v1/stats`` ``serve`` block, in key order: each count is one
+#: counter family, optionally narrowed to one label value.
+_SERVE_COUNTS: tuple[tuple[str, str, dict[str, str]], ...] = (
+    ("accepted", "serve_jobs_accepted_total", {}),
+    ("completed", "serve_jobs_terminal_total", {"state": "completed"}),
+    ("failed", "serve_jobs_terminal_total", {"state": "failed"}),
+    ("retried", "serve_job_retries_total", {}),
+    ("coalesced", "serve_jobs_coalesced_total", {}),
+    ("artifact_hits", "serve_artifact_hits_total", {}),
+    ("shed_queue_full", "serve_jobs_rejected_total",
+     {"reason": "queue_full"}),
+    ("shed_breaker", "serve_jobs_rejected_total", {"reason": "breaker"}),
+    ("recovered", "serve_jobs_recovered_total", {}),
+    ("deadline_failures", "serve_jobs_deadline_exceeded_total", {}),
+    ("executions", "serve_job_executions_total", {}),
+    ("bad_requests", "serve_jobs_rejected_total",
+     {"reason": "bad_request"}),
+)
 
-    accepted: int = 0
-    completed: int = 0
-    failed: int = 0
-    retried: int = 0
-    coalesced: int = 0
-    artifact_hits: int = 0
-    shed_queue_full: int = 0
-    shed_breaker: int = 0
-    recovered: int = 0
-    deadline_failures: int = 0
-    executions: int = 0
-    bad_requests: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.__dict__)
+def serve_counts(metrics: "MetricsRegistry") -> dict[str, int]:
+    """Service counters, read from the ``serve_*`` metric families --
+    the only place the service counts anything."""
+    from repro.obs.metrics import counter_count
+
+    return {key: counter_count(metrics, name, **labels)
+            for key, name, labels in _SERVE_COUNTS}
 
 
 class CircuitBreaker:
@@ -161,7 +168,6 @@ class ExperimentService:
                                   fsync=self.config.journal_fsync)
         self.artifacts = ArtifactStore(
             self.data_dir, on_written=self.chaos.artifact_written)
-        self.stats = ServiceStats()
         self._init_metrics(metrics)
         self.breaker = CircuitBreaker(self.config.breaker_threshold,
                                       self.config.breaker_cooldown_s,
@@ -190,9 +196,8 @@ class ExperimentService:
     def _init_metrics(self, metrics: "MetricsRegistry | None") -> None:
         """Register the service's live-metric families.
 
-        Dual-written alongside :class:`ServiceStats` (the snapshot
-        dict stays the journal-auditable source of truth; the metric
-        families are the scrapeable one).  The registry is shared
+        The registry is the only counter source: ``/v1/stats`` and
+        the probes read it back (:func:`serve_counts`).  It is shared
         with every worker-thread engine session, so one ``/metrics``
         scrape carries the ``serve_*`` and ``engine_*`` vocabularies
         together.
@@ -230,6 +235,9 @@ class ExperimentService:
         self._m_executions = m.counter(
             "serve_job_executions_total",
             "execution attempts dispatched to worker threads")
+        self._m_deadline = m.counter(
+            "serve_jobs_deadline_exceeded_total",
+            "jobs failed because their deadline passed")
         self._m_queue_depth = m.gauge(
             "serve_queue_depth", "queued + running jobs")
         self._m_breaker_state = m.gauge(
@@ -333,7 +341,6 @@ class ExperimentService:
                 self.journal.append("completed", job_id, digest=digest,
                                     served_from="artifact",
                                     recovered=True)
-                self.stats.recovered += 1
                 self._m_recovered.inc()
                 self._m_terminal.labels(state="completed").inc()
                 continue
@@ -350,7 +357,6 @@ class ExperimentService:
                 self.journal.append("failed", job_id,
                                     error_type="UnrecoverableJob",
                                     error_message=str(error))
-                self.stats.failed += 1
                 self._m_terminal.labels(state="failed").inc()
                 continue
             job.deadline_s = deadline_s
@@ -360,7 +366,6 @@ class ExperimentService:
             self._events[job_id] = asyncio.Event()
             self._inflight.setdefault(job.digest, job_id)
             self._pending += 1
-            self.stats.recovered += 1
             self._m_recovered.inc()
             self._m_queue_depth.set(self._pending)
             self.journal.append("recovered", job_id, digest=job.digest)
@@ -398,7 +403,6 @@ class ExperimentService:
             request, deadline_s = request_from_payload(payload,
                                                        self.config)
         except BadRequest:
-            self.stats.bad_requests += 1
             self._m_rejected.labels(reason="bad_request").inc()
             raise
         digest = request.digest(salt=self._salt)
@@ -412,9 +416,6 @@ class ExperimentService:
                       state="completed", accepted_at=now,
                       deadline_s=deadline_s, served_from="artifact")
             self.jobs[job.id] = job
-            self.stats.accepted += 1
-            self.stats.artifact_hits += 1
-            self.stats.completed += 1
             self._m_accepted.labels(path="artifact").inc()
             self._m_artifact_hits.inc()
             self._m_terminal.labels(state="completed").inc()
@@ -439,8 +440,6 @@ class ExperimentService:
                       served_from="coalesced")
             self.jobs[job.id] = job
             self._followers.setdefault(primary_id, []).append(job.id)
-            self.stats.accepted += 1
-            self.stats.coalesced += 1
             self._m_accepted.labels(path="coalesced").inc()
             self._m_coalesced.inc()
             self.journal.append("accepted", job.id, digest=digest,
@@ -452,7 +451,6 @@ class ExperimentService:
 
         # Cold work: the breaker may be shedding it.
         if not self.breaker.allow_cold(now):
-            self.stats.shed_breaker += 1
             self._m_rejected.labels(reason="breaker").inc()
             raise ServiceUnavailable(
                 "worker pool unhealthy; serving cache hits only",
@@ -460,7 +458,6 @@ class ExperimentService:
 
         # Bounded admission queue: explicit backpressure beyond it.
         if self._pending >= self.config.queue_limit:
-            self.stats.shed_queue_full += 1
             self._m_rejected.labels(reason="queue_full").inc()
             retry_after = max(
                 1.0, self._pending * self._avg_exec_s
@@ -478,7 +475,6 @@ class ExperimentService:
         self._events[job.id] = asyncio.Event()
         self._inflight[digest] = job.id
         self._pending += 1
-        self.stats.accepted += 1
         self._m_accepted.labels(path="queued").inc()
         self._m_queue_depth.set(self._pending)
         self.journal.append("accepted", job.id, digest=digest,
@@ -518,7 +514,8 @@ class ExperimentService:
     # ------------------------------------------------------------------
     def _thread_session(self):
         """One engine session per worker thread, sharing the on-disk
-        cache; created lazily, registered for probe aggregation."""
+        cache and the metrics registry; created lazily, closed by
+        :meth:`stop`."""
         session = getattr(self._local, "session", None)
         if session is None:
             from repro.engine import Session, SessionConfig
@@ -587,7 +584,7 @@ class ExperimentService:
         while True:
             remaining = job.deadline_remaining(self.now())
             if remaining <= 0:
-                self.stats.deadline_failures += 1
+                self._m_deadline.inc()
                 self._fail(job, "DeadlineExceeded",
                            f"deadline of {job.deadline_s:.1f}s "
                            f"passed before completion")
@@ -595,7 +592,6 @@ class ExperimentService:
             job.state = "running"
             job.attempts += 1
             job.started_at = self.now()
-            self.stats.executions += 1
             self._m_executions.inc()
             self.journal.append("started", job.id,
                                 attempt=job.attempts)
@@ -607,7 +603,7 @@ class ExperimentService:
                                          request, job),
                     timeout=max(remaining, 0.001))
             except asyncio.TimeoutError:
-                self.stats.deadline_failures += 1
+                self._m_deadline.inc()
                 self.breaker.strike(self.now())
                 self._fail(job, "DeadlineExceeded",
                            f"execution exceeded the "
@@ -653,7 +649,6 @@ class ExperimentService:
                 and is_retryable(error_type)
                 and job.deadline_remaining(self.now()) > 0):
             delay = self.config.retry.delay(job.digest, job.attempts)
-            self.stats.retried += 1
             self._m_retries.inc()
             self.journal.append("retrying", job.id,
                                 attempt=job.attempts,
@@ -699,7 +694,6 @@ class ExperimentService:
         job.state = "completed"
         if job.served_from is None:
             job.served_from = "execution"
-        self.stats.completed += 1
         self._m_terminal.labels(state="completed").inc()
         self.journal.append("completed", job.id, digest=job.digest,
                             served_from=job.served_from)
@@ -711,7 +705,6 @@ class ExperimentService:
         job.error_type = error_type
         job.error_message = message
         job.diagnostics = diagnostics
-        self.stats.failed += 1
         self._m_terminal.labels(state="failed").inc()
         self.journal.append("failed", job.id, error_type=error_type,
                             error_message=message)
@@ -740,15 +733,12 @@ class ExperimentService:
             follower.error_message = job.error_message
             follower.served_from = "coalesced"
             follower.finished_at = job.finished_at
+            self._m_terminal.labels(state=job.state).inc()
             if job.state == "completed":
-                self.stats.completed += 1
-                self._m_terminal.labels(state="completed").inc()
                 self.journal.append("completed", follower.id,
                                     digest=follower.digest,
                                     served_from="coalesced")
             else:
-                self.stats.failed += 1
-                self._m_terminal.labels(state="failed").inc()
                 self.journal.append(
                     "failed", follower.id,
                     error_type=job.error_type or "UnknownError",
@@ -792,36 +782,22 @@ class ExperimentService:
 
         return render_prometheus(self.metrics)
 
-    def engine_stats(self) -> dict[str, float]:
-        """Engine counters aggregated over every worker session."""
-        totals: dict[str, float] = {}
-        with self._sessions_lock:
-            sessions = list(self._thread_sessions)
-        for session in sessions:
-            for name, value in session.stats.as_dict().items():
-                if name == "hit_rate":
-                    continue
-                totals[name] = totals.get(name, 0) + value
-        keyed = totals.get("hits", 0) + totals.get("misses", 0)
-        totals["hit_rate"] = (totals.get("hits", 0) / keyed
-                              if keyed else 0.0)
-        return totals
-
     def probes(self) -> "ProbeRegistry":
         """Service + engine counters as a PR 1 probe registry; the
-        engine rows come from each worker session's
-        :meth:`~repro.engine.Session.probes` vocabulary."""
+        engine rows read the ``engine_*`` families every worker
+        session registers into the shared registry."""
+        from repro.engine.session import engine_counts
         from repro.obs.registry import ProbeRegistry
 
         registry = ProbeRegistry()
-        for name, value in sorted(self.stats.as_dict().items()):
+        for name, value in sorted(serve_counts(self.metrics).items()):
             registry.add(f"serve.{name}", value, "jobs",
                          f"service counter: {name}")
         registry.add("serve.pending", self._pending, "jobs",
                      "queued + running jobs")
         registry.add("serve.breaker.trips", self.breaker.trips,
                      "trips", "times the circuit breaker opened")
-        for name, value in sorted(self.engine_stats().items()):
+        for name, value in sorted(engine_counts(self.metrics).items()):
             unit = "fraction" if name == "hit_rate" else "runs"
             registry.add(f"serve.engine.{name}", value, unit,
                          "aggregated engine counter over worker "
@@ -864,4 +840,4 @@ class ExperimentService:
         }
 
 
-__all__ = ["CircuitBreaker", "ExperimentService", "ServiceStats"]
+__all__ = ["CircuitBreaker", "ExperimentService", "serve_counts"]

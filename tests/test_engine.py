@@ -26,6 +26,7 @@ from repro.engine import (
     SessionConfig,
     build_app,
     code_salt,
+    engine_counts,
 )
 from repro.engine.cache import ResultCache
 from repro.engine.catalog import APP_NAMES, CatalogError, canonical_name
@@ -163,15 +164,15 @@ class TestCache:
             manifest = first.result().manifest
             assert manifest.cache == "miss"
             assert manifest.request_digest == first.digest
-            assert session.stats.misses == 1
+            assert engine_counts(session.metrics)["misses"] == 1
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
             second = session.submit(request)
             result = second.result()
             assert second.cache_status == "hit"
             assert result.manifest.cache == "hit"
             assert result.metrics.total_cycles == cycles
-            assert session.stats.hits == 1
-            assert session.stats.executed == 0
+            assert engine_counts(session.metrics)["hits"] == 1
+            assert engine_counts(session.metrics)["executed"] == 0
 
     def test_changed_config_misses(self, tmp_path):
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
@@ -180,7 +181,7 @@ class TestCache:
                 small_request(board=BoardConfig.isim()))
             handle.result()
             assert handle.cache_status == "miss"
-            assert session.stats.misses == 2
+            assert engine_counts(session.metrics)["misses"] == 2
 
     def test_changed_salt_misses(self, tmp_path):
         with Session(config=SessionConfig(cache_dir=tmp_path), salt="v1") as session:
@@ -211,8 +212,8 @@ class TestCache:
                 second.result().metrics.total_cycles
             assert second.result().manifest.cache == "hit"
             assert first.result().manifest.cache == "miss"
-            assert session.stats.hits == 1
-            assert session.stats.executed == 1
+            assert engine_counts(session.metrics)["hits"] == 1
+            assert engine_counts(session.metrics)["executed"] == 1
 
     def test_disabled_cache_marks_uncached(self, tmp_path):
         with Session(config=SessionConfig(cache=False)) as session:
@@ -221,7 +222,7 @@ class TestCache:
             assert handle.cache_status == "uncached"
             assert manifest.cache == "uncached"
             assert manifest.request_digest == handle.digest
-            assert session.stats.uncached == 1
+            assert engine_counts(session.metrics)["uncached"] == 1
         assert not list(tmp_path.iterdir())
 
     def test_readonly_cache_dir_never_fails_the_run(self, tmp_path):
@@ -298,7 +299,7 @@ class TestSessionApi:
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
             result = session.run_bundle(bundle)
             assert result.manifest.cache == "uncached"
-            assert session.stats.uncached == 1
+            assert engine_counts(session.metrics)["uncached"] == 1
         assert isinstance(bundle, AppBundle)
         assert not list(tmp_path.iterdir())
 
@@ -325,7 +326,7 @@ class TestSessionApi:
             assert outcome.diagnostics["reason"] == "livelock"
             with pytest.raises(SimulationError):
                 outcome.unwrap()   # in-process: original exception
-            assert session.stats.failed == 1
+            assert engine_counts(session.metrics)["failed"] == 1
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
             handle = session.submit(request)
             cached = handle.outcome()
@@ -334,7 +335,7 @@ class TestSessionApi:
             assert cached.diagnostics["reason"] == "livelock"
             with pytest.raises(RunFailure):
                 cached.unwrap()    # exceptions don't cross the cache
-            assert session.stats.executed == 0
+            assert engine_counts(session.metrics)["executed"] == 0
 
     def test_parallel_timeout_is_a_failed_outcome(self, tmp_path):
         with Session(config=SessionConfig(jobs=2, cache=False, timeout=0.001)) as session:
@@ -342,7 +343,7 @@ class TestSessionApi:
             outcome = handle.outcome()
         assert not outcome.completed
         assert outcome.error_type == "RunTimeout"
-        assert session.stats.timeouts == 1
+        assert engine_counts(session.metrics)["timeouts"] == 1
 
     def test_probes_export_cache_counters(self, tmp_path):
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:

@@ -236,6 +236,24 @@ class TestHistory:
                 session.close()
         assert len(read_history(path)) == 1
 
+    def test_hit_rows_replay_no_wall_clock(self, tmp_path):
+        # A hit simulated nothing: its line must not carry the
+        # original run's simulate time from the cached manifest.
+        path = tmp_path / "history.jsonl"
+        request = RunRequest.for_app("depth",
+                                     sizes=SMALL_SIZES["depth"])
+        with Session(config=SessionConfig(
+                cache_dir=tmp_path / "cache")) as session:
+            session.run(request)
+        with Session(config=SessionConfig(
+                cache_dir=tmp_path / "cache", history=path)) as session:
+            hit = session.run(request)
+        assert hit.manifest.wall_time_s > 0
+        (entry,) = read_history(path)
+        assert entry["cache"] == "hit"
+        assert entry["wall_time_s"] is None
+        assert '"wall_time_s": null' in path.read_text()
+
     def test_reader_skips_corrupt_and_alien_lines(self, tmp_path):
         path = tmp_path / "history.jsonl"
         good = {"schema": "repro.perf-history/1", "digest": "d1",

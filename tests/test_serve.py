@@ -33,6 +33,7 @@ from repro.serve import (
     http_request,
     is_retryable,
     request_from_payload,
+    serve_counts,
 )
 from repro.serve.chaos import ChaosPlanError, ChaosSpec
 from repro.serve.journal import TERMINAL_EVENTS
@@ -310,12 +311,13 @@ class TestService:
                 assert artifact["body"]["cycles"] > 0
                 # Same digest again: answered from the artifact
                 # store, no execution.
-                executions = service.stats.executions
+                executions = serve_counts(service.metrics)["executions"]
                 hot, hot_env = service.submit(DEPTH)
                 assert hot.state == "completed"
                 assert hot.served_from == "artifact"
                 assert hot_env == artifact
-                assert service.stats.executions == executions
+                assert serve_counts(
+                    service.metrics)["executions"] == executions
             finally:
                 await service.stop()
 
@@ -333,9 +335,9 @@ class TestService:
                 await service.wait(follower.id, timeout_s=120)
                 assert service.status(follower.id).state == "completed"
                 assert service.status(primary.id).state == "completed"
-                assert service.stats.coalesced == 1
+                assert serve_counts(service.metrics)["coalesced"] == 1
                 # One execution served both jobs.
-                assert service.stats.executions == 1
+                assert serve_counts(service.metrics)["executions"] == 1
             finally:
                 await service.stop()
 
@@ -351,7 +353,7 @@ class TestService:
                 with pytest.raises(QueueFull) as info:
                     service.submit(DEPTH2)
                 assert info.value.retry_after_s >= 1.0
-                assert service.stats.shed_queue_full == 1
+                assert serve_counts(service.metrics)["shed_queue_full"] == 1
                 await service.drain(timeout_s=120)
             finally:
                 await service.stop()
@@ -372,7 +374,7 @@ class TestService:
                 done = service.status(job.id)
                 assert done.state == "completed"
                 assert done.attempts == 2
-                assert service.stats.retried == 1
+                assert serve_counts(service.metrics)["retried"] == 1
             finally:
                 await service.stop()
 
@@ -402,7 +404,7 @@ class TestService:
                 assert service.breaker.state == "open"
                 with pytest.raises(ServiceUnavailable):
                     service.submit(DEPTH2)
-                assert service.stats.shed_breaker == 1
+                assert serve_counts(service.metrics)["shed_breaker"] == 1
                 # The artifact path stays pure I/O and keeps serving.
                 envelope = service.artifacts.load("f" * 16)
                 assert envelope["body"] == {"cycles": 1.0}
@@ -446,7 +448,7 @@ class TestService:
                 assert done.state == "failed"
                 assert done.error_type == "HostError"
                 assert done.attempts == 1
-                assert service.stats.retried == 0
+                assert serve_counts(service.metrics)["retried"] == 0
             finally:
                 await service.stop()
 

@@ -29,6 +29,7 @@ from repro.engine import (
     Session,
     SessionConfig,
     build_app,
+    engine_counts,
 )
 from repro.engine.verify import (
     BENCH_SCHEMA,
@@ -190,7 +191,7 @@ class TestCrossBackendCache:
             handle = session.submit(request)
             result = handle.result()
             assert handle.cache_status == "hit"
-            assert session.stats.executed == 0
+            assert engine_counts(session.metrics)["executed"] == 0
         # The hit replays the original run, provenance included.
         assert result.manifest.backend == "event"
         assert result.metrics.total_cycles == \
@@ -210,23 +211,15 @@ class TestCrossBackendCache:
 
 
 class TestSessionConfigShims:
-    def test_legacy_keywords_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="SessionConfig"):
-            session = Session(jobs=2, cache=False)
-        try:
-            assert session.jobs == 2
-            assert session.config.jobs == 2
-            assert session.config.cache is False
-        finally:
-            session.close()
+    # SessionConfig is the only way in: the per-knob keywords and the
+    # positional jobs count are gone, not deprecated.
+    def test_legacy_keywords_raise_type_error(self):
+        with pytest.raises(TypeError):
+            Session(jobs=2, cache=False)
 
-    def test_positional_int_is_legacy_jobs(self):
-        with pytest.warns(DeprecationWarning):
-            session = Session(3, cache=False)
-        try:
-            assert session.jobs == 3
-        finally:
-            session.close()
+    def test_positional_int_raises_type_error(self):
+        with pytest.raises(TypeError):
+            Session(3)
 
     def test_backend_keyword_is_not_deprecated(self, recwarn):
         import warnings
