@@ -5,7 +5,8 @@ static verifier (``docs/analysis.md``): multi-pass checks over
 compiled kernels and stream programs plus a differential consistency
 gate against the simulator, surfaced as ``repro lint``, and the
 static cycle-bound model (:mod:`repro.analysis.bounds`), surfaced as
-``repro bounds``.
+the ``BD``/``ADV`` lint rules and checked against the simulator by
+``repro gate``.
 """
 
 from repro.analysis.bounds import (

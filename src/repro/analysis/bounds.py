@@ -33,7 +33,7 @@ bandwidth-sharing slowdown (``num_ags / bank-conflict factor``) and
 kernels by a full microcode reload.
 
 Soundness arguments for every formula live in ``docs/analysis.md``;
-the bracketing gate (``repro bounds``, ``repro.engine.bounds_gate``)
+the differential gate (``repro gate``, :mod:`repro.engine.gate`)
 enforces them empirically against both simulation backends on the app
 matrix and the fuzzed streamc corpus.  Bounds model fault-free runs
 only: fault injection adds retries and backoff outside any static

@@ -105,7 +105,7 @@ def check_against_simulator(context: AnalysisContext
                 f"disagrees with {PROBE_BACKENDS[0]} on "
                 f"{', '.join(diverged)}",
                 hint="the vector backend's contract is bit-identity; "
-                     "run `repro verify-backend` for the full "
+                     "run `repro gate` for the full "
                      "differential report",
                 details={field: {"event": reference[field],
                                  backend: other.get(field)}

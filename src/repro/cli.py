@@ -29,15 +29,11 @@ Mirrors the paper's evaluation flow from a shell:
 * ``slo``        -- pass/fail the SLO block of a soak report
   (availability, error budget, conservation, cold p99;
   ``docs/observability.md``);
-* ``verify-backend`` -- byte-compare the event-driven and vectorized
-  simulation backends over the app matrix plus a seeded fuzzed
-  ``streamc`` corpus, and record the speedup
-  (``repro.backend-bench/1``; see ``docs/engine.md``);
-* ``bounds``     -- static cycle-bound analysis plus the simulator-
-  bracketing gate: assert ``lower <= simulated <= upper`` on both
-  backends over the matrix and fuzz corpus, and compare the static
-  bottleneck to the dynamic critical path
-  (``repro.bounds-verify/1``; see ``docs/analysis.md``);
+* ``gate``       -- the differential gate: over the app matrix plus a
+  seeded fuzzed ``streamc`` corpus, byte-compare the event-driven and
+  vectorized backends, assert ``lower <= simulated <= upper`` on both,
+  and compare the static bottleneck to the dynamic critical path
+  (``repro.gate/1``; see ``docs/analysis.md``);
 * ``cache``      -- inspect or LRU-prune the content-addressed
   result cache.
 
@@ -779,12 +775,15 @@ def _cmd_slo(args) -> int:
     return 0 if verdict["pass"] else 1
 
 
-def _cmd_verify_backend(args) -> int:
+def _cmd_gate(args) -> int:
     from repro.engine.catalog import APP_NAMES
-    from repro.engine.verify import (
+    from repro.engine.gate import (
+        BEST_OF,
         BOARD_MODES,
-        backend_bench_entries,
-        verify_backends,
+        MAX_MEAN_TIGHTNESS,
+        MIN_BOTTLENECK_MATCHES,
+        MIN_CELL_SPEEDUP,
+        run_gate,
     )
     from repro.obs.history import append_entries
 
@@ -794,74 +793,10 @@ def _cmd_verify_backend(args) -> int:
         print(f"unknown application(s) {sorted(unknown)}; "
               f"choose from {sorted(APP_NAMES)}", file=sys.stderr)
         return 2
-    report = verify_backends(
+    report, history = run_gate(
         apps=apps, boards=args.boards or BOARD_MODES,
-        best_of=args.best_of, fuzz=args.fuzz, fuzz_seed=args.seed,
+        fuzz=args.fuzz, fuzz_seed=args.seed,
         progress=lambda message: print(message, file=sys.stderr))
-
-    text = json.dumps(report, indent=2)
-    if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
-        except OSError as error:
-            print(f"cannot write {args.out!r}: {error}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json or not args.out:
-        print(text)
-    if args.history:
-        written = append_entries(args.history,
-                                 backend_bench_entries(report))
-        print(f"history -> {args.history}: {written} line(s)",
-              file=sys.stderr)
-
-    aggregate = report["aggregate"]["speedup"]
-    verdict = (f"{'IDENTICAL' if report['ok'] else 'MISMATCH'}: "
-               f"{len(report['matrix'])} matrix cell(s), "
-               f"{report['fuzz']['count']} fuzz program(s); "
-               f"aggregate vector speedup {aggregate:.1f}x")
-    print(verdict, file=sys.stderr)
-    if not report["ok"]:
-        return 1
-    if args.min_speedup is not None and aggregate < args.min_speedup:
-        print(f"aggregate speedup {aggregate:.2f}x is below the "
-              f"--min-speedup {args.min_speedup:.2f}x floor",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    from repro.engine.bounds_gate import (
-        bounds_bench_entries,
-        verify_bounds,
-    )
-    from repro.engine.catalog import APP_NAMES
-    from repro.engine.session import Session, SessionConfig
-    from repro.engine.verify import BOARD_MODES
-    from repro.obs.history import append_entries
-
-    apps = [name.lower() for name in (args.apps or APP_NAMES)]
-    unknown = set(apps) - set(APP_NAMES)
-    if unknown:
-        print(f"unknown application(s) {sorted(unknown)}; "
-              f"choose from {sorted(APP_NAMES)}", file=sys.stderr)
-        return 2
-    # Uncached on purpose: the gate exists to bracket *fresh*
-    # simulations; replaying a cached result would re-assert a verdict
-    # instead of re-earning it.  Job count must not change a byte of
-    # the report (CI compares --jobs 1 vs 4).
-    session = Session(config=SessionConfig(jobs=args.jobs,
-                                           cache=False))
-    try:
-        report = verify_bounds(
-            apps=apps, boards=args.boards or BOARD_MODES,
-            fuzz=args.fuzz, fuzz_seed=args.seed, session=session,
-            progress=lambda message: print(message, file=sys.stderr))
-    finally:
-        session.close()
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -876,41 +811,46 @@ def _cmd_bounds(args) -> int:
     if args.json or not args.out:
         print(text)
     if args.history:
-        written = append_entries(args.history,
-                                 bounds_bench_entries(report))
+        written = append_entries(args.history, history)
         print(f"history -> {args.history}: {written} line(s)",
               file=sys.stderr)
 
+    cells = [line for line in history if line["app"] != "MATRIX"]
+    failures = report["fuzz"]["failures"]
+    identical = (report["matrix_mismatches"] == 0
+                 and all(f["identical"] for f in failures))
+    bracketed = (report["matrix_bracket_failures"] == 0
+                 and all(f["bracketed"] for f in failures))
     aggregate = report["aggregate"]
-    verdict = (f"{'BRACKETED' if report['ok'] else 'BRACKET FAILURE'}"
-               f": {len(report['matrix'])} matrix cell(s), "
-               f"{report['fuzz']['count']} fuzz program(s); "
+    verdict = (f"{'IDENTICAL' if identical else 'MISMATCH'}, "
+               f"{'BRACKETED' if bracketed else 'BRACKET FAILURE'}: "
+               f"{len(report['matrix'])} matrix cell(s), "
+               f"{report['fuzz']['count']} fuzz program(s) x "
+               f"{len(report['fuzz']['boards'])} board(s); "
                f"mean tightness {aggregate['mean_tightness']:.3f}, "
                f"bottleneck match {report['bottleneck_matches']}/"
                f"{report['bottleneck_cells']}, "
                f"{len(report['discrepancy_seeds'])} discrepancy "
                f"seed(s)")
+    if cells:
+        speedups = [line["speedup"] for line in cells]
+        verdict += (f"; vector speedup {min(speedups):.1f}-"
+                    f"{max(speedups):.1f}x (best of {BEST_OF})")
     print(verdict, file=sys.stderr)
-    status = 0
-    if not report["ok"]:
-        status = 1
-    if (args.max_mean_tightness is not None
-            and aggregate["mean_tightness"] > args.max_mean_tightness):
-        print(f"mean lower-bound tightness "
-              f"{aggregate['mean_tightness']:.3f} exceeds the "
-              f"--max-mean-tightness {args.max_mean_tightness:.3f} "
-              f"ceiling", file=sys.stderr)
-        status = 1
-    if (args.min_bottleneck_matches is not None
-            and report["bottleneck_matches"]
-            < args.min_bottleneck_matches):
-        print(f"static bottleneck matched the dynamic binding "
-              f"resource on only {report['bottleneck_matches']} of "
-              f"{report['bottleneck_cells']} cell(s); "
-              f"--min-bottleneck-matches requires "
-              f"{args.min_bottleneck_matches}", file=sys.stderr)
-        status = 1
-    return status
+    if aggregate["full_matrix"] and (
+            aggregate["mean_tightness"] > MAX_MEAN_TIGHTNESS
+            or report["bottleneck_matches"] < MIN_BOTTLENECK_MATCHES):
+        print(f"full-matrix targets missed: mean tightness must be "
+              f"<= {MAX_MEAN_TIGHTNESS} and the bottleneck must "
+              f"match on >= {MIN_BOTTLENECK_MATCHES} cells",
+              file=sys.stderr)
+    slow = [line for line in cells
+            if line["speedup"] < MIN_CELL_SPEEDUP]
+    for line in slow:
+        print(f"{line['app']}/{line['board_mode']}: vector speedup "
+              f"{line['speedup']:.2f}x is below the "
+              f"{MIN_CELL_SPEEDUP:.1f}x floor", file=sys.stderr)
+    return 0 if report["ok"] and not slow else 1
 
 
 def _cmd_cache(args) -> int:
@@ -1239,91 +1179,31 @@ def main(argv: list[str] | None = None) -> int:
     slo.add_argument("--json", action="store_true",
                      help="emit the repro.serve-slo/1 verdict as "
                           "JSON instead of text")
-    verify_backend = sub.add_parser(
-        "verify-backend",
-        help="byte-compare the event and vector backends over the "
-             "app matrix + a seeded fuzzed streamc corpus, and "
-             "record the measured speedup (repro.backend-bench/1)")
-    verify_backend.add_argument("--apps", nargs="*", default=None,
-                                metavar="NAME",
-                                help="subset of applications "
-                                     "(default: all)")
-    verify_backend.add_argument("--boards", nargs="*", default=None,
-                                choices=("hardware", "isim"),
-                                help="board models to sweep "
-                                     "(default: both)")
-    verify_backend.add_argument("--best-of", type=int, default=3,
-                                metavar="N",
-                                help="timing repetitions per cell; "
-                                     "the minimum is recorded "
-                                     "(default 3)")
-    verify_backend.add_argument("--fuzz", type=int, default=8,
-                                metavar="N",
-                                help="seeded random streamc programs "
-                                     "to differentially test "
-                                     "(default 8; 0 disables)")
-    verify_backend.add_argument("--seed", type=int, default=0,
-                                help="fuzz-corpus seed; same seed => "
-                                     "same corpus (default 0)")
-    verify_backend.add_argument("--min-speedup", type=float,
-                                default=None, metavar="X",
-                                help="also fail unless the aggregate "
-                                     "vector speedup is at least X "
-                                     "(the recorded target is 10x; "
-                                     "CI asserts only > 1)")
-    verify_backend.add_argument("--out", default=None, metavar="PATH",
-                                help="write the "
-                                     "repro.backend-verify/1 report "
-                                     "here")
-    verify_backend.add_argument("--json", action="store_true",
-                                help="emit the JSON report on stdout")
-    verify_backend.add_argument("--history", default=None,
-                                metavar="PATH",
-                                help="append repro.backend-bench/1 "
-                                     "speedup lines to this "
-                                     "perf-history store")
-    bounds = sub.add_parser(
-        "bounds",
-        help="static cycle-bound analysis + simulator-bracketing "
-             "gate: assert lower <= simulated <= upper on both "
-             "backends over the app matrix and a fuzzed corpus "
-             "(repro.bounds-verify/1; see docs/analysis.md)")
-    bounds.add_argument("--apps", nargs="*", default=None,
-                        metavar="NAME",
-                        help="subset of applications (default: all)")
-    bounds.add_argument("--boards", nargs="*", default=None,
-                        choices=("hardware", "isim"),
-                        help="board models to sweep (default: both)")
-    bounds.add_argument("--fuzz", type=int, default=100, metavar="N",
-                        help="seeded random streamc programs to "
-                             "bracket on both backends "
-                             "(default 100; 0 disables)")
-    bounds.add_argument("--seed", type=int, default=0,
-                        help="fuzz-corpus seed; same seed => "
-                             "same corpus (default 0)")
-    bounds.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default 1; the "
-                             "report is byte-identical at any job "
-                             "count)")
-    bounds.add_argument("--max-mean-tightness", type=float,
-                        default=None, metavar="X",
-                        help="also fail when mean simulated/lower "
-                             "over the matrix exceeds X (the paper-"
-                             "matrix target is 1.5)")
-    bounds.add_argument("--min-bottleneck-matches", type=int,
-                        default=None, metavar="N",
-                        help="also fail unless the static bottleneck "
-                             "matches the dynamic critpath binding "
-                             "resource on at least N matrix cells "
-                             "(the paper-matrix target is 6 of 8)")
-    bounds.add_argument("--out", default=None, metavar="PATH",
-                        help="write the repro.bounds-verify/1 "
-                             "report here")
-    bounds.add_argument("--json", action="store_true",
-                        help="emit the JSON report on stdout")
-    bounds.add_argument("--history", default=None, metavar="PATH",
-                        help="append repro.bounds-bench/1 tightness "
-                             "lines to this perf-history store")
+    gate = sub.add_parser(
+        "gate",
+        help="differential gate: byte-compare the event and vector "
+             "backends and bracket both between the static bounds, "
+             "over the app matrix + a seeded fuzzed streamc corpus "
+             "(repro.gate/1; see docs/analysis.md)")
+    gate.add_argument("--apps", nargs="*", default=None,
+                      metavar="NAME",
+                      help="subset of applications (default: all)")
+    gate.add_argument("--boards", nargs="*", default=None,
+                      choices=("hardware", "isim"),
+                      help="board models to sweep (default: both)")
+    gate.add_argument("--fuzz", type=int, default=100, metavar="N",
+                      help="seeded random streamc programs to check "
+                           "on every board (default 100; 0 disables)")
+    gate.add_argument("--seed", type=int, default=0,
+                      help="fuzz-corpus seed; same seed => "
+                           "same corpus (default 0)")
+    gate.add_argument("--out", default=None, metavar="PATH",
+                      help="write the repro.gate/1 report here")
+    gate.add_argument("--json", action="store_true",
+                      help="emit the JSON report on stdout")
+    gate.add_argument("--history", default=None, metavar="PATH",
+                      help="append repro.gate-bench/1 per-cell "
+                           "timing lines to this perf-history store")
     cache = sub.add_parser(
         "cache", help="inspect or prune the content-addressed "
                       "result cache (LRU eviction; "
@@ -1363,8 +1243,7 @@ def main(argv: list[str] | None = None) -> int:
         "perf": _cmd_perf,
         "serve": _cmd_serve,
         "slo": _cmd_slo,
-        "verify-backend": _cmd_verify_backend,
-        "bounds": _cmd_bounds,
+        "gate": _cmd_gate,
         "cache": _cmd_cache,
     }[args.command]
     return handler(args)

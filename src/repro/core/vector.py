@@ -32,7 +32,7 @@ The contract is strict: for fault-free, untraced programs the backend
 produces **bit-identical** results to ``ImagineProcessor`` -- the same
 :class:`~repro.core.metrics.Metrics` (floats accumulated in the same
 order), the same trace, the same event DAG, and therefore byte-equal
-profile/critpath/evaluation artifacts.  ``repro verify-backend``
+profile/critpath/evaluation artifacts.  ``repro gate``
 enforces this on the full app matrix plus a fuzzed streamc corpus.
 
 Faults and tracing are inherently per-event and stay on the reference

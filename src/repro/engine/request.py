@@ -19,7 +19,7 @@ Digest rules (see ``docs/engine.md``):
   change simulated behaviour (PR 1's observer-effect guarantee), and
   traced runs bypass the cache anyway;
 * the ``backend`` selector is NOT hashed either -- backends are
-  bit-identical by contract (``repro verify-backend`` enforces it),
+  bit-identical by contract (``repro gate`` enforces it),
   so an event-warmed cache serves vector requests and vice versa;
   which backend actually executed a run is provenance and lives in
   the manifest, not the digest;

@@ -281,7 +281,7 @@ class ServiceServer:
 
             return 200, {
                 "serve": serve_counts(service.metrics),
-                "breaker": service.breaker.as_dict(),
+                "breaker": service.breaker.as_dict(service.metrics),
                 "engine": engine_counts(service.metrics),
                 "backend": service.config.backend,
                 "artifacts": service.artifacts.stats(),

@@ -83,6 +83,14 @@ def serve_counts(metrics: "MetricsRegistry") -> dict[str, int]:
             for key, name, labels in _SERVE_COUNTS}
 
 
+def breaker_trips(metrics: "MetricsRegistry") -> int:
+    """Times the circuit breaker opened."""
+    from repro.obs.metrics import counter_count
+
+    return counter_count(metrics, "serve_breaker_transitions_total",
+                         to="open")
+
+
 class CircuitBreaker:
     """Sheds cold-cache work while the worker pool is unhealthy.
 
@@ -100,7 +108,6 @@ class CircuitBreaker:
         self.state = "closed"
         self.strikes = 0
         self.opened_at = 0.0
-        self.trips = 0
         #: Called as ``on_transition(old_state, new_state)`` on every
         #: state change (the service bridges this into metrics).
         self.on_transition = on_transition
@@ -119,7 +126,6 @@ class CircuitBreaker:
                 and self.strikes >= self.threshold):
             self._transition("open")
             self.opened_at = now
-            self.trips += 1
 
     def success(self) -> None:
         self.strikes = 0
@@ -141,9 +147,12 @@ class CircuitBreaker:
             return max(self.cooldown_s - (now - self.opened_at), 1.0)
         return 1.0
 
-    def as_dict(self) -> dict[str, Any]:
+    def as_dict(self, metrics: "MetricsRegistry") -> dict[str, Any]:
+        """State plus ``trips``, the times the breaker opened, read
+        from the transition counter in ``metrics``."""
         return {"state": self.state, "strikes": self.strikes,
-                "threshold": self.threshold, "trips": self.trips,
+                "threshold": self.threshold,
+                "trips": breaker_trips(metrics),
                 "cooldown_s": self.cooldown_s}
 
 
@@ -795,7 +804,7 @@ class ExperimentService:
                          f"service counter: {name}")
         registry.add("serve.pending", self._pending, "jobs",
                      "queued + running jobs")
-        registry.add("serve.breaker.trips", self.breaker.trips,
+        registry.add("serve.breaker.trips", breaker_trips(self.metrics),
                      "trips", "times the circuit breaker opened")
         for name, value in sorted(engine_counts(self.metrics).items()):
             unit = "fraction" if name == "hit_rate" else "runs"
@@ -835,7 +844,7 @@ class ExperimentService:
             "reasons": reasons,
             "queue": {"pending": self._pending,
                       "limit": self.config.queue_limit},
-            "breaker": self.breaker.as_dict(),
+            "breaker": self.breaker.as_dict(self.metrics),
             "probes": self.probes().snapshot(),
         }
 

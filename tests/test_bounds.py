@@ -25,14 +25,13 @@ from repro.analysis.bounds import (
 from repro.analysis.lint import lint_catalog, lint_image
 from repro.analysis.rules.consistency import probe_bundle
 from repro.core import BoardConfig, MachineConfig
-from repro.engine.bounds_gate import (
-    BOUNDS_BENCH_SCHEMA,
-    BOUNDS_VERIFY_SCHEMA,
+from repro.engine.gate import (
+    GATE_BENCH_SCHEMA,
+    GATE_SCHEMA,
     MAX_MEAN_TIGHTNESS,
     MIN_BOTTLENECK_MATCHES,
-    bounds_bench_entries,
-    validate_bounds_verify,
-    verify_bounds,
+    run_gate,
+    validate_gate_report,
 )
 from repro.engine.catalog import build_app
 from repro.kernels import KERNEL_LIBRARY
@@ -77,14 +76,15 @@ class TestBracketingProperty:
 
 class TestPaperMatrixGate:
     def test_matrix_brackets_and_attributes(self):
-        report = verify_bounds(fuzz=4, fuzz_seed=0)
-        validate_bounds_verify(report)
+        report, entries = run_gate(fuzz=4, fuzz_seed=0)
+        validate_gate_report(report)
         assert report["ok"], report
-        assert report["schema"] == BOUNDS_VERIFY_SCHEMA
+        assert report["schema"] == GATE_SCHEMA
         assert len(report["matrix"]) == 8
         assert report["matrix_bracket_failures"] == 0
         assert not report["fuzz"]["failures"]
         aggregate = report["aggregate"]
+        assert aggregate["full_matrix"]
         assert aggregate["mean_tightness"] <= MAX_MEAN_TIGHTNESS
         assert (report["bottleneck_matches"]
                 >= MIN_BOTTLENECK_MATCHES)
@@ -92,26 +92,86 @@ class TestPaperMatrixGate:
         mismatches = [c for c in report["matrix"]
                       if not c["bottleneck_match"]]
         assert len(report["discrepancy_seeds"]) == len(mismatches)
-        entries = bounds_bench_entries(report)
         assert len(entries) == len(report["matrix"]) + 1
-        assert all(e["schema"] == BOUNDS_BENCH_SCHEMA
+        assert all(e["schema"] == GATE_BENCH_SCHEMA
                    for e in entries)
         assert entries[-1]["app"] == "MATRIX"
         assert entries[-1]["bottleneck_match"]
 
     def test_validator_rejects_tampered_report(self):
-        report = verify_bounds(apps=["depth"], boards=["isim"],
-                               fuzz=0)
-        validate_bounds_verify(report)
-        report["matrix"][0]["event_cycles"] = \
-            report["matrix"][0]["lower"] - 1.0
-        try:
-            validate_bounds_verify(report)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError(
-                "validator accepted inconsistent bracketed flag")
+        report, _ = run_gate(apps=["depth"], boards=["isim"], fuzz=0)
+        validate_gate_report(report)
+
+        def sink_cycles(cell):
+            cell["event_cycles"] = cell["lower"] - 1.0
+
+        def flip_identical(cell):
+            cell["identical"] = not cell["identical"]
+
+        for tamper in (sink_cycles, flip_identical):
+            tampered = json.loads(json.dumps(report))
+            tamper(tampered["matrix"][0])
+            try:
+                validate_gate_report(tampered)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(
+                    f"validator accepted a report after {tamper.__name__}")
+
+    def test_gate_fails_on_one_cycle_backend_mismatch(
+            self, monkeypatch, tmp_path, capsys):
+        from repro.cli import main as cli_main
+        from repro.core.vector import VectorProcessor
+
+        run = VectorProcessor.run
+
+        def perturbed(self, image):
+            result = run(self, image)
+            result.metrics.total_cycles += 1
+            return result
+
+        monkeypatch.setattr(VectorProcessor, "run", perturbed)
+        report, _ = run_gate(apps=["rtsl"], boards=["hardware"], fuzz=0)
+        validate_gate_report(report)
+        assert report["ok"] is False
+        assert report["matrix"][0]["identical"] is False
+        assert report["matrix_mismatches"] == 1
+        out = tmp_path / "gate.json"
+        assert cli_main(["gate", "--apps", "rtsl", "--boards",
+                         "hardware", "--fuzz", "0",
+                         "--out", str(out)]) == 1
+        assert "MISMATCH" in capsys.readouterr().err
+        assert json.loads(out.read_text())["ok"] is False
+
+    def test_gate_fails_on_planted_upper_bound(
+            self, monkeypatch, tmp_path, capsys):
+        import dataclasses
+
+        from repro.analysis import bounds
+        from repro.cli import main as cli_main
+
+        compute = bounds.compute_bounds
+
+        def planted(image, **kwargs):
+            analysis = compute(image, **kwargs)
+            return dataclasses.replace(
+                analysis,
+                upper_bound_cycles=analysis.lower_bound_cycles)
+
+        monkeypatch.setattr(bounds, "compute_bounds", planted)
+        out = tmp_path / "gate.json"
+        assert cli_main(["gate", "--apps", "rtsl", "--boards",
+                         "hardware", "--fuzz", "0",
+                         "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        validate_gate_report(report)
+        cell = report["matrix"][0]
+        assert cell["upper"] < cell["event_cycles"]
+        assert cell["bracketed"] is False
+        assert cell["identical"] is True
+        assert report["ok"] is False
+        assert "BRACKET FAILURE" in capsys.readouterr().err
 
 
 class TestAdvisor:

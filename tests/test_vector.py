@@ -31,12 +31,11 @@ from repro.engine import (
     build_app,
     engine_counts,
 )
-from repro.engine.verify import (
-    BENCH_SCHEMA,
-    backend_bench_entries,
+from repro.engine.gate import (
+    GATE_BENCH_SCHEMA,
     fuzz_corpus,
     result_fingerprint,
-    verify_backends,
+    run_gate,
 )
 from repro.faults import BUILTIN_PLANS
 
@@ -91,15 +90,16 @@ class TestBitIdentity:
         # Cycle conservation holds on the vectorized ledger too.
         results["vector"].metrics.check_conservation(1e-3)
 
-    def test_verify_backend_harness_passes(self):
-        report = verify_backends(apps=["rtsl"], boards=["hardware"],
-                                 best_of=1, fuzz=2)
+    def test_gate_harness_passes(self):
+        report, entries = run_gate(apps=["rtsl"], boards=["hardware"],
+                                   fuzz=2)
         assert report["ok"]
         assert report["matrix"][0]["identical"]
-        assert report["fuzz"] == {"count": 2, "seed": 0,
-                                  "failures": []}
-        entries = backend_bench_entries(report)
-        assert [e["schema"] for e in entries] == [BENCH_SCHEMA] * 2
+        fuzz = report["fuzz"]
+        assert (fuzz["count"], fuzz["seed"], fuzz["failures"]) == \
+            (2, 0, [])
+        assert [e["schema"] for e in entries] == \
+            [GATE_BENCH_SCHEMA] * 2
         assert entries[-1]["app"] == "MATRIX"
 
     def test_fuzz_corpus_is_seed_deterministic(self):
@@ -247,25 +247,25 @@ class TestCliBackendFlag:
         report = json.loads(capsys.readouterr().out)
         assert report["manifest"]["backend"] == "vector"
 
-    def test_verify_backend_command(self, tmp_path, capsys):
+    def test_gate_command(self, tmp_path, capsys):
         from repro.cli import main as cli_main
         from repro.obs.history import read_history
 
         history = tmp_path / "history.jsonl"
         out = tmp_path / "report.json"
-        assert cli_main(["verify-backend", "--apps", "rtsl",
-                         "--boards", "hardware", "--best-of", "1",
+        assert cli_main(["gate", "--apps", "rtsl",
+                         "--boards", "hardware",
                          "--fuzz", "1", "--out", str(out),
                          "--history", str(history)]) == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == "repro.backend-verify/1"
+        assert report["schema"] == "repro.gate/1"
         assert report["ok"]
         # Bench lines are alien to the perf-history reader: tolerated
         # in the shared file, never surfaced as perf entries.
         assert read_history(history) == []
         lines = [json.loads(line) for line
                  in history.read_text().splitlines()]
-        assert {line["schema"] for line in lines} == {BENCH_SCHEMA}
+        assert {line["schema"] for line in lines} == {GATE_BENCH_SCHEMA}
 
     def test_serve_stats_expose_backend(self, tmp_path):
         import asyncio
