@@ -556,8 +556,13 @@ def _cmd_perf(args) -> int:
     from repro.engine import RunRequest
     from repro.engine.catalog import APP_NAMES
     from repro.obs.critpath import build_critpath
+    from repro.obs.history import DEFAULT_HISTORY_PATH
     from repro.obs.profile import build_profile, validate_profile
 
+    # perf alone feeds the benchmark store by default; a parser
+    # default would leak into every command sharing --history.
+    if args.history is None:
+        args.history = DEFAULT_HISTORY_PATH
     apps = [name.lower() for name in (args.apps or APP_NAMES)]
     unknown = set(apps) - set(APP_NAMES)
     if unknown:
@@ -1102,7 +1107,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="bench-critpath document path (top-3 "
                            "binding resources + slack per app on the "
                            "reference board; empty string disables)")
-    perf.set_defaults(history="benchmarks/results/history.jsonl")
     serve = sub.add_parser(
         "serve", help="run the async experiment service (HTTP/JSON "
                       "submit/poll/fetch over the engine), or with "

@@ -401,6 +401,9 @@ class VectorProcessor:
         :data:`_STEADY_CACHE`, whose key includes the full
         sample-capped pattern, so a warm run skips the expensive DRAM
         service walk without ever serving a wrong-start entry.
+        Patterns with explicit ``indices`` stay out of that table:
+        their indices come from the data, so a key would almost never
+        recur, and each one holds the whole index tuple.
         """
         key = (pattern.signature(), pattern.words)
         measurement = self._measurements.get(key)
@@ -410,7 +413,7 @@ class VectorProcessor:
         rate_key = pattern.signature() + (
             min(pattern.words, _SAMPLE_WORDS),)
         global_key = None
-        if rate_key not in rate_cache:
+        if rate_key not in rate_cache and pattern.indices is None:
             global_key = (self._steady_key, replace(
                 pattern, words=min(pattern.words, _SAMPLE_WORDS)))
             steady = _STEADY_CACHE.get(global_key)

@@ -152,6 +152,18 @@ class EventGraph:
     #: Machine facts the projector needs (``num_ags``,
     #: ``issue_overhead``, ``host_issue_cycles``, ``total_cycles``).
     meta: dict[str, float] = field(default_factory=dict)
+    #: Memoized critical-path walk, keyed by ``(len(nodes),
+    #: len(edges))`` so an append invalidates it; never pickled.
+    _walk_memo: tuple[tuple[int, int], _Walk] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The memo is derived data: keep it out of pickles (result
+        # cache entries, worker results) so their bytes do not depend
+        # on whether a report was built first.
+        state = self.__dict__.copy()
+        state.pop("_walk_memo", None)
+        return state
 
     def add_node(self, kind: str, index: int, t: float,
                  label: str = "") -> int:
@@ -239,28 +251,32 @@ def _edge_leaves(edge: GraphEdge, elapsed: float) -> dict[str, float]:
     return {UNATTRIBUTED_LEAF: elapsed} if elapsed > 1e-9 else {}
 
 
+#: Edge type -> the machine resource its constraint belongs to (for
+#: slack aggregation).  ``mem_stream`` is absent: its resource is the
+#: AG lane named in the edge detail (see :func:`_edge_resource`).
+_EDGE_RESOURCE = {
+    EDGE_KERNEL_EXEC: "clusters",
+    EDGE_CLUSTER_BUSY: "clusters",
+    EDGE_MICROCODE_LOAD: "microcontroller",
+    EDGE_LOADER_BUSY: "microcontroller",
+    EDGE_HOST_ISSUE: "host",
+    EDGE_HOST_DEPENDENCY: "host",
+    EDGE_AG_BUSY: "ags",
+    EDGE_HOST_OP: "controller",
+    EDGE_RESIDENT: "controller",
+    EDGE_DATA_DEP: "controller",
+    EDGE_CONTROLLER_ISSUE: "controller",
+    EDGE_SCOREBOARD_SLOT: "scoreboard",
+}
+
+
 def _edge_resource(edge: GraphEdge) -> str | None:
     """Which machine resource an edge's constraint belongs to (for
     slack aggregation); ``None`` for pure bookkeeping."""
-    if edge.type == EDGE_KERNEL_EXEC:
-        return "clusters"
     if edge.type == EDGE_MEM_STREAM:
         lane = edge.detail.get("lane")
         return f"ag{lane}" if lane is not None else "controller"
-    if edge.type in (EDGE_MICROCODE_LOAD, EDGE_LOADER_BUSY):
-        return "microcontroller"
-    if edge.type in (EDGE_HOST_ISSUE, EDGE_HOST_DEPENDENCY):
-        return "host"
-    if edge.type == EDGE_CLUSTER_BUSY:
-        return "clusters"
-    if edge.type == EDGE_AG_BUSY:
-        return "ags"
-    if edge.type in (EDGE_HOST_OP, EDGE_RESIDENT, EDGE_DATA_DEP,
-                     EDGE_CONTROLLER_ISSUE):
-        return "controller"
-    if edge.type == EDGE_SCOREBOARD_SLOT:
-        return "scoreboard"
-    return None
+    return _EDGE_RESOURCE.get(edge.type)
 
 
 def _leaf_component(leaf: str) -> str:
@@ -277,8 +293,28 @@ def _incoming(graph: EventGraph) -> list[list[GraphEdge]]:
     return incoming
 
 
-def _extract(graph: EventGraph) -> dict[str, Any]:
-    """Walk backwards from the end node along latest-arrival edges."""
+@dataclass(frozen=True)
+class _Walk:
+    """One critical-path walk: the path as references to edges the
+    graph owns, plus the aggregates every report reads.  Per-segment
+    dicts are not kept; :func:`build_critpath` assembles them."""
+
+    path: list[GraphEdge]
+    path_cycles: float
+    #: Critical cycles per leaf, in ``(-cycles, leaf)`` order.
+    leaves: dict[str, float]
+    #: Elapsed cycles per edge type, in ``(-cycles, type)`` order.
+    edge_types: dict[str, float]
+    #: Memory-stream elapsed cycles by limiting driver, sorted.
+    memory_driver: dict[str, float]
+    resources: dict[str, dict[str, float | int]]
+    #: Resource names by critical cycles, ``unattributed`` excluded.
+    ranked: list[str]
+
+
+def _walk(graph: EventGraph) -> _Walk:
+    """Walk backwards from the end node along latest-arrival edges
+    and aggregate the path (uncached; see :func:`_cached_walk`)."""
     if not graph.nodes:
         raise CritpathError("empty event graph")
     nodes = graph.nodes
@@ -298,7 +334,8 @@ def _extract(graph: EventGraph) -> dict[str, Any]:
             raise CritpathError(
                 f"node {current} ({nodes[current].kind}) has no "
                 f"incoming edges; the DAG is disconnected")
-        best = max(candidates, key=choice_key)
+        best = (candidates[0] if len(candidates) == 1
+                else max(candidates, key=choice_key))
         path.append(best)
         current = best.src
     path.reverse()
@@ -306,12 +343,11 @@ def _extract(graph: EventGraph) -> dict[str, Any]:
     leaves: dict[str, float] = {}
     edge_types: dict[str, float] = {}
     memory_driver: dict[str, float] = {}
-    segments: list[dict[str, Any]] = []
+    elapsed_cycles: list[float] = []
     for edge in path:
-        src, dst = nodes[edge.src], nodes[edge.dst]
-        elapsed = dst.t - src.t
-        seg_leaves = _edge_leaves(edge, elapsed)
-        for leaf, cycles in seg_leaves.items():
+        elapsed = nodes[edge.dst].t - nodes[edge.src].t
+        elapsed_cycles.append(elapsed)
+        for leaf, cycles in _edge_leaves(edge, elapsed).items():
             leaves[leaf] = leaves.get(leaf, 0.0) + cycles
         edge_types[edge.type] = (edge_types.get(edge.type, 0.0)
                                  + elapsed)
@@ -329,34 +365,27 @@ def _extract(graph: EventGraph) -> dict[str, Any]:
                 memory_driver.get("startup", 0.0) + startup)
             memory_driver[driver] = (
                 memory_driver.get(driver, 0.0) + elapsed - startup)
-        segments.append({
-            "src": {"id": src.ident, "kind": src.kind,
-                    "index": src.index, "t": src.t,
-                    "label": src.label},
-            "dst": {"id": dst.ident, "kind": dst.kind,
-                    "index": dst.index, "t": dst.t,
-                    "label": dst.label},
-            "type": edge.type,
-            "weight": edge.weight,
-            "elapsed": elapsed,
-            "leaves": {leaf: seg_leaves[leaf]
-                       for leaf in sorted(seg_leaves)},
-        })
 
-    path_edges = set(map(id, path))
+    # Slack: how much later each non-path edge's constraint could
+    # have arrived without moving its destination; a per-type table
+    # lookup keeps this pass over every edge cheap.
+    on_path = set(map(id, path))
+    times = [node.t for node in nodes]
     slack: dict[str, float] = {}
     resource_edges: dict[str, int] = {}
     for edge in graph.edges:
-        resource = _edge_resource(edge)
+        resource = _EDGE_RESOURCE.get(edge.type) or _edge_resource(edge)
         if resource is None:
             continue
-        arrival = nodes[edge.src].t + edge.weight
-        local = max(nodes[edge.dst].t - arrival, 0.0)
-        if id(edge) in path_edges:
+        if id(edge) in on_path:
             local = 0.0
+        else:
+            local = times[edge.dst] - (times[edge.src] + edge.weight)
+            if local < 0.0:
+                local = 0.0
         previous = slack.get(resource)
-        slack[resource] = (local if previous is None
-                           else min(previous, local))
+        if previous is None or local < previous:
+            slack[resource] = local
         resource_edges[resource] = resource_edges.get(resource, 0) + 1
 
     by_component: dict[str, float] = {}
@@ -378,30 +407,67 @@ def _extract(graph: EventGraph) -> dict[str, Any]:
         (name for name in resources if name != "unattributed"),
         key=lambda name: (-resources[name]["critical_cycles"], name))
 
-    return {
-        "total_cycles": total,
-        "path_cycles": sum(seg["elapsed"] for seg in segments),
-        "segments": segments,
-        "critical_leaves": {leaf: leaves[leaf]
-                            for leaf in sorted(
-                                leaves,
-                                key=lambda key: (-leaves[key], key))},
-        "critical_edge_types": {
-            name: edge_types[name]
-            for name in sorted(edge_types,
-                               key=lambda key: (-edge_types[key],
-                                                key))},
-        "memory_driver": {name: memory_driver[name]
-                          for name in sorted(memory_driver)},
-        "resources": resources,
-        "top_resources": [{
-            "resource": name,
-            "critical_cycles": resources[name]["critical_cycles"],
-            "share": resources[name]["share"],
-            "min_slack": resources[name]["min_slack"],
-        } for name in ranked[:3]],
-        "unattributed_cycles": leaves.get(UNATTRIBUTED_LEAF, 0.0),
-    }
+    return _Walk(
+        path=path,
+        path_cycles=sum(elapsed_cycles),
+        leaves={leaf: leaves[leaf]
+                for leaf in sorted(leaves,
+                                   key=lambda key: (-leaves[key], key))},
+        edge_types={name: edge_types[name]
+                    for name in sorted(edge_types,
+                                       key=lambda key: (-edge_types[key],
+                                                        key))},
+        memory_driver={name: memory_driver[name]
+                       for name in sorted(memory_driver)},
+        resources=resources,
+        ranked=ranked,
+    )
+
+
+def _cached_walk(graph: EventGraph) -> _Walk:
+    """The graph's walk, computed once per graph shape and shared by
+    the profile's ``critpath`` block, :func:`critpath_summary` and
+    :func:`build_critpath`.  Callers copy before returning anything
+    from it."""
+    key = (len(graph.nodes), len(graph.edges))
+    memo = graph._walk_memo
+    if memo is None or memo[0] != key:
+        memo = graph._walk_memo = (key, _walk(graph))
+    return memo[1]
+
+
+def _top_resources(walk: _Walk) -> list[dict[str, Any]]:
+    return [{
+        "resource": name,
+        "critical_cycles": walk.resources[name]["critical_cycles"],
+        "share": walk.resources[name]["share"],
+        "min_slack": walk.resources[name]["min_slack"],
+    } for name in walk.ranked[:3]]
+
+
+def _segments(graph: EventGraph, path: list[GraphEdge]
+              ) -> list[dict[str, Any]]:
+    """One report dict per path edge, with its leaf attribution."""
+    nodes = graph.nodes
+    segments = []
+    for edge in path:
+        src, dst = nodes[edge.src], nodes[edge.dst]
+        elapsed = dst.t - src.t
+        seg_leaves = _edge_leaves(edge, elapsed)
+        segments.append({
+            "src": {"id": src.ident, "kind": src.kind,
+                    "index": src.index, "t": src.t,
+                    "label": src.label},
+            "dst": {"id": dst.ident, "kind": dst.kind,
+                    "index": dst.index, "t": dst.t,
+                    "label": dst.label},
+            "type": edge.type,
+            "weight": edge.weight,
+            "elapsed": elapsed,
+            "leaves": {leaf: seg_leaves[leaf]
+                       for leaf in sorted(seg_leaves)},
+        })
+    return segments
 
 
 def critpath_summary(result: "RunResult") -> dict[str, Any] | None:
@@ -410,13 +476,13 @@ def critpath_summary(result: "RunResult") -> dict[str, Any] | None:
     graph = getattr(result, "event_graph", None)
     if graph is None or not graph.nodes:
         return None
-    extraction = _extract(graph)
-    top = extraction["top_resources"]
+    walk = _cached_walk(graph)
+    top = _top_resources(walk)
     return {
-        "path_cycles": extraction["path_cycles"],
+        "path_cycles": walk.path_cycles,
         "binding_resource": top[0]["resource"] if top else None,
         "top_resources": top,
-        "unattributed_cycles": extraction["unattributed_cycles"],
+        "unattributed_cycles": walk.leaves.get(UNATTRIBUTED_LEAF, 0.0),
     }
 
 
@@ -484,15 +550,14 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
         raise CritpathError(
             f"run {result.name!r} carries no event graph (produced "
             f"by an older simulator build?)")
-    extraction = _extract(graph)
+    walk = _cached_walk(graph)
     total = float(result.metrics.total_cycles)
-    path_cycles = extraction["path_cycles"]
+    path_cycles = walk.path_cycles
     residual = abs(path_cycles - total)
     conservation_ok = residual <= PATH_TOLERANCE * max(total, 1.0)
 
     profile = build_profile(result)
-    bounds = _profile_bounds(extraction["critical_leaves"], profile,
-                             total)
+    bounds = _profile_bounds(walk.leaves, profile, total)
 
     manifest = result.manifest
     return {
@@ -506,13 +571,14 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
         "path_cycles": path_cycles,
         "graph": {"nodes": len(graph.nodes),
                   "edges": len(graph.edges)},
-        "segments": extraction["segments"],
-        "critical_leaves": extraction["critical_leaves"],
-        "critical_edge_types": extraction["critical_edge_types"],
-        "memory_driver": extraction["memory_driver"],
-        "resources": extraction["resources"],
-        "top_resources": extraction["top_resources"],
-        "unattributed_cycles": extraction["unattributed_cycles"],
+        "segments": _segments(graph, walk.path),
+        "critical_leaves": dict(walk.leaves),
+        "critical_edge_types": dict(walk.edge_types),
+        "memory_driver": dict(walk.memory_driver),
+        "resources": {name: dict(entry)
+                      for name, entry in walk.resources.items()},
+        "top_resources": _top_resources(walk),
+        "unattributed_cycles": walk.leaves.get(UNATTRIBUTED_LEAF, 0.0),
         "checks": {
             "conservation": {
                 "ok": conservation_ok,

@@ -679,7 +679,6 @@ class ExperimentService:
         """The served document for a completed run: summary metrics,
         the full cycle-accounting profile and the critical-path
         summary.  Deterministic for a given request digest."""
-        from repro.obs.critpath import critpath_summary
         from repro.obs.profile import build_profile
 
         result = outcome.result
@@ -693,7 +692,7 @@ class ExperimentService:
             "watts": result.power.watts,
             "summary": profile["summary"],
             "profile": profile,
-            "critpath": critpath_summary(result),
+            "critpath": profile["critpath"],
         }
 
     # ------------------------------------------------------------------

@@ -12,7 +12,9 @@ critical-path-move detection; and the ``repro critpath`` /
 ``BENCH_critpath.json``.
 """
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +169,98 @@ class TestDeterminism:
                             board=BOARDS[mode]())
             assert (json.dumps(build_critpath(fresh), sort_keys=True)
                     == json.dumps(report, sort_keys=True)), (app, mode)
+
+
+@pytest.fixture(scope="module")
+def qrd_result():
+    with Session(config=SessionConfig(cache=False,
+                                      backend="auto")) as session:
+        return session.run(RunRequest.for_app("qrd",
+                                              sizes=SMALL_SIZES["qrd"]))
+
+
+def _unwalked(result):
+    """``result`` with an equal event graph that has never been
+    walked (a pickle round trip drops the memo)."""
+    return dataclasses.replace(
+        result, event_graph=pickle.loads(pickle.dumps(
+            result.event_graph)))
+
+
+class TestWalkMemo:
+    """The critical-path walk runs once per event graph and is shared
+    by every report built from it."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        from repro.obs import critpath
+
+        calls = []
+        walk = critpath._walk
+
+        def counted(graph):
+            calls.append(graph)
+            return walk(graph)
+
+        monkeypatch.setattr(critpath, "_walk", counted)
+        return calls
+
+    def test_every_consumer_shares_one_walk(self, qrd_result, walks,
+                                            tmp_path):
+        from types import SimpleNamespace
+
+        from repro.obs.history import history_entry
+        from repro.serve import ExperimentService, ServiceConfig
+
+        result = _unwalked(qrd_result)
+        profile = build_profile(result)
+        report = build_critpath(result)
+        summary = critpath_summary(result)
+        entry = history_entry(result)
+        service = ExperimentService(ServiceConfig(
+            data_dir=str(tmp_path / "serve"), journal_fsync=False))
+        artifact = service._build_artifact(
+            None, SimpleNamespace(result=result), None)
+        assert len(walks) == 1
+        assert profile["critpath"] == summary == artifact["critpath"]
+        assert summary["path_cycles"] == report["path_cycles"]
+        assert entry["critpath_cycles"] == report["path_cycles"]
+
+    def test_walk_never_reaches_a_pickle(self, qrd_result):
+        result = _unwalked(qrd_result)
+        before = pickle.dumps(result.event_graph)
+        build_critpath(result)
+        assert pickle.dumps(result.event_graph) == before
+
+    def test_mutating_a_report_leaves_the_next_intact(self,
+                                                      qrd_result):
+        result = _unwalked(qrd_result)
+        report = build_critpath(result)
+        expected = json.dumps(report)
+        report["segments"][0]["leaves"]["bogus"] = 1.0
+        report["segments"].clear()
+        for entry in report["resources"].values():
+            entry["critical_cycles"] = -1.0
+        report["top_resources"][0]["share"] = 2.0
+        report["top_resources"].clear()
+        report["critical_leaves"].clear()
+        summary = critpath_summary(result)
+        summary["top_resources"][0]["resource"] = "bogus"
+        assert json.dumps(build_critpath(result)) == expected
+        assert critpath_summary(result)["top_resources"][0][
+            "resource"] != "bogus"
+
+    def test_append_forces_a_new_walk(self, qrd_result, walks):
+        result = _unwalked(qrd_result)
+        before = critpath_summary(result)["path_cycles"]
+        graph = result.event_graph
+        end = graph.end
+        node = graph.add_node("end", -1, end.t + 5.0)
+        graph.add_edge(end.ident, node, "retire", 0.0)
+        after = critpath_summary(result)
+        assert len(walks) == 2
+        assert after["path_cycles"] == pytest.approx(before + 5.0)
+        assert after["unattributed_cycles"] >= 5.0
 
 
 class TestWhatif:

@@ -20,6 +20,7 @@ from repro.engine import Session, SessionConfig
 from repro.engine.session import RunRequest
 from repro.obs.diff import DIFF_SCHEMA, diff_profiles, render_diff
 from repro.obs.history import (
+    DEFAULT_HISTORY_PATH,
     append_history,
     history_entry,
     read_history,
@@ -271,6 +272,32 @@ class TestHistory:
 
 
 class TestPerfCli:
+    def test_history_store_is_the_perf_default_only(self, monkeypatch):
+        import repro.cli as cli
+
+        seen = {}
+
+        def record(args):
+            seen[args.command] = args.history
+            return 0
+
+        for command in ("app", "profile", "critpath"):
+            monkeypatch.setattr(cli, f"_cmd_{command}", record)
+            assert cli_main([command, "rtsl"]) == 0
+        assert seen == {"app": None, "profile": None, "critpath": None}
+
+        class Stop(Exception):
+            pass
+
+        def stop(args):
+            seen["perf"] = args.history
+            raise Stop
+
+        monkeypatch.setattr(cli, "_session", stop)
+        with pytest.raises(Stop):
+            cli_main(["perf", "--apps", "rtsl"])
+        assert seen["perf"] == DEFAULT_HISTORY_PATH
+
     def test_perf_gate_passes_then_catches_regression(self, tmp_path):
         out = tmp_path / "BENCH_profile.json"
         history = tmp_path / "history.jsonl"

@@ -210,6 +210,22 @@ class TestCrossBackendCache:
         assert result.manifest.backend == "vector"
 
 
+class TestSteadyCache:
+    def test_data_indexed_patterns_stay_out_of_process_table(self):
+        # RTSL's framebuffer gathers carry indices derived from the
+        # scene, so every data seed would add keys that never recur.
+        from repro.core import vector
+
+        with _uncached("vector") as session:
+            for seed in (11, 12, 13):
+                session.run(RunRequest.for_app("rtsl", sizes={
+                    "triangles": 60, "width": 64, "height": 48,
+                    "seed": seed}))
+        patterns = [pattern for _, pattern in vector._STEADY_CACHE]
+        assert patterns
+        assert all(pattern.indices is None for pattern in patterns)
+
+
 class TestSessionConfigShims:
     # SessionConfig is the only way in: the per-knob keywords and the
     # positional jobs count are gone, not deprecated.
