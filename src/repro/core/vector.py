@@ -84,6 +84,7 @@ from repro.memsys.dram import PrechargeFault
 from repro.obs.critpath import (
     EDGE_AG_BUSY,
     EDGE_CLUSTER_BUSY,
+    EDGE_CODE,
     EDGE_CONTROLLER_ISSUE,
     EDGE_DATA_DEP,
     EDGE_HOST_DEPENDENCY,
@@ -97,9 +98,8 @@ from repro.obs.critpath import (
     EDGE_RESIDENT,
     EDGE_RETIRE,
     EDGE_SCOREBOARD_SLOT,
+    NODE_CODE,
     EventGraph,
-    GraphEdge,
-    GraphNode,
 )
 from repro.obs.manifest import build_manifest
 
@@ -135,18 +135,6 @@ class BackendUnsupported(SimulationError):
 
 
 _object_new = object.__new__
-
-
-def _mknode(ident: int, kind: str, index: int, t: float,
-            label: str) -> GraphNode:
-    """Construct a :class:`GraphNode` without running the generated
-    frozen-dataclass ``__init__`` (its five ``object.__setattr__``
-    calls dominate graph recording); field-for-field identical to the
-    constructor, including equality, hashing and pickling."""
-    node = _object_new(GraphNode)
-    node.__dict__.update(ident=ident, kind=kind, index=index, t=t,
-                         label=label)
-    return node
 
 
 def _kernel_key(kernel: CompiledKernel) -> tuple:
@@ -433,8 +421,8 @@ class VectorProcessor:
     def run(self, program, name: str = "program") -> RunResult:
         """Simulate ``program``; same contract as
         :meth:`repro.core.processor.ImagineProcessor.run`."""
-        # Nearly every object allocated below (graph nodes/edges, trace
-        # events, detail dicts) survives into the RunResult, so gen-0
+        # Nearly every object allocated below (trace events, detail
+        # dicts) survives into the RunResult, so gen-0
         # collections only rescan a growing live heap.  Pause the
         # collector for the duration; restore whatever state we found.
         gc_was_enabled = gc.isenabled()
@@ -574,9 +562,7 @@ class VectorProcessor:
             "host_issue_cycles": float(
                 self.board.host_issue_cycles(machine)),
         })
-        nodes = graph.nodes
-        edges = graph.edges
-        nodes.append(_mknode(0, "source", -1, 0.0, "start"))
+        graph.add_node("source", -1, 0.0, "start")
         issue_nodes: list[int | None] = [None] * n
         begin_nodes: list[int | None] = [None] * n
         complete_nodes: list[int | None] = [None] * n
@@ -647,24 +633,40 @@ class VectorProcessor:
         cat_cluster_stall = CycleCategory.CLUSTER_STALL
         cat_memory_stall = CycleCategory.MEMORY_STALL
         cat_host_stall = CycleCategory.HOST_BANDWIDTH_STALL
-        new_obj = _object_new
-        node_cls = GraphNode
-        edge_cls = GraphEdge
         push = heappush
         pop = heappop
-        edge_resident = EDGE_RESIDENT
-        edge_data_dep = EDGE_DATA_DEP
-        edge_controller = EDGE_CONTROLLER_ISSUE
-        edge_cluster_busy = EDGE_CLUSTER_BUSY
-        edge_loader_busy = EDGE_LOADER_BUSY
-        edge_ag_busy = EDGE_AG_BUSY
-        edge_kernel_exec = EDGE_KERNEL_EXEC
-        edge_mem_stream = EDGE_MEM_STREAM
-        edge_microcode = EDGE_MICROCODE_LOAD
-        edge_host_op = EDGE_HOST_OP
-        edge_host_issue = EDGE_HOST_ISSUE
-        edge_host_dep = EDGE_HOST_DEPENDENCY
-        edge_slot = EDGE_SCOREBOARD_SLOT
+        # Event-DAG recording appends straight into the graph's
+        # columns: the unchecked equivalent of EventGraph.add_node and
+        # add_edge, one append per column.
+        node_labels = graph.node_label
+        add_t = graph.node_t.append
+        add_kind = graph.node_kind.append
+        add_index = graph.node_index.append
+        add_label = node_labels.append
+        edge_srcs = graph.edge_src
+        add_src = edge_srcs.append
+        add_dst = graph.edge_dst.append
+        add_type = graph.edge_type.append
+        add_weight = graph.edge_weight.append
+        edge_detail = graph.edge_detail
+        node_issue = NODE_CODE["issue"]
+        node_begin = NODE_CODE["begin"]
+        node_complete = NODE_CODE["complete"]
+        edge_program_start = EDGE_CODE[EDGE_PROGRAM_START]
+        edge_resident = EDGE_CODE[EDGE_RESIDENT]
+        edge_data_dep = EDGE_CODE[EDGE_DATA_DEP]
+        edge_controller = EDGE_CODE[EDGE_CONTROLLER_ISSUE]
+        edge_cluster_busy = EDGE_CODE[EDGE_CLUSTER_BUSY]
+        edge_loader_busy = EDGE_CODE[EDGE_LOADER_BUSY]
+        edge_ag_busy = EDGE_CODE[EDGE_AG_BUSY]
+        edge_kernel_exec = EDGE_CODE[EDGE_KERNEL_EXEC]
+        edge_mem_stream = EDGE_CODE[EDGE_MEM_STREAM]
+        edge_microcode = EDGE_CODE[EDGE_MICROCODE_LOAD]
+        edge_host_op = EDGE_CODE[EDGE_HOST_OP]
+        edge_host_issue = EDGE_CODE[EDGE_HOST_ISSUE]
+        edge_host_dep = EDGE_CODE[EDGE_HOST_DEPENDENCY]
+        edge_slot = EDGE_CODE[EDGE_SCOREBOARD_SLOT]
+        edge_retire = EDGE_CODE[EDGE_RETIRE]
         eps = _EPS
 
         def diagnose(reason: str, stalled: int) -> DiagnosticBundle:
@@ -735,43 +737,46 @@ class VectorProcessor:
             status[index] = _RUNNING
             start_time[index] = t
             transitions += 1
-            node = len(nodes)
-            node_obj = new_obj(node_cls)
-            node_obj.__dict__.update(ident=node, kind="begin",
-                                     index=index, t=t,
-                                     label=labels[index])
-            nodes.append(node_obj)
+            node = len(node_labels)
+            add_t(t)
+            add_kind(node_begin)
+            add_index(index)
+            add_label(labels[index])
             begin_nodes[index] = node
+            # Every edge into a begin node is one issue window long.
             src_issue = issue_nodes[index]
             if src_issue is not None:
-                edges.append(edge_cls(src_issue, node, edge_resident,
-                                       issue_overhead, {}))
+                add_src(src_issue)
+                add_dst(node)
+                add_type(edge_resident)
+                add_weight(issue_overhead)
             for dep in deps_of[index]:
                 dep_node = complete_nodes[dep]
                 if dep_node is not None:
-                    edges.append(edge_cls(dep_node, node,
-                                           edge_data_dep,
-                                           issue_overhead, {}))
+                    add_src(dep_node)
+                    add_dst(node)
+                    add_type(edge_data_dep)
+                    add_weight(issue_overhead)
             if last_begin_node is not None:
-                edges.append(edge_cls(last_begin_node, node,
-                                       edge_controller,
-                                       issue_overhead, {}))
+                add_src(last_begin_node)
+                add_dst(node)
+                add_type(edge_controller)
+                add_weight(issue_overhead)
+            busy_node = None
             if resource == _K_KERNEL:
-                if last_kernel_complete is not None:
-                    edges.append(edge_cls(last_kernel_complete, node,
-                                           edge_cluster_busy,
-                                           issue_overhead, {}))
+                busy_node = last_kernel_complete
+                busy_type = edge_cluster_busy
             elif resource == _K_MCL:
-                if last_loader_complete is not None:
-                    edges.append(edge_cls(last_loader_complete, node,
-                                           edge_loader_busy,
-                                           issue_overhead, {}))
-            elif resource == _K_MEM:
-                if (last_mem_complete is not None
-                        and len(streams) >= num_ags - 1):
-                    edges.append(edge_cls(last_mem_complete, node,
-                                           edge_ag_busy,
-                                           issue_overhead, {}))
+                busy_node = last_loader_complete
+                busy_type = edge_loader_busy
+            elif resource == _K_MEM and len(streams) >= num_ags - 1:
+                busy_node = last_mem_complete
+                busy_type = edge_ag_busy
+            if busy_node is not None:
+                add_src(busy_node)
+                add_dst(node)
+                add_type(busy_type)
+                add_weight(issue_overhead)
             last_begin_node = node
             if resource == _K_KERNEL:
                 cycles_acc[cat_sc_overhead] += issue_overhead
@@ -834,12 +839,11 @@ class VectorProcessor:
                 checker.lifetime(index, resident_time[index],
                                  start_time[index], t)
             resource = kind[index]
-            node = len(nodes)
-            node_obj = new_obj(node_cls)
-            node_obj.__dict__.update(ident=node, kind="complete",
-                                     index=index, t=t,
-                                     label=labels[index])
-            nodes.append(node_obj)
+            node = len(node_labels)
+            add_t(t)
+            add_kind(node_complete)
+            add_index(index)
+            add_label(labels[index])
             complete_nodes[index] = node
             begin_node = begin_nodes[index]
             if begin_node is not None:
@@ -852,12 +856,15 @@ class VectorProcessor:
                 else:
                     edge_type = edge_host_op
                 detail = pending_detail[index]
-                if detail is None:
-                    detail = {}
                 if resource == _K_MEM and index in mem_lanes:
-                    detail = {**detail, "lane": mem_lanes[index][0]}
-                edges.append(edge_cls(begin_node, node, edge_type,
-                                       t - start_time[index], detail))
+                    detail = {**(detail or {}),
+                              "lane": mem_lanes[index][0]}
+                if detail:
+                    edge_detail[len(edge_srcs)] = detail
+                add_src(begin_node)
+                add_dst(node)
+                add_type(edge_type)
+                add_weight(t - start_time[index])
             if resource == _K_KERNEL:
                 last_kernel_complete = node
             elif resource == _K_MEM:
@@ -960,30 +967,33 @@ class VectorProcessor:
                        and now + 1e-9 >= host_ready_at
                        and occupancy < slots):
                     index = host_next
-                    node = len(nodes)
-                    node_obj = new_obj(node_cls)
-                    node_obj.__dict__.update(ident=node, kind="issue",
-                                             index=index, t=now,
-                                             label=labels[index])
-                    nodes.append(node_obj)
+                    node = len(node_labels)
+                    add_t(now)
+                    add_kind(node_issue)
+                    add_index(index)
+                    add_label(labels[index])
                     issue_nodes[index] = node
                     if last_issue_node is None:
-                        edges.append(edge_cls(
-                            0, node, EDGE_PROGRAM_START, 0.0, {}))
+                        add_src(0)
+                        add_dst(node)
+                        add_type(edge_program_start)
+                        add_weight(0.0)
                     else:
-                        edges.append(edge_cls(
-                            last_issue_node, node, edge_host_issue,
-                            last_issue_gap, {}))
+                        add_src(last_issue_node)
+                        add_dst(node)
+                        add_type(edge_host_issue)
+                        add_weight(last_issue_gap)
                     if pending_unblock is not None:
-                        edges.append(edge_cls(
-                            pending_unblock, node,
-                            edge_host_dep,
-                            float(round_trip_cycles), {}))
+                        add_src(pending_unblock)
+                        add_dst(node)
+                        add_type(edge_host_dep)
+                        add_weight(round_trip_cycles)
                         pending_unblock = None
                     if slot_waiting and last_complete_node is not None:
-                        edges.append(edge_cls(
-                            last_complete_node, node,
-                            edge_slot, 0.0, {}))
+                        add_src(last_complete_node)
+                        add_dst(node)
+                        add_type(edge_slot)
+                        add_weight(0.0)
                     slot_waiting = False
                     last_issue_node = node
                     host_next += 1
@@ -1114,12 +1124,13 @@ class VectorProcessor:
                 complete(index, target)
             now = target
 
-        end_node = len(nodes)
-        nodes.append(_mknode(end_node, "end", -1, now, "end"))
+        end_node = graph.add_node("end", -1, now, "end")
         for complete_node in complete_nodes:
             if complete_node is not None:
-                edges.append(edge_cls(complete_node, end_node,
-                                       EDGE_RETIRE, 0.0, {}))
+                add_src(complete_node)
+                add_dst(end_node)
+                add_type(edge_retire)
+                add_weight(0.0)
         graph.meta["total_cycles"] = now
 
         if kernel_seen:

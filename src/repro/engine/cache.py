@@ -32,8 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.request import RunRequest
     from repro.engine.session import RunOutcome
 
-#: Version tag stored with every cache object; bump on layout changes.
-CACHE_FORMAT = 1
+#: Version tag stored with every cache object; bump on layout changes
+#: (2: the event graph is stored as columns).
+CACHE_FORMAT = 2
 
 #: Environment override for the size budget (bytes; unset/0 = unbounded).
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"

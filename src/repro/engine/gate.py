@@ -81,7 +81,7 @@ def result_fingerprint(result) -> str:
     Excludes the manifest: wall time, timestamps and the executing
     backend differ between backends by construction.
     """
-    from repro.obs.critpath import build_critpath
+    from repro.obs.critpath import EDGE_TYPES, NODE_KINDS, build_critpath
     from repro.obs.profile import build_profile, validate_profile
 
     metrics = result.metrics
@@ -118,9 +118,18 @@ def result_fingerprint(result) -> str:
         "power": vars(result.power),
         "histogram": dict(result.instruction_histogram),
         "trace": [vars(t) for t in result.trace],
-        "graph_nodes": [vars(node) for node in graph.nodes],
-        "graph_edges": [(e.src, e.dst, e.type, e.weight, e.detail)
-                        for e in graph.edges],
+        "graph_nodes": [
+            {"ident": ident, "kind": NODE_KINDS[kind], "index": index,
+             "t": t, "label": label}
+            for ident, (kind, index, t, label) in enumerate(zip(
+                graph.node_kind, graph.node_index, graph.node_t,
+                graph.node_label))],
+        "graph_edges": [
+            (src, dst, EDGE_TYPES[code], weight,
+             graph.edge_detail.get(edge, {}))
+            for edge, (src, dst, code, weight) in enumerate(zip(
+                graph.edge_src, graph.edge_dst, graph.edge_type,
+                graph.edge_weight))],
         "graph_meta": dict(graph.meta),
         "profile": profile,
         "critpath": build_critpath(result),

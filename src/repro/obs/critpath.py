@@ -32,6 +32,17 @@ edge type             constraint it models
 ``retire``            completion -> run end
 ====================  =================================================
 
+The graph is stored as columns (:class:`EventGraph`): typed arrays
+for node times, kind codes and instruction indices and for edge
+sources, targets, type codes and weights, a list of node labels, and
+a sparse edge-index -> detail table for the few edges that carry
+detail (kernel execution, memory streams, microcode loads).  Node
+kinds and edge types are closed vocabularies (:data:`NODE_KINDS`,
+:data:`EDGE_TYPES`) whose positions are the codes.  The same columns
+are appended to while simulating, pickled as raw buffers, and read by
+NumPy without a copy; ``graph.nodes``/``graph.edges`` are read-only
+row views for inspection.
+
 The critical path is recovered by walking backwards from the end
 node, always following the incoming edge with the latest arrival
 time (``t_src + weight``); each segment's **elapsed** time
@@ -53,8 +64,12 @@ the simulator and report prediction error.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, TypeVar, overload
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import BoardConfig, MachineConfig
@@ -82,19 +97,27 @@ EDGE_MICROCODE_LOAD = "microcode_load"
 EDGE_HOST_OP = "host_op"
 EDGE_RETIRE = "retire"
 
-#: Tie-break order when several incoming edges share the maximal
-#: arrival time: most-specific cause first (execution beats
-#: serialisation beats host bookkeeping), so the extracted path is
-#: deterministic and blames the narrowest constraint.
-_TIE_PRIORITY = {
-    name: rank for rank, name in enumerate((
-        EDGE_KERNEL_EXEC, EDGE_MEM_STREAM, EDGE_MICROCODE_LOAD,
-        EDGE_HOST_OP, EDGE_DATA_DEP, EDGE_CLUSTER_BUSY,
-        EDGE_LOADER_BUSY, EDGE_AG_BUSY, EDGE_CONTROLLER_ISSUE,
-        EDGE_RESIDENT, EDGE_HOST_DEPENDENCY, EDGE_SCOREBOARD_SLOT,
-        EDGE_HOST_ISSUE, EDGE_RETIRE, EDGE_PROGRAM_START,
-    ))
-}
+#: The closed edge-type vocabulary; an edge's type code is its
+#: position here.  The order is also the tie-break order when several
+#: incoming edges share the maximal arrival time: most-specific cause
+#: first (execution beats serialisation beats host bookkeeping), so
+#: the extracted path is deterministic and blames the narrowest
+#: constraint -- a lower code wins a tie.
+EDGE_TYPES = (
+    EDGE_KERNEL_EXEC, EDGE_MEM_STREAM, EDGE_MICROCODE_LOAD,
+    EDGE_HOST_OP, EDGE_DATA_DEP, EDGE_CLUSTER_BUSY,
+    EDGE_LOADER_BUSY, EDGE_AG_BUSY, EDGE_CONTROLLER_ISSUE,
+    EDGE_RESIDENT, EDGE_HOST_DEPENDENCY, EDGE_SCOREBOARD_SLOT,
+    EDGE_HOST_ISSUE, EDGE_RETIRE, EDGE_PROGRAM_START,
+)
+#: Edge type -> type code.
+EDGE_CODE = {name: code for code, name in enumerate(EDGE_TYPES)}
+
+#: The closed node-kind vocabulary; a node's kind code is its
+#: position here.
+NODE_KINDS = ("source", "issue", "begin", "complete", "end")
+#: Node kind -> kind code.
+NODE_CODE = {name: code for code, name in enumerate(NODE_KINDS)}
 
 #: Leaf for critical cycles no recorded constraint explains exactly
 #: (fault back-off windows, slot-loss gaps); bounded in tests, never
@@ -121,7 +144,7 @@ class CritpathError(ValueError):
 @dataclass(frozen=True)
 class GraphNode:
     """One lifetime event: ``source``/``issue``/``begin``/
-    ``complete``/``end``."""
+    ``complete``/``end`` (a row of :attr:`EventGraph.nodes`)."""
 
     ident: int
     kind: str
@@ -130,9 +153,10 @@ class GraphNode:
     label: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphEdge:
-    """One timing constraint between two events."""
+    """One timing constraint between two events (a row of
+    :attr:`EventGraph.edges`)."""
 
     src: int
     dst: int
@@ -141,21 +165,69 @@ class GraphEdge:
     detail: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class EventGraph:
-    """Append-only event DAG.  Nodes are created in simulation order
-    and every edge points from an earlier node to a later one, so the
-    graph is acyclic by construction."""
+_R = TypeVar("_R")
 
-    nodes: list[GraphNode] = field(default_factory=list)
-    edges: list[GraphEdge] = field(default_factory=list)
-    #: Machine facts the projector needs (``num_ags``,
-    #: ``issue_overhead``, ``host_issue_cycles``, ``total_cycles``).
-    meta: dict[str, float] = field(default_factory=dict)
-    #: Memoized critical-path walk, keyed by ``(len(nodes),
-    #: len(edges))`` so an append invalidates it; never pickled.
-    _walk_memo: tuple[tuple[int, int], _Walk] | None = field(
-        default=None, init=False, repr=False, compare=False)
+
+class _Rows(Sequence[_R]):
+    """Read-only sequence of rows built on demand from columns."""
+
+    __slots__ = ("_size", "_row")
+
+    def __init__(self, size: Sized, row: Callable[[int], _R]) -> None:
+        self._size = size
+        self._row = row
+
+    def __len__(self) -> int:
+        return len(self._size)
+
+    @overload
+    def __getitem__(self, key: int) -> _R: ...
+
+    @overload
+    def __getitem__(self, key: slice) -> list[_R]: ...
+
+    def __getitem__(self, key: int | slice) -> _R | list[_R]:
+        rows = range(len(self._size))
+        if isinstance(key, slice):
+            return [self._row(i) for i in rows[key]]
+        return self._row(rows[key])
+
+
+#: Shared empty detail for edges recorded without any; never mutated.
+_NO_DETAIL: dict[str, Any] = {}
+
+
+class EventGraph:
+    """Append-only event DAG stored as columns.
+
+    Nodes are created in simulation order and every edge points from
+    an earlier node to a later one, so the graph is acyclic by
+    construction.  Node ``i`` is row ``i`` of the ``node_*`` columns
+    and edge ``j`` row ``j`` of the ``edge_*`` columns; kinds and
+    types are codes into :data:`NODE_KINDS` and :data:`EDGE_TYPES`.
+    The typed columns pickle as raw buffers and NumPy reads them
+    without a copy.  :attr:`nodes` and :attr:`edges` are read-only
+    row views for inspection; nothing on a hot path iterates them.
+    """
+
+    #: Memoized critical-path walk, keyed by ``(nodes, edges)`` count
+    #: so an append invalidates it; never pickled.
+    _walk_memo: tuple[tuple[int, int], _Walk] | None = None
+
+    def __init__(self, meta: dict[str, float] | None = None) -> None:
+        self.node_t: array[float] = array("d")
+        self.node_kind: array[int] = array("B")
+        self.node_index: array[int] = array("i")
+        self.node_label: list[str] = []
+        self.edge_src: array[int] = array("i")
+        self.edge_dst: array[int] = array("i")
+        self.edge_type: array[int] = array("B")
+        self.edge_weight: array[float] = array("d")
+        #: Edge index -> detail, only for edges recorded with detail.
+        self.edge_detail: dict[int, dict[str, Any]] = {}
+        #: Machine facts the projector needs (``num_ags``,
+        #: ``issue_overhead``, ``host_issue_cycles``, ``total_cycles``).
+        self.meta: dict[str, float] = {} if meta is None else meta
 
     def __getstate__(self) -> dict[str, Any]:
         # The memo is derived data: keep it out of pickles (result
@@ -165,26 +237,64 @@ class EventGraph:
         state.pop("_walk_memo", None)
         return state
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventGraph):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
     def add_node(self, kind: str, index: int, t: float,
                  label: str = "") -> int:
-        ident = len(self.nodes)
-        self.nodes.append(GraphNode(ident, kind, index, float(t), label))
+        code = NODE_CODE.get(kind)
+        if code is None:
+            raise CritpathError(f"unknown node kind {kind!r}")
+        ident = len(self.node_label)
+        self.node_t.append(float(t))
+        self.node_kind.append(code)
+        self.node_index.append(index)
+        self.node_label.append(label)
         return ident
 
     def add_edge(self, src: int, dst: int, type: str, weight: float,
                  **detail: Any) -> None:
-        if src < 0 or dst >= len(self.nodes) or src >= dst:
+        if src < 0 or dst >= len(self.node_label) or src >= dst:
             raise CritpathError(
                 f"edge {src}->{dst} violates creation order "
-                f"({len(self.nodes)} nodes)")
-        self.edges.append(GraphEdge(src, dst, type, float(weight),
-                                    detail))
+                f"({len(self.node_label)} nodes)")
+        code = EDGE_CODE.get(type)
+        if code is None:
+            raise CritpathError(f"unknown edge type {type!r}")
+        if detail:
+            self.edge_detail[len(self.edge_src)] = detail
+        self.edge_src.append(src)
+        self.edge_dst.append(dst)
+        self.edge_type.append(code)
+        self.edge_weight.append(float(weight))
+
+    def node(self, ident: int) -> GraphNode:
+        return GraphNode(ident, NODE_KINDS[self.node_kind[ident]],
+                         self.node_index[ident], self.node_t[ident],
+                         self.node_label[ident])
+
+    def edge(self, index: int) -> GraphEdge:
+        return GraphEdge(self.edge_src[index], self.edge_dst[index],
+                         EDGE_TYPES[self.edge_type[index]],
+                         self.edge_weight[index],
+                         dict(self.edge_detail.get(index, _NO_DETAIL)))
+
+    @property
+    def nodes(self) -> Sequence[GraphNode]:
+        return _Rows(self.node_label, self.node)
+
+    @property
+    def edges(self) -> Sequence[GraphEdge]:
+        return _Rows(self.edge_src, self.edge)
 
     @property
     def end(self) -> GraphNode:
-        if not self.nodes or self.nodes[-1].kind != "end":
+        if (not self.node_label
+                or self.node_kind[-1] != NODE_CODE["end"]):
             raise CritpathError("event graph has no end node")
-        return self.nodes[-1]
+        return self.node(len(self.node_label) - 1)
 
 
 # ----------------------------------------------------------------------
@@ -211,11 +321,11 @@ def _split(parts: list[tuple[str, float]], elapsed: float
     return leaves
 
 
-def _edge_leaves(edge: GraphEdge, elapsed: float) -> dict[str, float]:
+def _edge_leaves(type: str, weight: float, detail: dict[str, Any],
+                 elapsed: float) -> dict[str, float]:
     """Attribute one critical segment's elapsed cycles to
     ``component.side.leaf`` paths from the profile vocabulary."""
-    detail = edge.detail
-    if edge.type == EDGE_KERNEL_EXEC:
+    if type == EDGE_KERNEL_EXEC:
         return _split([
             ("clusters.busy.operations",
              float(detail.get("operations", 0.0))),
@@ -228,24 +338,22 @@ def _edge_leaves(edge: GraphEdge, elapsed: float) -> dict[str, float]:
             ("microcontroller.busy.load",
              float(detail.get("microcode", 0.0))),
         ], elapsed)
-    if edge.type == EDGE_MEM_STREAM:
+    if type == EDGE_MEM_STREAM:
         lane = detail.get("lane")
         leaf = (f"ag{lane}.busy.stream_transfer" if lane is not None
                 else "controller.busy.dispatch")
         return {leaf: elapsed} if elapsed > 0.0 else {}
-    if edge.type == EDGE_MICROCODE_LOAD:
-        return _split([("microcontroller.busy.load", edge.weight)],
-                      elapsed)
-    if edge.type == EDGE_HOST_OP:
+    if type == EDGE_MICROCODE_LOAD:
+        return _split([("microcontroller.busy.load", weight)], elapsed)
+    if type == EDGE_HOST_OP:
         return {"controller.busy.dispatch": elapsed} if elapsed else {}
-    if edge.type == EDGE_HOST_ISSUE:
-        return _split([("host.busy.issue", edge.weight)], elapsed)
-    if edge.type == EDGE_HOST_DEPENDENCY:
-        return _split([("host.busy.round_trip", edge.weight)], elapsed)
-    if edge.type in (EDGE_RESIDENT, EDGE_DATA_DEP, EDGE_CLUSTER_BUSY,
-                     EDGE_LOADER_BUSY, EDGE_AG_BUSY,
-                     EDGE_CONTROLLER_ISSUE):
-        return _split([("controller.busy.issue", edge.weight)], elapsed)
+    if type == EDGE_HOST_ISSUE:
+        return _split([("host.busy.issue", weight)], elapsed)
+    if type == EDGE_HOST_DEPENDENCY:
+        return _split([("host.busy.round_trip", weight)], elapsed)
+    if type in (EDGE_RESIDENT, EDGE_DATA_DEP, EDGE_CLUSTER_BUSY,
+                EDGE_LOADER_BUSY, EDGE_AG_BUSY, EDGE_CONTROLLER_ISSUE):
+        return _split([("controller.busy.issue", weight)], elapsed)
     # Zero-weight bookkeeping edges (program_start, scoreboard_slot,
     # retire): any elapsed time is an unexplained gap.
     return {UNATTRIBUTED_LEAF: elapsed} if elapsed > 1e-9 else {}
@@ -268,15 +376,28 @@ _EDGE_RESOURCE = {
     EDGE_CONTROLLER_ISSUE: "controller",
     EDGE_SCOREBOARD_SLOT: "scoreboard",
 }
+#: The same table by type code, as ids into the resource names
+#: (-1: no resource, or a ``mem_stream`` lane resolved per edge).
+_RESOURCE_NAMES = tuple(dict.fromkeys(_EDGE_RESOURCE.values()))
+_RESOURCE_OF_CODE = np.array(
+    [_RESOURCE_NAMES.index(_EDGE_RESOURCE[name])
+     if name in _EDGE_RESOURCE else -1 for name in EDGE_TYPES],
+    dtype=np.intp)
 
 
-def _edge_resource(edge: GraphEdge) -> str | None:
+def _stream_resource(detail: dict[str, Any]) -> str:
+    """A memory stream's resource: the AG lane it ran on, else the
+    controller."""
+    lane = detail.get("lane")
+    return f"ag{lane}" if lane is not None else "controller"
+
+
+def _edge_resource(type: str, detail: dict[str, Any]) -> str | None:
     """Which machine resource an edge's constraint belongs to (for
     slack aggregation); ``None`` for pure bookkeeping."""
-    if edge.type == EDGE_MEM_STREAM:
-        lane = edge.detail.get("lane")
-        return f"ag{lane}" if lane is not None else "controller"
-    return _EDGE_RESOURCE.get(edge.type)
+    if type == EDGE_MEM_STREAM:
+        return _stream_resource(detail)
+    return _EDGE_RESOURCE.get(type)
 
 
 def _leaf_component(leaf: str) -> str:
@@ -286,20 +407,13 @@ def _leaf_component(leaf: str) -> str:
 # ----------------------------------------------------------------------
 # Extraction.
 # ----------------------------------------------------------------------
-def _incoming(graph: EventGraph) -> list[list[GraphEdge]]:
-    incoming: list[list[GraphEdge]] = [[] for _ in graph.nodes]
-    for edge in graph.edges:
-        incoming[edge.dst].append(edge)
-    return incoming
-
-
 @dataclass(frozen=True)
 class _Walk:
-    """One critical-path walk: the path as references to edges the
-    graph owns, plus the aggregates every report reads.  Per-segment
-    dicts are not kept; :func:`build_critpath` assembles them."""
+    """One critical-path walk: the path as indices of edges the graph
+    owns, plus the aggregates every report reads.  Per-segment dicts
+    are not kept; :func:`build_critpath` assembles them."""
 
-    path: list[GraphEdge]
+    path: list[int]
     path_cycles: float
     #: Critical cycles per leaf, in ``(-cycles, leaf)`` order.
     leaves: dict[str, float]
@@ -312,32 +426,53 @@ class _Walk:
     ranked: list[str]
 
 
+def _best_incoming(t: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                   code: np.ndarray, weight: np.ndarray) -> list[int]:
+    """Per node, the index of its incoming edge with the latest
+    arrival (``t_src + weight``), or -1 when it has none.
+
+    Ties go to the lower type code, then the later source time, then
+    the higher source id, then the lower edge index -- one lexsort
+    whose last row per destination is the winner.
+    """
+    t_src = t[src]
+    order = np.lexsort((-np.arange(len(src)), src, t_src,
+                        -code.astype(np.intp), t_src + weight, dst))
+    ranked = dst[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = ranked[1:] != ranked[:-1]
+    best = np.full(len(t), -1, dtype=np.intp)
+    best[ranked[last]] = order[last]
+    return best.tolist()
+
+
 def _walk(graph: EventGraph) -> _Walk:
     """Walk backwards from the end node along latest-arrival edges
     and aggregate the path (uncached; see :func:`_cached_walk`)."""
-    if not graph.nodes:
+    if not graph.node_label:
         raise CritpathError("empty event graph")
-    nodes = graph.nodes
-    incoming = _incoming(graph)
     end = graph.end
+    times, sources, targets = graph.node_t, graph.edge_src, graph.edge_dst
+    types, weights = graph.edge_type, graph.edge_weight
+    details = graph.edge_detail
+    t = np.asarray(times)
+    src = np.asarray(sources)
+    dst = np.asarray(targets)
+    code = np.asarray(types)
+    weight = np.asarray(weights)
+    best = _best_incoming(t, src, dst, code, weight)
 
-    def choice_key(edge: GraphEdge) -> tuple:
-        arrival = nodes[edge.src].t + edge.weight
-        return (arrival, -_TIE_PRIORITY.get(edge.type, 99),
-                nodes[edge.src].t, edge.src)
-
-    path: list[GraphEdge] = []
+    path: list[int] = []
     current = end.ident
     while current != 0:
-        candidates = incoming[current]
-        if not candidates:
+        edge = best[current]
+        if edge < 0:
             raise CritpathError(
-                f"node {current} ({nodes[current].kind}) has no "
+                f"node {current} "
+                f"({NODE_KINDS[graph.node_kind[current]]}) has no "
                 f"incoming edges; the DAG is disconnected")
-        best = (candidates[0] if len(candidates) == 1
-                else max(candidates, key=choice_key))
-        path.append(best)
-        current = best.src
+        path.append(edge)
+        current = sources[edge]
     path.reverse()
 
     leaves: dict[str, float] = {}
@@ -345,14 +480,15 @@ def _walk(graph: EventGraph) -> _Walk:
     memory_driver: dict[str, float] = {}
     elapsed_cycles: list[float] = []
     for edge in path:
-        elapsed = nodes[edge.dst].t - nodes[edge.src].t
+        type = EDGE_TYPES[types[edge]]
+        detail = details.get(edge, _NO_DETAIL)
+        elapsed = times[targets[edge]] - times[sources[edge]]
         elapsed_cycles.append(elapsed)
-        for leaf, cycles in _edge_leaves(edge, elapsed).items():
+        for leaf, cycles in _edge_leaves(type, weights[edge], detail,
+                                         elapsed).items():
             leaves[leaf] = leaves.get(leaf, 0.0) + cycles
-        edge_types[edge.type] = (edge_types.get(edge.type, 0.0)
-                                 + elapsed)
-        if edge.type == EDGE_MEM_STREAM and elapsed > 0.0:
-            detail = edge.detail
+        edge_types[type] = edge_types.get(type, 0.0) + elapsed
+        if type == EDGE_MEM_STREAM and elapsed > 0.0:
             startup = min(float(detail.get("startup", 0.0)), elapsed)
             drivers = (
                 ("dram", float(detail.get("dram_cycles", 0.0))),
@@ -367,26 +503,26 @@ def _walk(graph: EventGraph) -> _Walk:
                 memory_driver.get(driver, 0.0) + elapsed - startup)
 
     # Slack: how much later each non-path edge's constraint could
-    # have arrived without moving its destination; a per-type table
-    # lookup keeps this pass over every edge cheap.
-    on_path = set(map(id, path))
-    times = [node.t for node in nodes]
-    slack: dict[str, float] = {}
-    resource_edges: dict[str, int] = {}
-    for edge in graph.edges:
-        resource = _EDGE_RESOURCE.get(edge.type) or _edge_resource(edge)
-        if resource is None:
-            continue
-        if id(edge) in on_path:
-            local = 0.0
-        else:
-            local = times[edge.dst] - (times[edge.src] + edge.weight)
-            if local < 0.0:
-                local = 0.0
-        previous = slack.get(resource)
-        if previous is None or local < previous:
-            slack[resource] = local
-        resource_edges[resource] = resource_edges.get(resource, 0) + 1
+    # have arrived without moving its destination, minimised and
+    # counted per resource (both exact in any order).
+    resource = _RESOURCE_OF_CODE[code]
+    resource_ids = {name: rid for rid, name in enumerate(_RESOURCE_NAMES)}
+    streams = np.flatnonzero(code == EDGE_CODE[EDGE_MEM_STREAM])
+    for edge in streams.tolist():
+        name = _stream_resource(details.get(edge, _NO_DETAIL))
+        resource[edge] = resource_ids.setdefault(name, len(resource_ids))
+    local = t[dst] - (t[src] + weight)
+    local = np.where(local < 0.0, 0.0, local)
+    local[path] = 0.0
+    counted = resource >= 0
+    owner = resource[counted]
+    counts = np.bincount(owner, minlength=len(resource_ids))
+    lowest = np.full(len(resource_ids), np.inf)
+    np.minimum.at(lowest, owner, local[counted])
+    slack = {name: float(lowest[rid]) for name, rid in resource_ids.items()
+             if counts[rid]}
+    resource_edges = {name: int(counts[rid])
+                      for name, rid in resource_ids.items()}
 
     by_component: dict[str, float] = {}
     for leaf, cycles in leaves.items():
@@ -429,7 +565,7 @@ def _cached_walk(graph: EventGraph) -> _Walk:
     the profile's ``critpath`` block, :func:`critpath_summary` and
     :func:`build_critpath`.  Callers copy before returning anything
     from it."""
-    key = (len(graph.nodes), len(graph.edges))
+    key = (len(graph.node_label), len(graph.edge_src))
     memo = graph._walk_memo
     if memo is None or memo[0] != key:
         memo = graph._walk_memo = (key, _walk(graph))
@@ -445,24 +581,30 @@ def _top_resources(walk: _Walk) -> list[dict[str, Any]]:
     } for name in walk.ranked[:3]]
 
 
-def _segments(graph: EventGraph, path: list[GraphEdge]
+def _segments(graph: EventGraph, path: list[int]
               ) -> list[dict[str, Any]]:
     """One report dict per path edge, with its leaf attribution."""
-    nodes = graph.nodes
+    times = graph.node_t
+
+    def point(node: int) -> dict[str, Any]:
+        return {"id": node, "kind": NODE_KINDS[graph.node_kind[node]],
+                "index": graph.node_index[node], "t": times[node],
+                "label": graph.node_label[node]}
+
     segments = []
     for edge in path:
-        src, dst = nodes[edge.src], nodes[edge.dst]
-        elapsed = dst.t - src.t
-        seg_leaves = _edge_leaves(edge, elapsed)
+        src, dst = graph.edge_src[edge], graph.edge_dst[edge]
+        type = EDGE_TYPES[graph.edge_type[edge]]
+        weight = graph.edge_weight[edge]
+        elapsed = times[dst] - times[src]
+        seg_leaves = _edge_leaves(
+            type, weight, graph.edge_detail.get(edge, _NO_DETAIL),
+            elapsed)
         segments.append({
-            "src": {"id": src.ident, "kind": src.kind,
-                    "index": src.index, "t": src.t,
-                    "label": src.label},
-            "dst": {"id": dst.ident, "kind": dst.kind,
-                    "index": dst.index, "t": dst.t,
-                    "label": dst.label},
-            "type": edge.type,
-            "weight": edge.weight,
+            "src": point(src),
+            "dst": point(dst),
+            "type": type,
+            "weight": weight,
             "elapsed": elapsed,
             "leaves": {leaf: seg_leaves[leaf]
                        for leaf in sorted(seg_leaves)},
@@ -498,35 +640,39 @@ def partial_critpath_summary(graph: "EventGraph | None"
     this to its :class:`~repro.core.watchdog.DiagnosticBundle` so a
     livelock report names a suspect, not just a cycle count.
     """
-    if graph is None or not getattr(graph, "edges", None):
+    if graph is None or not graph.edge_src:
         return None
     resources: dict[str, float] = {}
     leaves: dict[str, float] = {}
-    top_edge = None
-    for edge in graph.edges:
-        resource = _edge_resource(edge)
+    top_edge: int | None = None
+    for edge, (code, weight) in enumerate(zip(graph.edge_type,
+                                              graph.edge_weight)):
+        type = EDGE_TYPES[code]
+        detail = graph.edge_detail.get(edge, _NO_DETAIL)
+        resource = _edge_resource(type, detail)
         if resource is None:
             continue
-        resources[resource] = (resources.get(resource, 0.0)
-                               + edge.weight)
-        for leaf, cycles in _edge_leaves(edge, edge.weight).items():
+        resources[resource] = resources.get(resource, 0.0) + weight
+        for leaf, cycles in _edge_leaves(type, weight, detail,
+                                         weight).items():
             leaves[leaf] = leaves.get(leaf, 0.0) + cycles
-        if top_edge is None or edge.weight > top_edge.weight:
+        if top_edge is None or weight > graph.edge_weight[top_edge]:
             top_edge = edge
     if not resources or top_edge is None:
         return None
     ranked = sorted(resources,
                     key=lambda name: (-resources[name], name))
+    top = graph.edge(top_edge)
     return {
         "kind": "partial",
-        "edges": len(graph.edges),
+        "edges": len(graph.edge_src),
         "binding_resource": ranked[0],
         "resource_cycles": {name: resources[name]
                             for name in ranked},
         "top_segment": {
-            "type": top_edge.type,
-            "weight": top_edge.weight,
-            "resource": _edge_resource(top_edge),
+            "type": top.type,
+            "weight": top.weight,
+            "resource": _edge_resource(top.type, top.detail),
         },
         "top_leaves": {
             leaf: leaves[leaf]
@@ -543,7 +689,7 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
     Deterministic for a given run: maps are emitted in sorted or
     rank order and nothing wall-clock dependent is included.
     """
-    from repro.obs.profile import build_profile
+    from repro.obs.profile import profile_components
 
     graph = getattr(result, "event_graph", None)
     if graph is None or not graph.nodes:
@@ -556,8 +702,8 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
     residual = abs(path_cycles - total)
     conservation_ok = residual <= PATH_TOLERANCE * max(total, 1.0)
 
-    profile = build_profile(result)
-    bounds = _profile_bounds(walk.leaves, profile, total)
+    bounds = _profile_bounds(walk.leaves, profile_components(result),
+                             total)
 
     manifest = result.manifest
     return {
@@ -569,8 +715,8 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
                            if manifest is not None else None),
         "total_cycles": total,
         "path_cycles": path_cycles,
-        "graph": {"nodes": len(graph.nodes),
-                  "edges": len(graph.edges)},
+        "graph": {"nodes": len(graph.node_label),
+                  "edges": len(graph.edge_src)},
         "segments": _segments(graph, walk.path),
         "critical_leaves": dict(walk.leaves),
         "critical_edge_types": dict(walk.edge_types),
@@ -592,11 +738,10 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
 
 
 def _profile_bounds(critical_leaves: dict[str, float],
-                    profile: dict[str, Any], total: float
+                    components: dict[str, dict[str, Any]], total: float
                     ) -> dict[str, Any]:
     """Cross-validate: critical cycles per leaf cannot exceed the
     cycles the profile tree attributes to that leaf."""
-    components = profile["components"]
     tolerance = 1e-6 * max(total, 1.0) + 1e-6
     checked = 0
     violations = []
@@ -723,9 +868,10 @@ def parse_scales(spec: str) -> dict[str, float]:
     return scales
 
 
-def _scaled_weight_fn(graph: EventGraph, scales: dict[str, float]
-                      ) -> Callable[[GraphEdge], float | None]:
-    """Per-edge scaled weight; ``None`` drops the edge entirely."""
+def _scaled_weights(graph: EventGraph, scales: dict[str, float]
+                    ) -> np.ndarray:
+    """Per-edge scaled weights; ``-inf`` drops an edge entirely (it
+    can never set an arrival)."""
     num_ags = int(graph.meta.get("num_ags", 0))
     host_rate = float(graph.meta.get("host_issue_cycles", 0.0))
     dram = scales.get("dram", 1.0)
@@ -733,66 +879,69 @@ def _scaled_weight_fn(graph: EventGraph, scales: dict[str, float]
     microcode = scales.get("microcode", 1.0)
     srf = scales.get("srf", 1.0)
     clusters = scales.get("clusters", 1.0)
-    drop_ag_edges = scales.get("ags", 0.0) > num_ags > 0
+    code = np.asarray(graph.edge_type)
+    weight = np.array(graph.edge_weight)
+    raw, details = graph.edge_weight, graph.edge_detail
 
-    def weight(edge: GraphEdge) -> float | None:
-        w = edge.weight
-        if edge.type == EDGE_AG_BUSY and drop_ag_edges:
-            return None
-        if edge.type == EDGE_HOST_ISSUE:
-            # Only the pure host-rate spacing scales with MIPS; any
-            # excess in the gap is blocked/back-off time a faster
-            # host cannot shrink.
-            if host_rate > 0.0:
-                pure = min(w, host_rate)
-                return pure / host + (w - pure)
-            return w / host
-        if edge.type == EDGE_MICROCODE_LOAD:
-            return w / microcode
-        if edge.type == EDGE_KERNEL_EXEC:
-            detail = edge.detail
-            busy = (float(detail.get("operations", 0.0))
-                    + float(detail.get("main_loop_overhead", 0.0))
-                    + float(detail.get("non_main_loop", 0.0)))
-            stall = float(detail.get("stall", 0.0))
-            load = float(detail.get("microcode", 0.0))
-            parts = busy + stall + load
-            rest = max(w - parts, 0.0)
-            return (busy / clusters + stall / srf + load / microcode
-                    + rest)
-        if edge.type == EDGE_MEM_STREAM and dram != 1.0:
-            detail = edge.detail
-            startup = min(float(detail.get("startup", 0.0)), w)
-            d = float(detail.get("dram_cycles", 0.0))
-            a = float(detail.get("ag_cycles", 0.0))
-            # Scaling the DRAM clock also scales the controller port
-            # (mem_peak_words_per_cycle = channels / clock_ratio).
-            c = float(detail.get("controller_cycles", 0.0))
-            base = max(d, a, c)
-            if base <= 0.0:
-                return w
+    def of(type: str) -> np.ndarray:
+        return code == EDGE_CODE[type]
+
+    if scales.get("ags", 0.0) > num_ags > 0:
+        weight[of(EDGE_AG_BUSY)] = -np.inf
+    # Only the pure host-rate spacing of a host issue scales with
+    # MIPS; any excess in the gap is blocked/back-off time a faster
+    # host cannot shrink.
+    issue = of(EDGE_HOST_ISSUE)
+    gaps = weight[issue]
+    if host_rate > 0.0:
+        pure = np.minimum(gaps, host_rate)
+        weight[issue] = pure / host + (gaps - pure)
+    else:
+        weight[issue] = gaps / host
+    weight[of(EDGE_MICROCODE_LOAD)] /= microcode
+    for edge in np.flatnonzero(of(EDGE_KERNEL_EXEC)).tolist():
+        detail = details.get(edge, _NO_DETAIL)
+        busy = (float(detail.get("operations", 0.0))
+                + float(detail.get("main_loop_overhead", 0.0))
+                + float(detail.get("non_main_loop", 0.0)))
+        stall = float(detail.get("stall", 0.0))
+        load = float(detail.get("microcode", 0.0))
+        parts = busy + stall + load
+        rest = max(raw[edge] - parts, 0.0)
+        weight[edge] = (busy / clusters + stall / srf
+                        + load / microcode + rest)
+    if dram == 1.0:
+        return weight
+    for edge in np.flatnonzero(of(EDGE_MEM_STREAM)).tolist():
+        detail = details.get(edge, _NO_DETAIL)
+        w = raw[edge]
+        startup = min(float(detail.get("startup", 0.0)), w)
+        d = float(detail.get("dram_cycles", 0.0))
+        a = float(detail.get("ag_cycles", 0.0))
+        # Scaling the DRAM clock also scales the controller port
+        # (mem_peak_words_per_cycle = channels / clock_ratio).
+        c = float(detail.get("controller_cycles", 0.0))
+        base = max(d, a, c)
+        if base > 0.0:
             scaled = max(d / dram, a, c / dram)
-            return startup + (w - startup) * scaled / base
-        return w
-
+            weight[edge] = startup + (w - startup) * scaled / base
     return weight
 
 
-def _replay(graph: EventGraph,
-            weight: Callable[[GraphEdge], float | None]) -> float:
-    """Forward-propagate node times over the DAG under ``weight``."""
-    incoming = _incoming(graph)
-    times = [0.0] * len(graph.nodes)
-    for node in graph.nodes:
-        best = 0.0
-        for edge in incoming[node.ident]:
-            w = weight(edge)
-            if w is None:
-                continue
-            arrival = times[edge.src] + w
-            if arrival > best:
-                best = arrival
-        times[node.ident] = best
+def _replay(graph: EventGraph, weight: np.ndarray) -> float:
+    """Forward-propagate node times over the DAG under ``weight``.
+
+    Edges are visited in destination order (creation order within a
+    destination), so every source time is final before it is read.
+    """
+    order = np.argsort(np.asarray(graph.edge_dst), kind="stable")
+    times = [0.0] * len(graph.node_label)
+    for src, dst, w in zip(np.asarray(graph.edge_src)[order].tolist(),
+                           np.asarray(graph.edge_dst)[order].tolist(),
+                           weight[order].tolist()):
+        arrival = times[src] + w
+        if arrival > times[dst]:
+            times[dst] = arrival
     return times[graph.end.ident]
 
 
@@ -811,8 +960,8 @@ def project_whatif(graph: EventGraph, scales: dict[str, float]
             f"unknown resource(s) {sorted(unknown)}; choose from "
             f"{', '.join(KNOWN_SCALES)}")
     total = float(graph.meta.get("total_cycles", graph.end.t))
-    baseline = _replay(graph, lambda edge: edge.weight)
-    scaled = _replay(graph, _scaled_weight_fn(graph, scales))
+    baseline = _replay(graph, np.asarray(graph.edge_weight))
+    scaled = _replay(graph, _scaled_weights(graph, scales))
     calibration = total / baseline if baseline > 0 else 1.0
     predicted = scaled * calibration
     return {

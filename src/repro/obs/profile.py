@@ -161,14 +161,15 @@ def _stream_op_rollup(result: "RunResult") -> list[dict[str, Any]]:
     } for op in sorted(totals)]
 
 
-def build_profile(result: "RunResult") -> dict[str, Any]:
-    """Fold one finished run into a ``repro.profile-report/1`` dict.
+#: Ops the stream controller executes itself, one dispatch cycle each.
+_DISPATCHED_OPS = frozenset(
+    op.value for op in StreamOpType if op.is_register_op or op.is_misc)
 
-    The document is deterministic for a given run: every map is
-    emitted in declaration or sorted order and nothing wall-clock
-    dependent is included, so serialising it with ``json.dumps`` is
-    byte-stable across processes, job counts and hash seeds.
-    """
+
+def profile_components(result: "RunResult") -> dict[str, dict[str, Any]]:
+    """The profile's per-component busy/stall/idle trees (its
+    ``components`` block), shared with the critical path's
+    profile-bounds check."""
     metrics = result.metrics
     total = float(metrics.total_cycles)
     cycles = {category: float(metrics.cycles.get(category, 0.0))
@@ -213,10 +214,8 @@ def build_profile(result: "RunResult") -> dict[str, Any]:
     # hence the nested clamp.
     issue_overhead = (metrics.machine.stream_controller_issue_cycles
                       + result.board.issue_pipeline_cycles)
-    dispatched = sum(
-        1 for event in result.trace
-        if StreamOpType(event.op).is_register_op
-        or StreamOpType(event.op).is_misc)
+    dispatched = sum(1 for event in result.trace
+                     if event.op in _DISPATCHED_OPS)
     controller_issue = min(issue_overhead * len(result.trace), total)
     components["controller"] = _component(
         total,
@@ -230,6 +229,21 @@ def build_profile(result: "RunResult") -> dict[str, Any]:
         busy={"load": min(metrics.microcode_loader_busy_cycles,
                           total)},
         stall={})
+    return components
+
+
+def build_profile(result: "RunResult") -> dict[str, Any]:
+    """Fold one finished run into a ``repro.profile-report/1`` dict.
+
+    The document is deterministic for a given run: every map is
+    emitted in declaration or sorted order and nothing wall-clock
+    dependent is included, so serialising it with ``json.dumps`` is
+    byte-stable across processes, job counts and hash seeds.
+    """
+    metrics = result.metrics
+    total = float(metrics.total_cycles)
+    components = profile_components(result)
+    clusters = components["clusters"]
 
     kernels = _kernel_rollup(result)
     figure6 = {row["kernel"]: {"busy": row["busy_fraction"],
@@ -397,6 +411,7 @@ __all__ = [
     "ProfileError",
     "build_profile",
     "kernel_catalog_profile",
+    "profile_components",
     "validate_profile",
     "render_profile",
 ]

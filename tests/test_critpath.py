@@ -15,6 +15,7 @@ critical-path-move detection; and the ``repro critpath`` /
 import dataclasses
 import json
 import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +25,19 @@ from repro.cli import main as cli_main
 from repro.core import BoardConfig, MachineConfig
 from repro.engine import Session, SessionConfig
 from repro.engine.session import RunRequest
+from repro.obs import critpath
 from repro.obs.critpath import (
     CRITPATH_SCHEMA,
+    EDGE_KERNEL_EXEC,
+    EDGE_MEM_STREAM,
+    EDGE_TYPES,
+    KNOWN_SCALES,
+    NODE_KINDS,
     WHATIF_SCHEMA,
     CritpathError,
+    EventGraph,
+    GraphEdge,
+    GraphNode,
     build_critpath,
     build_whatif,
     critpath_summary,
@@ -373,6 +383,318 @@ class TestGraphProperties:
         assert report["path_cycles"] == pytest.approx(
             total, abs=1e-6 * max(total, 1.0))
         assert report["checks"]["conservation"]["ok"]
+
+
+# ----------------------------------------------------------------------
+# The columnar graph against the per-edge object algorithm it replaced.
+# ----------------------------------------------------------------------
+#: Small integer-ish values, so exact arrival-time ties are common.
+_TIMES = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 8.0])
+#: Node time steps: mostly zero, so many sources share a time.
+_STEPS = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _edge_detail(draw, type):
+    if type == EDGE_KERNEL_EXEC and draw(st.booleans()):
+        keys = draw(st.sets(st.sampled_from(
+            ["operations", "main_loop_overhead", "non_main_loop",
+             "stall", "microcode"])))
+        return {"kernel": "k", **{key: draw(_TIMES) for key in keys}}
+    if type == EDGE_MEM_STREAM:
+        detail = {key: draw(_TIMES) for key in (
+            "startup", "dram_cycles", "ag_cycles", "controller_cycles")}
+        if draw(st.booleans()):
+            detail["lane"] = draw(st.integers(0, 3))
+        return detail
+    return {}
+
+
+@st.composite
+def event_graphs(draw):
+    """Random creation-ordered DAGs: every node but the source has an
+    incoming edge, some edges are exact duplicates, and some are only
+    recorded after every node exists (as retire edges are)."""
+    graph = EventGraph(meta={
+        "num_ags": float(draw(st.integers(1, 4))),
+        "host_issue_cycles": draw(_TIMES),
+    })
+    graph.add_node("source", -1, 0.0, "start")
+    size = draw(st.integers(1, 24))
+    # A few edge types per graph, so equal type codes tie often.
+    palette = draw(st.lists(st.sampled_from(EDGE_TYPES), min_size=1,
+                            max_size=4))
+    deferred = []
+    t = 0.0
+    for node in range(1, size + 1):
+        t += draw(_STEPS)
+        if node == size:
+            graph.add_node("end", -1, t, "end")
+        else:
+            graph.add_node(draw(st.sampled_from(NODE_KINDS[1:4])),
+                           draw(st.integers(0, 9)), t, f"op{node}")
+        for _ in range(draw(st.integers(1, 3))):
+            type = draw(st.sampled_from(palette))
+            edge = (draw(st.integers(0, node - 1)), node, type,
+                    draw(_TIMES), draw(_edge_detail(type)))
+            copies = 2 if draw(st.integers(0, 4)) == 0 else 1
+            if draw(st.booleans()):
+                deferred.extend([edge] * copies)
+            else:
+                for _ in range(copies):
+                    graph.add_edge(*edge[:4], **edge[4])
+    for src, dst, type, weight, detail in deferred:
+        graph.add_edge(src, dst, type, weight, **detail)
+    if draw(st.booleans()):
+        graph.meta["total_cycles"] = t
+    return graph
+
+
+#: The tie-break order of the object walk, most specific cause first.
+_TIE_ORDER = (
+    "kernel_exec", "mem_stream", "microcode_load", "host_op",
+    "data_dep", "cluster_busy", "loader_busy", "ag_busy",
+    "controller_issue", "resident", "host_dependency",
+    "scoreboard_slot", "host_issue", "retire", "program_start")
+
+
+def _reference_walk(graph):
+    """The per-edge object walk the columnar one replaced: per node,
+    ``max`` over its incoming edges (first wins a full tie), then
+    one pass over every edge for slack."""
+    nodes, edges = list(graph.nodes), list(graph.edges)
+    incoming = [[] for _ in nodes]
+    for index, edge in enumerate(edges):
+        incoming[edge.dst].append(index)
+
+    def choice_key(index):
+        edge = edges[index]
+        return (nodes[edge.src].t + edge.weight,
+                -_TIE_ORDER.index(edge.type),
+                nodes[edge.src].t, edge.src)
+
+    path = []
+    current = graph.end.ident
+    while current != 0:
+        best = max(incoming[current], key=choice_key)
+        path.append(best)
+        current = edges[best].src
+    path.reverse()
+
+    leaves, edge_types, memory_driver, elapsed_cycles = {}, {}, {}, []
+    for index in path:
+        edge = edges[index]
+        elapsed = nodes[edge.dst].t - nodes[edge.src].t
+        elapsed_cycles.append(elapsed)
+        for leaf, cycles in critpath._edge_leaves(
+                edge.type, edge.weight, edge.detail, elapsed).items():
+            leaves[leaf] = leaves.get(leaf, 0.0) + cycles
+        edge_types[edge.type] = edge_types.get(edge.type, 0.0) + elapsed
+        if edge.type == EDGE_MEM_STREAM and elapsed > 0.0:
+            detail = edge.detail
+            startup = min(float(detail.get("startup", 0.0)), elapsed)
+            drivers = (
+                ("dram", float(detail.get("dram_cycles", 0.0))),
+                ("ag", float(detail.get("ag_cycles", 0.0))),
+                ("controller_port",
+                 float(detail.get("controller_cycles", 0.0))))
+            driver = max(drivers, key=lambda item: item[1])[0]
+            memory_driver["startup"] = (
+                memory_driver.get("startup", 0.0) + startup)
+            memory_driver[driver] = (
+                memory_driver.get(driver, 0.0) + elapsed - startup)
+
+    on_path = set(path)
+    slack, resource_edges = {}, {}
+    for index, edge in enumerate(edges):
+        resource = critpath._edge_resource(edge.type, edge.detail)
+        if resource is None:
+            continue
+        local = 0.0
+        if index not in on_path:
+            local = nodes[edge.dst].t - (nodes[edge.src].t + edge.weight)
+            if local < 0.0:
+                local = 0.0
+        if resource not in slack or local < slack[resource]:
+            slack[resource] = local
+        resource_edges[resource] = resource_edges.get(resource, 0) + 1
+
+    by_component = {}
+    for leaf, cycles in leaves.items():
+        component = leaf.split(".", 1)[0]
+        by_component[component] = by_component.get(component, 0.0) + cycles
+    total = graph.end.t
+    resources = {name: {
+        "critical_cycles": by_component.get(name, 0.0),
+        "share": (by_component.get(name, 0.0) / total
+                  if total > 0 else 0.0),
+        "min_slack": slack.get(name, 0.0),
+        "edges": resource_edges.get(name, 0),
+    } for name in sorted(set(by_component) | set(slack))}
+    return critpath._Walk(
+        path=path,
+        path_cycles=sum(elapsed_cycles),
+        leaves={key: leaves[key] for key in sorted(
+            leaves, key=lambda key: (-leaves[key], key))},
+        edge_types={key: edge_types[key] for key in sorted(
+            edge_types, key=lambda key: (-edge_types[key], key))},
+        memory_driver={key: memory_driver[key]
+                       for key in sorted(memory_driver)},
+        resources=resources,
+        ranked=sorted(
+            (name for name in resources if name != "unattributed"),
+            key=lambda name: (-resources[name]["critical_cycles"],
+                              name)),
+    )
+
+
+def _reference_weight(graph, scales, edge):
+    """One edge's scaled weight as the per-edge projector computed
+    it; ``None`` drops the edge."""
+    num_ags = int(graph.meta.get("num_ags", 0))
+    host_rate = float(graph.meta.get("host_issue_cycles", 0.0))
+    dram = scales.get("dram", 1.0)
+    microcode = scales.get("microcode", 1.0)
+    w, detail = edge.weight, edge.detail
+    if edge.type == critpath.EDGE_AG_BUSY:
+        return None if scales.get("ags", 0.0) > num_ags > 0 else w
+    if edge.type == critpath.EDGE_HOST_ISSUE:
+        host = scales.get("host", 1.0)
+        if host_rate > 0.0:
+            pure = min(w, host_rate)
+            return pure / host + (w - pure)
+        return w / host
+    if edge.type == critpath.EDGE_MICROCODE_LOAD:
+        return w / microcode
+    if edge.type == EDGE_KERNEL_EXEC:
+        busy = (float(detail.get("operations", 0.0))
+                + float(detail.get("main_loop_overhead", 0.0))
+                + float(detail.get("non_main_loop", 0.0)))
+        stall = float(detail.get("stall", 0.0))
+        load = float(detail.get("microcode", 0.0))
+        rest = max(w - (busy + stall + load), 0.0)
+        return (busy / scales.get("clusters", 1.0)
+                + stall / scales.get("srf", 1.0) + load / microcode
+                + rest)
+    if edge.type == EDGE_MEM_STREAM and dram != 1.0:
+        startup = min(float(detail.get("startup", 0.0)), w)
+        d = float(detail.get("dram_cycles", 0.0))
+        a = float(detail.get("ag_cycles", 0.0))
+        c = float(detail.get("controller_cycles", 0.0))
+        base = max(d, a, c)
+        if base <= 0.0:
+            return w
+        return startup + (w - startup) * max(d / dram, a, c / dram) / base
+    return w
+
+
+def _reference_replay(graph, weight):
+    """Forward replay node by node over per-node incoming lists."""
+    nodes, edges = list(graph.nodes), list(graph.edges)
+    incoming = [[] for _ in nodes]
+    for edge in edges:
+        incoming[edge.dst].append(edge)
+    times = [0.0] * len(nodes)
+    for node in nodes:
+        best = 0.0
+        for edge in incoming[node.ident]:
+            w = weight(edge)
+            if w is not None and times[edge.src] + w > best:
+                best = times[edge.src] + w
+        times[node.ident] = best
+    return times[-1]
+
+
+_SCALES = st.dictionaries(
+    st.sampled_from(KNOWN_SCALES),
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0]), min_size=1)
+
+
+class TestColumnarWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(event_graphs())
+    def test_walk_matches_the_object_walk(self, graph):
+        walk, reference = critpath._walk(graph), _reference_walk(graph)
+        assert walk.path == reference.path
+        for name in ("path_cycles", "leaves", "edge_types",
+                     "memory_driver", "resources", "ranked"):
+            assert repr(getattr(walk, name)) == repr(
+                getattr(reference, name)), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(event_graphs(), _SCALES)
+    def test_projection_matches_the_object_replay(self, graph, scales):
+        projection = project_whatif(graph, scales)
+        assert repr(projection["replay_cycles"]) == repr(
+            _reference_replay(graph, lambda edge: edge.weight))
+        assert repr(projection["scaled_replay_cycles"]) == repr(
+            _reference_replay(graph, lambda edge: _reference_weight(
+                graph, scales, edge)))
+
+
+class TestEventGraph:
+    def _graph(self):
+        graph = EventGraph(meta={"num_ags": 2.0})
+        graph.add_node("source", -1, 0.0, "start")
+        graph.add_node("begin", 3, 1.5, "load")
+        graph.add_node("end", -1, 4, "end")
+        graph.add_edge(0, 1, "resident", 1.5)
+        graph.add_edge(1, 2, "mem_stream", 2.5, lane=1, startup=0.5)
+        graph.add_edge(0, 2, "retire", 0)
+        return graph
+
+    def test_views_return_what_was_recorded(self):
+        graph = self._graph()
+        assert list(graph.nodes) == [
+            GraphNode(0, "source", -1, 0.0, "start"),
+            GraphNode(1, "begin", 3, 1.5, "load"),
+            GraphNode(2, "end", -1, 4.0, "end")]
+        assert list(graph.edges) == [
+            GraphEdge(0, 1, "resident", 1.5, {}),
+            GraphEdge(1, 2, "mem_stream", 2.5,
+                      {"lane": 1, "startup": 0.5}),
+            GraphEdge(0, 2, "retire", 0.0, {})]
+        assert graph.nodes[-1] == graph.end
+        assert graph.edges[1:] == list(graph.edges)[1:]
+        assert len(graph.nodes) == 3 and len(graph.edges) == 3
+        assert type(graph.nodes[2].t) is float
+        assert graph.edge_detail == {1: {"lane": 1, "startup": 0.5}}
+        with pytest.raises(IndexError):
+            graph.edges[3]
+
+    def test_views_are_read_only(self):
+        graph = self._graph()
+        graph.edges[1].detail["lane"] = 9
+        assert graph.edges[1].detail["lane"] == 1
+        with pytest.raises(AttributeError):
+            graph.nodes.append(graph.nodes[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.edges[0].weight = 9.0
+
+    def test_add_edge_rejects_unknown_type_and_back_edge(self):
+        graph = self._graph()
+        with pytest.raises(CritpathError, match="unknown edge type"):
+            graph.add_edge(0, 1, "teleport", 1.0)
+        for src, dst in ((1, 1), (2, 1), (-1, 1), (0, 3)):
+            with pytest.raises(CritpathError, match="creation order"):
+                graph.add_edge(src, dst, "resident", 1.0)
+        with pytest.raises(CritpathError, match="unknown node kind"):
+            graph.add_node("halfway", 0, 1.0)
+        assert len(graph.edges) == 3 and len(graph.nodes) == 3
+
+    def test_pickle_is_raw_columns_and_stable_across_a_walk(self):
+        graph = self._graph()
+        before = pickle.dumps(graph)
+        critpath_summary(SimpleNamespace(event_graph=graph))
+        assert graph._walk_memo is not None
+        assert pickle.dumps(graph) == before
+        copy = pickle.loads(before)
+        assert copy == graph and copy._walk_memo is None
+        assert copy.node_t.typecode == "d"
+        assert copy.edge_type.tobytes() == graph.edge_type.tobytes()
+        # A walk holds no buffer of the columns: recording resumes.
+        graph.add_node("end", -1, 5.0, "end")
+        graph.add_edge(2, 3, "retire", 0.0)
 
 
 class TestDiffIntegration:

@@ -12,6 +12,7 @@ construction inside the engine.
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -28,11 +29,12 @@ from repro.engine import (
     code_salt,
     engine_counts,
 )
-from repro.engine.cache import ResultCache
+from repro.engine.cache import CACHE_FORMAT, ResultCache
 from repro.engine.catalog import APP_NAMES, CatalogError, canonical_name
 from repro.evaluation import evaluation_report, run_full_evaluation
 from repro.faults import BUILTIN_PLANS, FaultKind, FaultPlan, FaultSpec
 from repro.faults.campaign import run_campaign, validate_report
+from repro.obs.critpath import build_critpath
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -201,6 +203,37 @@ class TestCache:
         path.write_bytes(b"not a pickle")
         assert cache.load(digest) is None
         assert not path.exists()
+
+    def test_format_1_entry_is_a_miss_and_restored_as_format_2(
+            self, tmp_path, monkeypatch):
+        """A pinned salt keeps the digest across the event-graph
+        layout change, so only the format number stops an old pickle
+        (one object per node and edge) from reaching the walk."""
+        monkeypatch.setenv("REPRO_CACHE_SALT", "pinned")
+        request = small_request()
+        with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
+            digest = session.submit(request).digest
+            session.run(request)
+        cache = ResultCache(tmp_path)
+        path = cache._object_path(digest)
+        entry = pickle.loads(path.read_bytes())
+        graph = entry["outcome"].result.event_graph
+        state = {"nodes": list(graph.nodes), "edges": list(graph.edges),
+                 "meta": graph.meta}
+        graph.__dict__.clear()
+        graph.__dict__.update(state)
+        path.write_bytes(pickle.dumps({**entry, "format": 1}))
+        assert CACHE_FORMAT == 2
+        assert cache.load(digest) is None
+        assert not path.exists()
+        with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
+            handle = session.submit(request)
+            result = handle.result()
+            assert handle.digest == digest
+            assert handle.cache_status == "miss"
+        assert build_critpath(result)["checks"]["conservation"]["ok"]
+        assert pickle.loads(path.read_bytes())["format"] == 2
+        assert cache.load(digest).result.event_graph == result.event_graph
 
     def test_inflight_dedup_within_one_session(self, tmp_path):
         request = small_request()
