@@ -17,6 +17,8 @@ stream instructions.  Two behaviours matter for the paper's numbers:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.config import MachineConfig
@@ -62,6 +64,13 @@ class StreamRegisterFile:
         self.rotation_depth = rotation_depth
         self._regions: dict[str, SrfRegion] = {}
         self._pooled: list[SrfRegion] = []
+        #: Pooled regions per size, so the rotation check is a lookup.
+        self._pooled_sizes: Counter[int] = Counter()
+        #: Sorted, disjoint ``(start, end)`` of every live and pooled
+        #: region.  A region keeps its span from first-fit placement
+        #: until its pool entry is cannibalised; freeing it or reusing
+        #: it from the pool leaves the occupancy unchanged.
+        self._occupied: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # Allocation.
@@ -71,16 +80,18 @@ class StreamRegisterFile:
             raise ValueError(f"stream {name!r} must occupy at least 1 word")
         if name in self._regions:
             raise SrfAllocationError(f"stream {name!r} already allocated")
-        same_size = sum(1 for r in self._pooled if r.words == words)
         start = None
-        if same_size >= self.rotation_depth:
+        if self._pooled_sizes[words] >= self.rotation_depth:
             start = self._pop_pool(words)
         if start is None:
             start = self._first_fit(words)
         if start is None:
             start = self._pop_pool(words)
         while start is None and self._pooled:
-            self._pooled.pop(0)
+            oldest = self._pooled.pop(0)
+            self._pooled_sizes[oldest.words] -= 1
+            del self._occupied[bisect_left(
+                self._occupied, (oldest.start, oldest.end))]
             start = self._first_fit(words)
         if start is None:
             raise SrfAllocationError(
@@ -95,6 +106,7 @@ class StreamRegisterFile:
             raise KeyError(f"stream {name!r} is not allocated")
         region = self._regions.pop(name)
         self._pooled.append(region)
+        self._pooled_sizes[region.words] += 1
 
     def live_words(self) -> int:
         return sum(r.words for r in self._regions.values())
@@ -109,21 +121,22 @@ class StreamRegisterFile:
         # this is what makes loads run ahead under kernel execution.
         for i, region in enumerate(self._pooled):
             if region.words == words:
+                self._pooled_sizes[words] -= 1
                 return self._pooled.pop(i).start
         return None
 
     def _first_fit(self, words: int) -> int | None:
-        occupied = sorted(
-            list(self._regions.values()) + self._pooled,
-            key=lambda r: r.start)
+        """Lowest gap of ``words`` free words; claims it if found."""
         cursor = 0
-        for region in occupied:
-            if region.start - cursor >= words:
-                return cursor
-            cursor = max(cursor, region.end)
-        if self.capacity_words - cursor >= words:
-            return cursor
-        return None
+        for start, end in self._occupied:
+            if start - cursor >= words:
+                break
+            cursor = end
+        else:
+            if self.capacity_words - cursor < words:
+                return None
+        insort(self._occupied, (cursor, cursor + words))
+        return cursor
 
     def check_no_overlap(self) -> None:
         regions = self.regions()

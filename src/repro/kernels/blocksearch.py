@@ -13,6 +13,7 @@ reference strip and emit the best offset plus the predicted block.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.isa.kernel_ir import KernelBuilder, KernelGraph
 from repro.kernels.pixelmath import pack16, unpack16
@@ -57,23 +58,22 @@ def _blocksearch_apply(inputs: list[np.ndarray],
     current = unpack16(inputs[0])
     reference = unpack16(inputs[1])
     blocks = current.reshape(-1, block)
-    vectors = np.zeros(len(blocks))
-    predicted = np.zeros_like(current)
-    for i, cur in enumerate(blocks):
-        base = i * block
-        best_sad = np.inf
-        best_offset = 0
-        for offset in offsets:
-            start = base + offset
-            if start < 0 or start + block > len(reference):
-                continue
-            sad = np.abs(cur - reference[start:start + block]).sum()
-            if sad < best_sad:
-                best_sad = sad
-                best_offset = offset
-        vectors[i] = best_offset + 32768  # offset-coded for packing
-        start = base + best_offset
-        predicted[base:base + block] = reference[start:start + block]
+    bases = np.arange(len(blocks)) * block
+    windows = sliding_window_view(reference, block)
+    best_sad = np.full(len(blocks), np.inf)
+    best_offset = np.zeros(len(blocks), dtype=np.int64)
+    # Offsets in order, every block at once; a later offset wins only
+    # on a strictly smaller SAD, so ties keep the earliest.
+    for offset in offsets:
+        starts = bases + offset
+        valid = np.flatnonzero((starts >= 0)
+                               & (starts + block <= len(reference)))
+        sad = np.abs(blocks[valid] - windows[starts[valid]]).sum(axis=1)
+        better = sad < best_sad[valid]
+        best_sad[valid[better]] = sad[better]
+        best_offset[valid[better]] = offset
+    vectors = best_offset + 32768.0  # offset-coded for packing
+    predicted = windows[bases + best_offset].reshape(-1)
     if len(vectors) % 2:
         vectors = np.append(vectors, 32768.0)
     return [pack16(vectors), pack16(predicted)]

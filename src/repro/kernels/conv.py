@@ -14,9 +14,10 @@ adders, and the kernel sustains well over half of peak 16-bit GOPS.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.isa.kernel_ir import KernelBuilder, KernelGraph
-from repro.kernels.pixelmath import clamp_u16, pack16, unpack16
+from repro.kernels.pixelmath import clamp_u16, pack16, pad_edge, unpack16
 from repro.streamc.program import KernelSpec
 
 
@@ -65,12 +66,14 @@ def _make_apply(taps: int):
                 f"conv{taps}x{taps} needs {taps} row streams")
         rows = np.stack([unpack16(words) for words in inputs])
         width = rows.shape[1]
-        half = taps // 2
-        padded = np.pad(rows, ((0, 0), (half, half)), mode="edge")
-        out = np.zeros(width)
-        for dy in range(taps):
-            for dx in range(taps):
-                out += kernel2d[dy, dx] * padded[dy, dx:dx + width]
+        padded = pad_edge(rows, taps // 2)
+        # products[dy, dx, x] = kernel2d[dy, dx] * padded[dy, x + dx],
+        # summed one (dy, dx) plane at a time from zero, in row-major
+        # tap order.
+        products = kernel2d[:, :, None] * sliding_window_view(
+            padded, width, axis=1)
+        out = np.add.reduce(products.reshape(taps * taps, width),
+                            axis=0, initial=0.0)
         return [pack16(clamp_u16(out / shift))]
 
     return apply

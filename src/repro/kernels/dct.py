@@ -93,7 +93,7 @@ def _idct_apply(inputs: list[np.ndarray],
     coefficients = (unpack16(inputs[0]) - _OFFSET) * step
     if params.get("zigzagged"):
         zig = coefficients.reshape(-1, 64)
-        coefficients = zig[:, np.argsort(_zigzag_order())].reshape(-1)
+        coefficients = zig[:, _UNZIGZAG].reshape(-1)
     blocks = coefficients.reshape(-1, 8, 8)
     pixels = scipy.fft.idctn(blocks, axes=(1, 2), norm="ortho")
     clipped = np.clip(np.round(pixels), -_OFFSET, _OFFSET - 1)
@@ -132,7 +132,7 @@ def _quantzig_apply(inputs: list[np.ndarray],
     coefficients = unpack16(inputs[0]) - _OFFSET
     quantized = np.round(coefficients / step)
     blocks = quantized.reshape(-1, 64)
-    zigzagged = blocks[:, _zigzag_order()].reshape(-1)
+    zigzagged = blocks[:, _ZIGZAG].reshape(-1)
     return [pack16(np.clip(zigzagged, -_OFFSET, _OFFSET - 1) + _OFFSET)]
 
 
@@ -144,11 +144,15 @@ def _zigzag_order() -> np.ndarray:
     return np.array([r * 8 + c for r, c in order])
 
 
+#: Zig-zag scan positions of an 8x8 block, and their inverse.
+_ZIGZAG = _zigzag_order()
+_UNZIGZAG = np.argsort(_ZIGZAG)
+
+
 def dequantize_zigzag(words: np.ndarray, qstep: float) -> np.ndarray:
     """Invert :data:`QUANTZIG` for round-trip tests: (n, 8, 8) blocks."""
     zig = (unpack16(words) - _OFFSET).reshape(-1, 64)
-    inverse = np.argsort(_zigzag_order())
-    return (zig[:, inverse] * qstep).reshape(-1, 8, 8)
+    return (zig[:, _UNZIGZAG] * qstep).reshape(-1, 8, 8)
 
 
 QUANTZIG = KernelSpec(

@@ -22,7 +22,7 @@ def pack16(pixels: np.ndarray) -> np.ndarray:
         raise ValueError("pack16 needs an even number of pixels")
     if ((pixels < 0) | (pixels > U16_MAX)).any():
         raise ValueError("pack16 values must be in [0, 65535]")
-    if not np.allclose(pixels, np.round(pixels)):
+    if not (pixels == np.round(pixels)).all():
         raise ValueError("pack16 values must be integers")
     lo = pixels[0::2]
     hi = pixels[1::2]
@@ -44,3 +44,18 @@ def clamp_u16(values: np.ndarray) -> np.ndarray:
     """Round and clamp to the u16 range (hardware saturation)."""
     return np.clip(np.round(np.asarray(values, dtype=np.float64)),
                    0, U16_MAX)
+
+
+def pad_edge(values: np.ndarray, half: int) -> np.ndarray:
+    """``values`` with ``half`` copies of its edge elements added at
+    both ends of the last axis: ``np.pad(..., mode="edge")`` on that
+    axis, without np.pad's general-purpose set-up."""
+    width = values.shape[-1]
+    if width == 0:
+        raise ValueError("pad_edge needs at least one element")
+    out = np.empty(values.shape[:-1] + (width + 2 * half,),
+                   dtype=values.dtype)
+    out[..., half:half + width] = values
+    out[..., :half] = values[..., :1]
+    out[..., half + width:] = values[..., -1:]
+    return out

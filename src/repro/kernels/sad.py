@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.isa.kernel_ir import KernelBuilder, KernelGraph
-from repro.kernels.pixelmath import clamp_u16, pack16, unpack16
+from repro.isa.vliw import CompiledKernel
+from repro.kernels.pixelmath import clamp_u16, pack16, pad_edge, unpack16
 from repro.streamc.program import KernelSpec
 
 
@@ -123,7 +124,7 @@ def _sadmin_apply(inputs: list[np.ndarray],
     best_disp = unpack16(inputs[2])
     disparity = float(params["disparity"])
     half = taps // 2
-    padded = np.pad(vsum, (half, half), mode="edge")
+    padded = pad_edge(vsum, half)
     total = np.zeros_like(vsum)
     for tap in range(taps):
         total += padded[tap:tap + len(vsum)]
@@ -183,6 +184,11 @@ def build_sad7x7_graph(taps: int = 7) -> KernelGraph:
     return builder.build()
 
 
+#: Window size -> (graph, compiled kernel) shared by every SAD7x7 spec:
+#: the kernel compiles once per process, not once per DEPTH build.
+_SAD7X7_KERNELS: dict[int, tuple[KernelGraph, CompiledKernel]] = {}
+
+
 def make_sad7x7() -> KernelSpec:
     """Fresh SAD7x7 spec whose functional model carries the rolling
     vertical window (the scratchpad state) across calls.
@@ -190,7 +196,7 @@ def make_sad7x7() -> KernelSpec:
     Inputs per call: filtered left row, filtered right row, running
     best score, running best disparity.  Params: ``disparity`` (pixels,
     even) selecting the candidate shift.  The window warms up over the
-    first 7 rows per disparity.
+    first 7 rows per disparity.  Every spec shares one compiled kernel.
     """
     taps = 7
     windows: dict[float, list[np.ndarray]] = {}
@@ -211,7 +217,7 @@ def make_sad7x7() -> KernelSpec:
             window.pop(0)
         vsum = clamp_u16(np.sum(window, axis=0))
         half = taps // 2
-        padded = np.pad(vsum, (half, half), mode="edge")
+        padded = pad_edge(vsum, half)
         total = np.zeros_like(vsum)
         for tap in range(taps):
             total += padded[tap:tap + len(vsum)]
@@ -221,10 +227,17 @@ def make_sad7x7() -> KernelSpec:
         new_disp = np.where(better, disparity, best_disp)
         return [pack16(new_score), pack16(new_disp)]
 
-    return KernelSpec(
+    # Only the graph and the kernel are shared; the spec (and with it
+    # the window state above) is new on every call.
+    shared = _SAD7X7_KERNELS.get(taps)
+    spec = KernelSpec(
         name="sad7x7",
-        graph=build_sad7x7_graph(taps),
+        graph=build_sad7x7_graph(taps) if shared is None else shared[0],
         apply_fn=apply,
         output_record_words=(1, 1),
         description="7x7 SAD with rolling window (DEPTH)",
+        _compiled=None if shared is None else shared[1],
     )
+    if shared is None:
+        _SAD7X7_KERNELS[taps] = spec.graph, spec.compiled()
+    return spec

@@ -120,34 +120,49 @@ def build_rasterize_graph() -> KernelGraph:
 
 def rasterize_triangles(verts: np.ndarray, colors: np.ndarray,
                         width: int, height: int) -> np.ndarray:
-    """Half-space rasterizer oracle: (n, FRAGMENT_WORDS) fragments."""
-    fragments = []
-    for tri, color in zip(verts, colors):
-        xs = tri[:, 0]
-        ys = tri[:, 1]
-        x0 = max(int(np.floor(xs.min())), 0)
-        x1 = min(int(np.ceil(xs.max())), width - 1)
-        y0 = max(int(np.floor(ys.min())), 0)
-        y1 = min(int(np.ceil(ys.max())), height - 1)
-        if x1 < x0 or y1 < y0:
-            continue
-        area = ((xs[1] - xs[0]) * (ys[2] - ys[0])
-                - (xs[2] - xs[0]) * (ys[1] - ys[0]))
-        if abs(area) < 1e-12:
-            continue
-        gx, gy = np.meshgrid(np.arange(x0, x1 + 1),
-                             np.arange(y0, y1 + 1))
-        w0 = ((xs[1] - gx) * (ys[2] - gy) - (xs[2] - gx) * (ys[1] - gy))
-        w1 = ((xs[2] - gx) * (ys[0] - gy) - (xs[0] - gx) * (ys[2] - gy))
-        w2 = ((xs[0] - gx) * (ys[1] - gy) - (xs[1] - gx) * (ys[0] - gy))
-        inside = ((w0 >= 0) & (w1 >= 0) & (w2 >= 0)) | (
-            (w0 <= 0) & (w1 <= 0) & (w2 <= 0))
-        depth = tri[:, 2].mean()
-        for x, y in zip(gx[inside].ravel(), gy[inside].ravel()):
-            fragments.append((x, y, depth, color))
-    if not fragments:
-        return np.zeros((0, FRAGMENT_WORDS))
-    return np.asarray(fragments, dtype=np.float64)
+    """Half-space rasterizer oracle: (n, FRAGMENT_WORDS) fragments.
+
+    Fragments are grouped by triangle, in input order; a triangle's
+    run row-major over its screen-clipped bounding box.  Degenerate
+    and off-screen triangles produce none.
+    """
+    xs = verts[:, :, 0]
+    ys = verts[:, :, 1]
+    x0 = np.maximum(np.floor(xs.min(axis=1)), 0)
+    x1 = np.minimum(np.ceil(xs.max(axis=1)), width - 1)
+    y0 = np.maximum(np.floor(ys.min(axis=1)), 0)
+    y1 = np.minimum(np.ceil(ys.max(axis=1)), height - 1)
+    area = ((xs[:, 1] - xs[:, 0]) * (ys[:, 2] - ys[:, 0])
+            - (xs[:, 2] - xs[:, 0]) * (ys[:, 1] - ys[:, 0]))
+    drawn = np.flatnonzero((x1 >= x0) & (y1 >= y0)
+                           & ~(np.abs(area) < 1e-12))
+    x0 = x0[drawn].astype(np.int64)
+    y0 = y0[drawn].astype(np.int64)
+    nx = x1[drawn].astype(np.int64) - x0 + 1
+    ny = y1[drawn].astype(np.int64) - y0 + 1
+    # One row per bounding-box pixel of every drawn triangle.
+    counts = nx * ny
+    tri = np.repeat(drawn, counts)
+    offset = (np.arange(counts.sum())
+              - np.repeat(np.cumsum(counts) - counts, counts))
+    row = np.repeat(nx, counts)
+    gx = np.repeat(x0, counts) + offset % row
+    gy = np.repeat(y0, counts) + offset // row
+    tx, ty = xs[tri], ys[tri]
+    w0 = ((tx[:, 1] - gx) * (ty[:, 2] - gy)
+          - (tx[:, 2] - gx) * (ty[:, 1] - gy))
+    w1 = ((tx[:, 2] - gx) * (ty[:, 0] - gy)
+          - (tx[:, 0] - gx) * (ty[:, 2] - gy))
+    w2 = ((tx[:, 0] - gx) * (ty[:, 1] - gy)
+          - (tx[:, 1] - gx) * (ty[:, 0] - gy))
+    inside = ((w0 >= 0) & (w1 >= 0) & (w2 >= 0)) | (
+        (w0 <= 0) & (w1 <= 0) & (w2 <= 0))
+    fragments = np.empty((int(inside.sum()), FRAGMENT_WORDS))
+    fragments[:, 0] = gx[inside]
+    fragments[:, 1] = gy[inside]
+    fragments[:, 2] = verts[:, :, 2].mean(axis=1)[tri[inside]]
+    fragments[:, 3] = np.asarray(colors, dtype=np.float64)[tri[inside]]
+    return fragments
 
 
 def _rasterize_apply(inputs, params):

@@ -36,7 +36,7 @@ from repro.isa.stream_ops import StreamInstruction, StreamOpType
 from repro.isa.vliw import CompiledKernel
 from repro.kernelc import compile_kernel
 from repro.memsys.address_gen import expand_pattern
-from repro.memsys.patterns import AccessPattern, strided, unit_stride
+from repro.memsys.patterns import AccessPattern, unit_stride
 from repro.streamc.compiler import (ArrayExtent, SrfAllocationRecord,
                                     StreamProgramImage)
 from repro.streamc.descriptors import DescriptorFile
@@ -266,7 +266,11 @@ class _Emitter:
     def __init__(self, program: StreamProgram,
                  last_use: dict[int, int]) -> None:
         self.program = program
-        self.last_use = last_use
+        #: Call position -> streams whose last reader it is, in
+        #: ``last_use`` order (the order they are released in).
+        self.dies_at: dict[int, list[int]] = {}
+        for ident, last in last_use.items():
+            self.dies_at.setdefault(last, []).append(ident)
         machine = program.machine
         self.instructions: list[StreamInstruction] = []
         self.srf = StreamRegisterFile(
@@ -305,32 +309,32 @@ class _Emitter:
         """Allocate SRF space; return (WAR deps, region start)."""
         region = self.srf.allocate(f"s{stream.ident}",
                                    max(1, stream.words))
+        lo, hi = region.start, region.end
         deps = []
         still_free = []
-        for start, end, releaser in self.freed:
-            if start < region.end and region.start < end:
-                deps.append(releaser)
+        for freed in self.freed:
+            if freed[0] < hi and lo < freed[1]:
+                deps.append(freed[2])
             else:
-                still_free.append((start, end, releaser))
+                still_free.append(freed)
         self.freed = still_free
-        self.region_of[stream.ident] = (region.start, region.words)
-        row = [f"s{stream.ident}:{stream.name}", region.start,
-               region.words, len(self.instructions), None]
+        self.region_of[stream.ident] = (lo, region.words)
+        row = [f"s{stream.ident}:{stream.name}", lo, region.words,
+               len(self.instructions), None]
         self.srf_log.append(row)
         self._open_srf_row[stream.ident] = row
-        return deps, region.start
+        return deps, lo
 
     def _release_dead_streams(self, position: int,
                               releaser: int) -> None:
-        for ident, last in list(self.last_use.items()):
-            if last == position and ident in self.region_of:
+        for ident in self.dies_at.pop(position, ()):
+            if ident in self.region_of:
                 start, words = self.region_of.pop(ident)
                 self.srf.free(f"s{ident}")
                 self.freed.append((start, start + words, releaser))
                 row = self._open_srf_row.pop(ident, None)
                 if row is not None:
                     row[4] = releaser
-                del self.last_use[ident]
 
     def _sdr_for(self, stream: StreamRef) -> list[int]:
         """Reference the stream's descriptor; emit a write if new."""

@@ -18,9 +18,10 @@ from repro.kernels.dct import (
 )
 from repro.kernels.gromacs import GROMACS
 from repro.kernels.house import HOUSE, deinterleave, interleave
-from repro.kernels.pixelmath import clamp_u16, pack16, unpack16
+from repro.kernels.pixelmath import clamp_u16, pack16, pad_edge, unpack16
 from repro.kernels.rle import RLE, rle_decode, rle_encode, vlc_code_lengths
 from repro.kernels.sad import BLOCKSAD, make_sad7x7
+from repro.kernels.shading import FRAGMENT_WORDS, rasterize_triangles
 from repro.kernels.sort import SORT32
 from repro.kernels.update2 import UPDATE2
 
@@ -45,9 +46,33 @@ class TestPixelMath:
         with pytest.raises(ValueError):
             pack16(np.array([0.5, 1.0]))
 
+    def test_rejects_non_integers_exactly(self):
+        # A relative tolerance would pass 40000.3 (it allows ~0.4 there).
+        with pytest.raises(ValueError, match="integers"):
+            pack16(np.array([40000.3, 2.0]))
+        with pytest.raises(ValueError, match="integers"):
+            pack16(np.array([np.nan, 2.0]))
+
+    def test_empty_packs_to_empty(self):
+        packed = pack16(np.array([]))
+        assert packed.shape == (0,)
+        assert packed.dtype == np.float64
+
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             pack16(np.array([1.0]))
+
+    def test_pad_edge_matches_np_pad(self):
+        rng = np.random.default_rng(4)
+        row = rng.uniform(0, 9, 11)
+        rows = rng.uniform(0, 9, (3, 5))
+        assert np.array_equal(pad_edge(row, 3),
+                              np.pad(row, (3, 3), mode="edge"))
+        assert np.array_equal(pad_edge(rows, 1),
+                              np.pad(rows, ((0, 0), (1, 1)), mode="edge"))
+        assert np.array_equal(pad_edge(row[:1], 2), np.full(5, row[0]))
+        with pytest.raises(ValueError):
+            pad_edge(np.array([]), 1)
 
     def test_clamp(self):
         assert list(clamp_u16(np.array([-5.0, 70000.0, 42.4]))) == [
@@ -76,6 +101,28 @@ class TestConvolution:
         rows = [pack16(np.full(64, 77.0)) for _ in range(7)]
         out = unpack16(CONV7X7.apply_fn(rows, {})[0])
         assert np.array_equal(out, np.full(64, 77.0))
+
+
+def _conv_per_tap(rows, taps):
+    """The tap-by-tap reference: 2-D binomial filter, edge-padded."""
+    kernel2d = np.outer(binomial_taps(taps), binomial_taps(taps))
+    width = rows.shape[1]
+    padded = np.pad(rows, ((0, 0), (taps // 2, taps // 2)), mode="edge")
+    out = np.zeros(width)
+    for dy in range(taps):
+        for dx in range(taps):
+            out += kernel2d[dy, dx] * padded[dy, dx:dx + width]
+    return pack16(clamp_u16(out / kernel2d.sum()))
+
+
+class TestConvolutionReference:
+    @pytest.mark.parametrize("spec,taps", [(CONV7X7, 7), (CONV3X3, 3)])
+    def test_matches_per_tap_loop(self, spec, taps):
+        rng = np.random.default_rng(taps)
+        for width in (2, 6, 64, 322):
+            rows = np.round(rng.uniform(0, 65535, (taps, width)))
+            got = spec.apply_fn([pack16(row) for row in rows], {})[0]
+            assert got.tobytes() == _conv_per_tap(rows, taps).tobytes()
 
 
 class TestDctPipeline:
@@ -267,7 +314,166 @@ class TestSadKernels:
         assert (disp[8:-8] == true_shift).mean() > 0.9
 
 
+class TestSad7x7Sharing:
+    @staticmethod
+    def _calls(seed, width=32, rows=10):
+        rng = np.random.default_rng(seed)
+        best_score = pack16(np.full(width, 65535.0))
+        best_disp = pack16(np.zeros(width))
+        return [(pack16(np.round(rng.uniform(0, 255, width))),
+                 pack16(np.round(rng.uniform(0, 255, width))),
+                 best_score, best_disp, float(2 * (row % 3)))
+                for row in range(rows)]
+
+    @staticmethod
+    def _apply(spec, call):
+        left, right, score, disp, disparity = call
+        return spec.apply_fn([left, right, score, disp],
+                             {"disparity": disparity})
+
+    def _run_alone(self, calls):
+        spec = make_sad7x7()
+        return [self._apply(spec, call) for call in calls]
+
+    def test_specs_share_one_compiled_kernel(self):
+        first, second = make_sad7x7(), make_sad7x7()
+        assert first is not second
+        assert first.compiled() is second.compiled()
+        assert first.graph is second.graph
+
+    def test_interleaved_windows_stay_independent(self):
+        calls_a, calls_b = self._calls(1), self._calls(2)
+        alone_a = self._run_alone(calls_a)
+        alone_b = self._run_alone(calls_b)
+        spec_a, spec_b = make_sad7x7(), make_sad7x7()
+        mixed_a, mixed_b = [], []
+        for call_a, call_b in zip(calls_a, calls_b):
+            mixed_a.append(self._apply(spec_a, call_a))
+            mixed_b.append(self._apply(spec_b, call_b))
+        for alone, mixed in ((alone_a, mixed_a), (alone_b, mixed_b)):
+            for want, got in zip(alone, mixed):
+                assert all(np.array_equal(w, g)
+                           for w, g in zip(want, got))
+
+
+def _rasterize_per_fragment(verts, colors, width, height):
+    """The per-fragment reference: one tuple appended per pixel."""
+    fragments = []
+    for tri, color in zip(verts, colors):
+        xs = tri[:, 0]
+        ys = tri[:, 1]
+        x0 = max(int(np.floor(xs.min())), 0)
+        x1 = min(int(np.ceil(xs.max())), width - 1)
+        y0 = max(int(np.floor(ys.min())), 0)
+        y1 = min(int(np.ceil(ys.max())), height - 1)
+        if x1 < x0 or y1 < y0:
+            continue
+        area = ((xs[1] - xs[0]) * (ys[2] - ys[0])
+                - (xs[2] - xs[0]) * (ys[1] - ys[0]))
+        if abs(area) < 1e-12:
+            continue
+        gx, gy = np.meshgrid(np.arange(x0, x1 + 1),
+                             np.arange(y0, y1 + 1))
+        w0 = ((xs[1] - gx) * (ys[2] - gy) - (xs[2] - gx) * (ys[1] - gy))
+        w1 = ((xs[2] - gx) * (ys[0] - gy) - (xs[0] - gx) * (ys[2] - gy))
+        w2 = ((xs[0] - gx) * (ys[1] - gy) - (xs[1] - gx) * (ys[0] - gy))
+        inside = ((w0 >= 0) & (w1 >= 0) & (w2 >= 0)) | (
+            (w0 <= 0) & (w1 <= 0) & (w2 <= 0))
+        depth = tri[:, 2].mean()
+        for x, y in zip(gx[inside].ravel(), gy[inside].ravel()):
+            fragments.append((x, y, depth, color))
+    if not fragments:
+        return np.zeros((0, FRAGMENT_WORDS))
+    return np.asarray(fragments, dtype=np.float64)
+
+
+_coord = st.floats(-12.0, 44.0, allow_nan=False, width=32)
+_triangle = st.lists(st.tuples(_coord, _coord, st.floats(0.0, 1.0)),
+                     min_size=3, max_size=3)
+
+
+class TestRasterize:
+    WIDTH, HEIGHT = 32, 24
+
+    def _check(self, verts, colors):
+        verts = np.asarray(verts, dtype=np.float64).reshape(-1, 3, 3)
+        colors = np.asarray(colors, dtype=np.float64)
+        got = rasterize_triangles(verts, colors, self.WIDTH, self.HEIGHT)
+        want = _rasterize_per_fragment(verts, colors, self.WIDTH,
+                                       self.HEIGHT)
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_triangle, st.floats(0.0, 1.0)),
+                    max_size=12))
+    def test_matches_per_fragment_reference(self, triangles):
+        self._check([tri for tri, _ in triangles],
+                    [color for _, color in triangles])
+
+    def test_degenerate_offscreen_and_uncovered_triangles(self):
+        triangles = [
+            [(2, 2, 0.1), (20, 3, 0.2), (6, 18, 0.3)],    # covers pixels
+            [(1, 1, 0.5), (5, 5, 0.5), (9, 9, 0.5)],      # collinear
+            [(4, 4, 0.0), (4, 4, 0.0), (4, 4, 0.0)],      # a point
+            [(-30, -5, 0.2), (-20, -9, 0.2), (-25, -1, 0.2)],  # off-screen
+            [(40, 30, 0.9), (60, 31, 0.9), (50, 50, 0.9)],  # off-screen
+            [(3.2, 3.2, 0.4), (3.8, 3.3, 0.4), (3.5, 3.7, 0.4)],  # no pixel
+            [(31, 0, 0.7), (-10, 23, 0.7), (50, 40, 0.7)],  # clipped
+        ]
+        got = self._check(triangles, np.linspace(0.1, 0.7, 7))
+        assert len(got) > 0
+
+    def test_no_fragments_at_all(self):
+        triangles = [
+            [(1, 1, 0.5), (5, 5, 0.5), (9, 9, 0.5)],
+            [(3.2, 3.2, 0.4), (3.8, 3.3, 0.4), (3.5, 3.7, 0.4)],
+            [(-30, -5, 0.2), (-20, -9, 0.2), (-25, -1, 0.2)],
+        ]
+        got = self._check(triangles, [0.1, 0.2, 0.3])
+        assert got.shape == (0, FRAGMENT_WORDS)
+        assert self._check(np.zeros((0, 3, 3)), []).shape == (
+            0, FRAGMENT_WORDS)
+
+
+def _blocksearch_per_block(current, reference, block, offsets):
+    """Reference: one block and one candidate offset at a time."""
+    vectors, predicted = [], np.zeros_like(current)
+    for i in range(len(current) // block):
+        base, best_sad, best_offset = i * block, np.inf, 0
+        for offset in offsets:
+            start = base + offset
+            if 0 <= start and start + block <= len(reference):
+                sad = np.abs(current[base:base + block]
+                             - reference[start:start + block]).sum()
+                if sad < best_sad:
+                    best_sad, best_offset = sad, offset
+        vectors.append(best_offset + 32768.0)
+        predicted[base:base + block] = reference[
+            base + best_offset:base + best_offset + block]
+    if len(vectors) % 2:
+        vectors.append(32768.0)
+    return [pack16(np.array(vectors)), pack16(predicted)]
+
+
 class TestBlocksearch:
+    @pytest.mark.parametrize("blocks,block", [(6, 16), (5, 8), (1, 32)])
+    def test_matches_per_block_reference(self, blocks, block):
+        rng = np.random.default_rng(blocks * block)
+        ref = np.round(rng.uniform(0, 255, blocks * block))
+        # Shifted copies, noise, and a flat stretch that ties offsets.
+        cur = np.roll(ref, block) + np.round(rng.uniform(0, 3, ref.size))
+        cur[:block] = 7.0
+        ref[:2 * block] = 7.0
+        offsets = (-2 * block, -block, 0, block, 2 * block, 3)
+        got = BLOCKSEARCH.apply_fn([pack16(cur), pack16(ref)],
+                                   {"block": block, "offsets": offsets})
+        want = _blocksearch_per_block(cur, ref, block, offsets)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
     def test_finds_known_offset(self):
         rng = np.random.default_rng(10)
         ref = np.round(rng.uniform(0, 255, 1024))
