@@ -18,8 +18,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from array import array
 from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import overload
 
 from repro.core.cluster import ClusterArray, InvocationResult
 from repro.core.config import BoardConfig, MachineConfig
@@ -35,7 +38,12 @@ from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultEvent, FaultPlan
 from repro.host.interface import HostInterface
 from repro.host.processor import HostModel
-from repro.isa.stream_ops import StreamInstruction, StreamOpType, histogram
+from repro.isa.stream_ops import (
+    STREAM_OPS,
+    StreamInstruction,
+    StreamOpType,
+    histogram,
+)
 from repro.isa.vliw import CompiledKernel
 from repro.memsys.address_gen import AddressGenerator
 from repro.memsys.controller import MemorySystem, SharedMemoryServer
@@ -70,6 +78,7 @@ from repro.obs.tracer import (
 
 __all__ = [
     "ImagineProcessor",
+    "InstructionTrace",
     "RunResult",
     "TraceEvent",
     "SimulationError",
@@ -103,6 +112,65 @@ class TraceEvent:
         return self.started_at - self.resident_at
 
 
+_OP_CODE = {op: code for code, op in enumerate(StreamOpType)}
+
+
+class InstructionTrace(Sequence[TraceEvent]):
+    """Per-instruction lifetimes stored as columns.
+
+    Row ``i`` is instruction ``i``: ``op`` holds codes into
+    :data:`~repro.isa.stream_ops.STREAM_OPS`, the three times are
+    ``array('d')`` columns, and ``tag``/``kernel`` are lists.  The
+    typed columns pickle as raw buffers and NumPy reads them without a
+    copy; iterating or indexing yields frozen :class:`TraceEvent` rows.
+    """
+
+    def __init__(self, instructions: Sequence[StreamInstruction] = (),
+                 resident_at: Iterable[float] = (),
+                 started_at: Iterable[float] = (),
+                 finished_at: Iterable[float] = ()) -> None:
+        self.op: array[int] = array(
+            "B", [_OP_CODE[instr.op] for instr in instructions])
+        self.tag: list[str] = [instr.tag for instr in instructions]
+        self.kernel: list[str | None] = [instr.kernel
+                                         for instr in instructions]
+        self.resident_at: array[float] = array("d", resident_at)
+        self.started_at: array[float] = array("d", started_at)
+        self.finished_at: array[float] = array("d", finished_at)
+        if not (len(self.op) == len(self.resident_at)
+                == len(self.started_at) == len(self.finished_at)):
+            raise ValueError("trace columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.op)
+
+    def _row(self, index: int) -> TraceEvent:
+        return TraceEvent(index, STREAM_OPS[self.op[index]],
+                          self.tag[index], self.kernel[index],
+                          self.resident_at[index], self.started_at[index],
+                          self.finished_at[index])
+
+    @overload
+    def __getitem__(self, key: int) -> TraceEvent: ...
+
+    @overload
+    def __getitem__(self, key: slice) -> list[TraceEvent]: ...
+
+    def __getitem__(self, key: int | slice) -> TraceEvent | list[TraceEvent]:
+        rows = range(len(self.op))
+        if isinstance(key, slice):
+            return [self._row(i) for i in rows[key]]
+        return self._row(rows[key])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(self._row, range(len(self.op)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InstructionTrace):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
 @dataclass
 class RunResult:
     """Outcome of one stream-program run."""
@@ -112,7 +180,7 @@ class RunResult:
     power: PowerReport
     instruction_histogram: dict[str, int]
     board: BoardConfig
-    trace: list[TraceEvent] = field(default_factory=list)
+    trace: InstructionTrace = field(default_factory=InstructionTrace)
     manifest: RunManifest | None = None
     #: Fault firings recorded by the injector, in time order.
     fault_events: list[FaultEvent] = field(default_factory=list)
@@ -748,18 +816,11 @@ class ImagineProcessor:
         metrics.total_cycles = now
         metrics.check_conservation(tolerance=1e-3)
         power = self.energy.report(metrics, dsq_ops=metrics.dsq_ops)
-        trace = [
-            TraceEvent(
-                index=i,
-                op=state.instruction.op.value,
-                tag=state.instruction.tag,
-                kernel=state.instruction.kernel,
-                resident_at=state.resident_time,
-                started_at=state.start_time,
-                finished_at=state.finish_time,
-            )
-            for i, state in enumerate(states)
-        ]
+        trace = InstructionTrace(
+            [state.instruction for state in states],
+            [state.resident_time for state in states],
+            [state.start_time for state in states],
+            [state.finish_time for state in states])
         manifest = build_manifest(
             name, machine, self.board,
             wall_time_s=time.perf_counter() - wall_start)

@@ -64,8 +64,8 @@ from repro.core.microcontroller import Microcontroller
 from repro.core.power import EnergyModel
 from repro.core.processor import (
     _EPS,
+    InstructionTrace,
     RunResult,
-    TraceEvent,
     _restart_adjusted,
 )
 from repro.core.srf import StreamRegisterFile
@@ -132,9 +132,6 @@ _CACHE_LIMIT = 16384
 
 class BackendUnsupported(SimulationError):
     """The vector backend cannot honour this run configuration."""
-
-
-_object_new = object.__new__
 
 
 def _kernel_key(kernel: CompiledKernel) -> tuple:
@@ -421,8 +418,8 @@ class VectorProcessor:
     def run(self, program, name: str = "program") -> RunResult:
         """Simulate ``program``; same contract as
         :meth:`repro.core.processor.ImagineProcessor.run`."""
-        # Nearly every object allocated below (trace events, detail
-        # dicts) survives into the RunResult, so gen-0
+        # Nearly every object allocated below (invocation records,
+        # detail dicts) survives into the RunResult, so gen-0
         # collections only rescan a growing live heap.  Pause the
         # collector for the duration; restore whatever state we found.
         gc_was_enabled = gc.isenabled()
@@ -1164,15 +1161,8 @@ class VectorProcessor:
         metrics.total_cycles = now
         metrics.check_conservation(tolerance=1e-3)
         power = self.energy.report(metrics, dsq_ops=metrics.dsq_ops)
-        trace = []
-        for i in range(n):
-            instr = instructions[i]
-            event = _object_new(TraceEvent)
-            event.__dict__.update(
-                index=i, op=instr.op.value, tag=instr.tag,
-                kernel=instr.kernel, resident_at=resident_time[i],
-                started_at=start_time[i], finished_at=finish_time[i])
-            trace.append(event)
+        trace = InstructionTrace(instructions, resident_time, start_time,
+                                 finish_time)
         manifest = build_manifest(
             name, machine, self.board,
             wall_time_s=time.perf_counter() - wall_start,

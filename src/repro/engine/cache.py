@@ -3,7 +3,7 @@
 Layout (under ``~/.cache/repro`` by default, or ``REPRO_CACHE_DIR``,
 or the ``SessionConfig(cache_dir=...)`` override)::
 
-    <root>/objects/<d0d1>/<digest>.pkl    # pickled RunOutcome
+    <root>/objects/<d0d1>/<digest>.pkl    # header + pickled RunOutcome
     <root>/objects/<d0d1>/<digest>.json   # human-readable manifest
 
 The digest is the :meth:`RunRequest.digest` content hash, so the
@@ -14,13 +14,17 @@ object.  Eviction exists only to bound disk usage: set
 cache evicts least-recently-*used* entries -- loads refresh an
 entry's mtime, which is the LRU clock -- until it fits.  Writes are
 atomic (temp file + ``os.replace``), as is the ``index.json``
-summary the eviction pass maintains; unreadable or corrupt entries
-are treated as misses and removed.  ``repro cache --stats/--prune``
+summary the eviction pass maintains.  An entry's one-line header
+names the cache format and the sha256 of the pickled outcome that
+follows it; the checksum is verified before anything is unpickled,
+and unreadable, corrupt or other-format entries are treated as
+misses and removed.  ``repro cache --stats/--prune``
 exposes the same machinery from the command line.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -33,8 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.session import RunOutcome
 
 #: Version tag stored with every cache object; bump on layout changes
-#: (2: the event graph is stored as columns).
-CACHE_FORMAT = 2
+#: (2: the event graph is stored as columns; 3: so is the instruction
+#: trace, and entries carry a checksum).
+CACHE_FORMAT = 3
 
 #: Environment override for the size budget (bytes; unset/0 = unbounded).
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
@@ -51,6 +56,13 @@ def configured_max_bytes() -> int | None:
     except ValueError:
         return None
     return value if value > 0 else None
+
+
+def _header(payload: bytes) -> bytes:
+    """An entry's first line: format and sha256 of the pickled outcome
+    that follows it."""
+    return (f"repro-cache/{CACHE_FORMAT} sha256="
+            f"{hashlib.sha256(payload).hexdigest()}").encode()
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -92,20 +104,25 @@ class ResultCache:
         """The stored outcome for ``digest``, or None on miss/corruption."""
         path = self._object_path(digest)
         try:
-            with open(path, "rb") as handle:
-                entry = pickle.load(handle)
+            data = path.read_bytes()
         except FileNotFoundError:
             return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            # Corrupt or written by an incompatible version: drop it.
-            self._discard(digest)
-            return None
-        if not isinstance(entry, dict) or entry.get("format") != CACHE_FORMAT:
+        except OSError:
+            data = b""
+        header, _, payload = data.partition(b"\n")
+        outcome = None
+        if header == _header(payload):
+            try:
+                outcome = pickle.loads(payload)
+            except Exception:
+                # The checksum held, so the bytes are what this cache
+                # wrote; an incompatible build wrote them.
+                outcome = None
+        if outcome is None:
             self._discard(digest)
             return None
         self._touch(path)
-        return entry.get("outcome")
+        return outcome
 
     @staticmethod
     def _touch(path: pathlib.Path) -> None:
@@ -121,9 +138,8 @@ class ResultCache:
         path = self._object_path(digest)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            self._atomic_write(
-                path, pickle.dumps({"format": CACHE_FORMAT,
-                                    "outcome": outcome}))
+            payload = pickle.dumps(outcome)
+            self._atomic_write(path, _header(payload) + b"\n" + payload)
             summary = {
                 "digest": digest,
                 "format": CACHE_FORMAT,

@@ -55,6 +55,10 @@ class StreamOpType(enum.Enum):
                         StreamOpType.HOST_READ)
 
 
+#: Op values in declaration order; an op's position here is its code
+#: in columnar traces (:class:`repro.core.processor.InstructionTrace`).
+STREAM_OPS = tuple(op.value for op in StreamOpType)
+
 _ids = itertools.count()
 
 

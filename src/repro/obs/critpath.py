@@ -300,11 +300,41 @@ class EventGraph:
 # ----------------------------------------------------------------------
 # Attribution: edge + elapsed -> profile-vocabulary leaves.
 # ----------------------------------------------------------------------
+#: ``kernel_exec`` detail key -> leaf, in split order.
+_KERNEL_PARTS = (
+    ("operations", "clusters.busy.operations"),
+    ("main_loop_overhead", "clusters.busy.kernel_main_loop_overhead"),
+    ("non_main_loop", "clusters.busy.kernel_non_main_loop"),
+    ("stall", "clusters.stall.srf_starve"),
+    ("microcode", "microcontroller.busy.load"),
+)
+#: Edge types whose elapsed time is split over one leaf by weight.
+_WEIGHT_LEAF = {
+    EDGE_MICROCODE_LOAD: "microcontroller.busy.load",
+    EDGE_HOST_ISSUE: "host.busy.issue",
+    EDGE_HOST_DEPENDENCY: "host.busy.round_trip",
+    **dict.fromkeys((EDGE_RESIDENT, EDGE_DATA_DEP, EDGE_CLUSTER_BUSY,
+                     EDGE_LOADER_BUSY, EDGE_AG_BUSY,
+                     EDGE_CONTROLLER_ISSUE), "controller.busy.issue"),
+}
+#: Leaf of ``host_op`` edges and of memory streams without a lane.
+_DISPATCH_LEAF = "controller.busy.dispatch"
+
+
+def _lane_leaf(lane: Any) -> str:
+    return (f"ag{lane}.busy.stream_transfer" if lane is not None
+            else _DISPATCH_LEAF)
+
+
 def _split(parts: list[tuple[str, float]], elapsed: float
            ) -> dict[str, float]:
     """Distribute ``elapsed`` over weighted leaves; anything beyond
     the parts' own total is unexplained wait."""
-    total = sum(max(value, 0.0) for _, value in parts)
+    # Summed left to right (not ``sum``, which compensates on newer
+    # Pythons) so :func:`_attribute` reproduces every bit.
+    total = 0.0
+    for _, value in parts:
+        total += max(value, 0.0)
     leaves: dict[str, float] = {}
     if total <= 0.0:
         if elapsed > 0.0:
@@ -324,39 +354,115 @@ def _split(parts: list[tuple[str, float]], elapsed: float
 def _edge_leaves(type: str, weight: float, detail: dict[str, Any],
                  elapsed: float) -> dict[str, float]:
     """Attribute one critical segment's elapsed cycles to
-    ``component.side.leaf`` paths from the profile vocabulary."""
+    ``component.side.leaf`` paths from the profile vocabulary (the
+    per-edge form of :func:`_attribute`)."""
     if type == EDGE_KERNEL_EXEC:
-        return _split([
-            ("clusters.busy.operations",
-             float(detail.get("operations", 0.0))),
-            ("clusters.busy.kernel_main_loop_overhead",
-             float(detail.get("main_loop_overhead", 0.0))),
-            ("clusters.busy.kernel_non_main_loop",
-             float(detail.get("non_main_loop", 0.0))),
-            ("clusters.stall.srf_starve",
-             float(detail.get("stall", 0.0))),
-            ("microcontroller.busy.load",
-             float(detail.get("microcode", 0.0))),
-        ], elapsed)
+        return _split([(leaf, float(detail.get(key, 0.0)))
+                       for key, leaf in _KERNEL_PARTS], elapsed)
     if type == EDGE_MEM_STREAM:
-        lane = detail.get("lane")
-        leaf = (f"ag{lane}.busy.stream_transfer" if lane is not None
-                else "controller.busy.dispatch")
+        leaf = _lane_leaf(detail.get("lane"))
         return {leaf: elapsed} if elapsed > 0.0 else {}
-    if type == EDGE_MICROCODE_LOAD:
-        return _split([("microcontroller.busy.load", weight)], elapsed)
     if type == EDGE_HOST_OP:
-        return {"controller.busy.dispatch": elapsed} if elapsed else {}
-    if type == EDGE_HOST_ISSUE:
-        return _split([("host.busy.issue", weight)], elapsed)
-    if type == EDGE_HOST_DEPENDENCY:
-        return _split([("host.busy.round_trip", weight)], elapsed)
-    if type in (EDGE_RESIDENT, EDGE_DATA_DEP, EDGE_CLUSTER_BUSY,
-                EDGE_LOADER_BUSY, EDGE_AG_BUSY, EDGE_CONTROLLER_ISSUE):
-        return _split([("controller.busy.issue", weight)], elapsed)
+        return {_DISPATCH_LEAF: elapsed} if elapsed else {}
+    if type in _WEIGHT_LEAF:
+        return _split([(_WEIGHT_LEAF[type], weight)], elapsed)
     # Zero-weight bookkeeping edges (program_start, scoreboard_slot,
     # retire): any elapsed time is an unexplained gap.
     return {UNATTRIBUTED_LEAF: elapsed} if elapsed > 1e-9 else {}
+
+
+#: Leaves every graph can name, then lanes as found; ids into this
+#: list are the columns of :func:`_attribute`'s slot tables.
+_FIXED_LEAVES = tuple(dict.fromkeys((
+    *(leaf for _, leaf in _KERNEL_PARTS), *_WEIGHT_LEAF.values(),
+    _DISPATCH_LEAF, UNATTRIBUTED_LEAF)))
+_KERNEL_LEAF_IDS = [_FIXED_LEAVES.index(leaf) for _, leaf in _KERNEL_PARTS]
+#: Type code -> its ``_WEIGHT_LEAF`` leaf id, or -1.
+_WEIGHT_LEAF_OF_CODE = np.array(
+    [_FIXED_LEAVES.index(_WEIGHT_LEAF[name]) if name in _WEIGHT_LEAF
+     else -1 for name in EDGE_TYPES], dtype=np.intp)
+
+
+def _attribute(code: np.ndarray, weight: np.ndarray,
+               elapsed: np.ndarray, details: list[dict[str, Any]]
+               ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The leaf attribution of a run of edges, as array passes.
+
+    The arithmetic of :func:`_edge_leaves`, one edge-type group at a
+    time, over per-edge slots: one per kernel part (a single-part
+    split uses the first), then one for unexplained wait.  ``details``
+    are the edges' detail dicts.  Returns the leaf names in order of
+    first appearance (edge by edge, slots in order), and per (edge,
+    leaf) the cycles and whether the leaf is present -- a present leaf
+    may hold 0.0.
+    """
+    rows = len(code)
+    parts_per_edge = len(_KERNEL_PARTS)
+    names = {leaf: lid for lid, leaf in enumerate(_FIXED_LEAVES)}
+    leaf = np.full((rows, parts_per_edge + 1), names[UNATTRIBUTED_LEAF],
+                   dtype=np.intp)
+    value = np.zeros((rows, parts_per_edge + 1))
+    present = np.zeros((rows, parts_per_edge + 1), dtype=bool)
+
+    # _split types: the kernel's five parts or the edge's own weight,
+    # split over the elapsed time, and any excess as wait.
+    parts = np.zeros((rows, parts_per_edge))
+    single = _WEIGHT_LEAF_OF_CODE[code]
+    weighted = single >= 0
+    parts[weighted, 0] = weight[weighted]
+    leaf[weighted, 0] = single[weighted]
+    kernel = np.flatnonzero(code == EDGE_CODE[EDGE_KERNEL_EXEC])
+    parts[kernel] = np.array(
+        [[float(details[row].get(key, 0.0)) for key, _ in _KERNEL_PARTS]
+         for row in kernel.tolist()]).reshape(-1, parts_per_edge)
+    leaf[kernel, :parts_per_edge] = _KERNEL_LEAF_IDS
+    split = weighted.copy()
+    split[kernel] = True
+    # Left to right, each part as ``max(part, 0.0)`` picks it.
+    total = np.zeros(rows)
+    for column in np.where(0.0 > parts, 0.0, parts).T:
+        total += column
+    shared = split & (total > 0.0)
+    usable = np.where(total < elapsed, total, elapsed)
+    share = (parts * usable[:, None]
+             / np.where(shared, total, 1.0)[:, None])
+    value[:, :parts_per_edge] = share
+    present[:, :parts_per_edge] = shared[:, None] & (parts > 0.0)
+    rest = elapsed - usable
+    value[:, -1] = np.where(shared, rest, elapsed)
+    present[:, -1] = np.where(shared, rest > 1e-9,
+                              split & (elapsed > 0.0))
+
+    # Memory streams: all elapsed time to the lane (or dispatch).
+    stream = np.flatnonzero(code == EDGE_CODE[EDGE_MEM_STREAM])
+    leaf[stream, 0] = [
+        names.setdefault(_lane_leaf(details[row].get("lane")), len(names))
+        for row in stream.tolist()]
+    value[stream, 0] = elapsed[stream]
+    present[stream, 0] = elapsed[stream] > 0.0
+    host_op = code == EDGE_CODE[EDGE_HOST_OP]
+    leaf[host_op, 0] = names[_DISPATCH_LEAF]
+    value[host_op, 0] = elapsed[host_op]
+    present[host_op, 0] = elapsed[host_op] != 0.0
+    # Bookkeeping edges: any elapsed time is an unexplained gap.
+    other = ~(split | host_op)
+    other[stream] = False
+    present[other, -1] = elapsed[other] > 1e-9
+
+    # Compact to the leaves present, as columns in first-appearance
+    # order.
+    row, slot = np.nonzero(present)
+    ids = leaf[row, slot]
+    found, first = np.unique(ids, return_index=True)
+    order = found[np.argsort(first)]
+    column = np.empty(len(names), dtype=np.intp)
+    column[order] = np.arange(len(order))
+    vocabulary = list(names)
+    cycles = np.zeros((rows, len(order)))
+    mask = np.zeros((rows, len(order)), dtype=bool)
+    cycles[row, column[ids]] = value[row, slot]
+    mask[row, column[ids]] = True
+    return tuple(vocabulary[lid] for lid in order.tolist()), cycles, mask
 
 
 #: Edge type -> the machine resource its constraint belongs to (for
@@ -424,6 +530,18 @@ class _Walk:
     resources: dict[str, dict[str, float | int]]
     #: Resource names by critical cycles, ``unattributed`` excluded.
     ranked: list[str]
+    #: Per path edge: elapsed cycles, and (see :func:`_attribute`) the
+    #: leaves' cycles and present mask, columns named by
+    #: ``leaf_names``; :func:`build_critpath`'s segments read them.
+    elapsed: np.ndarray = field(default_factory=lambda: np.zeros(0),
+                                compare=False, repr=False)
+    leaf_names: tuple[str, ...] = ()
+    leaf_cycles: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0)), compare=False,
+        repr=False)
+    leaf_present: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0), dtype=bool),
+        compare=False, repr=False)
 
 
 def _best_incoming(t: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -475,32 +593,40 @@ def _walk(graph: EventGraph) -> _Walk:
         current = sources[edge]
     path.reverse()
 
-    leaves: dict[str, float] = {}
-    edge_types: dict[str, float] = {}
+    on_path = np.array(path, dtype=np.intp)
+    path_code = code[on_path]
+    elapsed = t[dst[on_path]] - t[src[on_path]]
+    path_details = [details.get(edge, _NO_DETAIL) for edge in path]
+    leaf_names, leaf_cycles, leaf_present = _attribute(
+        path_code, weight[on_path], elapsed, path_details)
+    # Per-leaf and per-type sums add in path order (a weighted
+    # bincount is sequential), as a per-edge loop would.
+    row, column = np.nonzero(leaf_present)
+    leaf_totals = np.bincount(column, weights=leaf_cycles[row, column],
+                              minlength=len(leaf_names)).tolist()
+    leaves = dict(zip(leaf_names, leaf_totals))
+    type_cycles = np.bincount(path_code, weights=elapsed,
+                              minlength=len(EDGE_TYPES)).tolist()
+    edge_types = {EDGE_TYPES[type]: type_cycles[type]
+                  for type in np.unique(path_code).tolist()}
     memory_driver: dict[str, float] = {}
-    elapsed_cycles: list[float] = []
-    for edge in path:
-        type = EDGE_TYPES[types[edge]]
-        detail = details.get(edge, _NO_DETAIL)
-        elapsed = times[targets[edge]] - times[sources[edge]]
-        elapsed_cycles.append(elapsed)
-        for leaf, cycles in _edge_leaves(type, weights[edge], detail,
-                                         elapsed).items():
-            leaves[leaf] = leaves.get(leaf, 0.0) + cycles
-        edge_types[type] = edge_types.get(type, 0.0) + elapsed
-        if type == EDGE_MEM_STREAM and elapsed > 0.0:
-            startup = min(float(detail.get("startup", 0.0)), elapsed)
-            drivers = (
-                ("dram", float(detail.get("dram_cycles", 0.0))),
-                ("ag", float(detail.get("ag_cycles", 0.0))),
-                ("controller_port",
-                 float(detail.get("controller_cycles", 0.0))),
-            )
-            driver = max(drivers, key=lambda item: item[1])[0]
-            memory_driver["startup"] = (
-                memory_driver.get("startup", 0.0) + startup)
-            memory_driver[driver] = (
-                memory_driver.get(driver, 0.0) + elapsed - startup)
+    for index in np.flatnonzero(
+            (path_code == EDGE_CODE[EDGE_MEM_STREAM])
+            & (elapsed > 0.0)).tolist():
+        detail = path_details[index]
+        cycles = float(elapsed[index])
+        startup = min(float(detail.get("startup", 0.0)), cycles)
+        drivers = (
+            ("dram", float(detail.get("dram_cycles", 0.0))),
+            ("ag", float(detail.get("ag_cycles", 0.0))),
+            ("controller_port",
+             float(detail.get("controller_cycles", 0.0))),
+        )
+        driver = max(drivers, key=lambda item: item[1])[0]
+        memory_driver["startup"] = (
+            memory_driver.get("startup", 0.0) + startup)
+        memory_driver[driver] = (
+            memory_driver.get(driver, 0.0) + cycles - startup)
 
     # Slack: how much later each non-path edge's constraint could
     # have arrived without moving its destination, minimised and
@@ -524,6 +650,7 @@ def _walk(graph: EventGraph) -> _Walk:
     resource_edges = {name: int(counts[rid])
                       for name, rid in resource_ids.items()}
 
+    # Components sum their leaves in first-appearance order.
     by_component: dict[str, float] = {}
     for leaf, cycles in leaves.items():
         component = _leaf_component(leaf)
@@ -545,7 +672,7 @@ def _walk(graph: EventGraph) -> _Walk:
 
     return _Walk(
         path=path,
-        path_cycles=sum(elapsed_cycles),
+        path_cycles=sum(elapsed.tolist()),
         leaves={leaf: leaves[leaf]
                 for leaf in sorted(leaves,
                                    key=lambda key: (-leaves[key], key))},
@@ -557,6 +684,10 @@ def _walk(graph: EventGraph) -> _Walk:
                        for name in sorted(memory_driver)},
         resources=resources,
         ranked=ranked,
+        elapsed=elapsed,
+        leaf_names=leaf_names,
+        leaf_cycles=leaf_cycles,
+        leaf_present=leaf_present,
     )
 
 
@@ -581,35 +712,45 @@ def _top_resources(walk: _Walk) -> list[dict[str, Any]]:
     } for name in walk.ranked[:3]]
 
 
-def _segments(graph: EventGraph, path: list[int]
-              ) -> list[dict[str, Any]]:
+def _segments(graph: EventGraph, walk: _Walk) -> list[dict[str, Any]]:
     """One report dict per path edge, with its leaf attribution."""
-    times = graph.node_t
+    path = np.array(walk.path, dtype=np.intp)
+    src = np.asarray(graph.edge_src)[path]
+    dst = np.asarray(graph.edge_dst)[path]
+    kinds = np.asarray(graph.node_kind)
+    indices = np.asarray(graph.node_index)
+    times = np.asarray(graph.node_t)
+    labels = graph.node_label
 
-    def point(node: int) -> dict[str, Any]:
-        return {"id": node, "kind": NODE_KINDS[graph.node_kind[node]],
-                "index": graph.node_index[node], "t": times[node],
-                "label": graph.node_label[node]}
+    def points(nodes: np.ndarray) -> list[dict[str, Any]]:
+        return [{"id": node, "kind": NODE_KINDS[kind], "index": index,
+                 "t": t, "label": labels[node]}
+                for node, kind, index, t in zip(
+                    nodes.tolist(), kinds[nodes].tolist(),
+                    indices[nodes].tolist(), times[nodes].tolist())]
 
-    segments = []
-    for edge in path:
-        src, dst = graph.edge_src[edge], graph.edge_dst[edge]
-        type = EDGE_TYPES[graph.edge_type[edge]]
-        weight = graph.edge_weight[edge]
-        elapsed = times[dst] - times[src]
-        seg_leaves = _edge_leaves(
-            type, weight, graph.edge_detail.get(edge, _NO_DETAIL),
-            elapsed)
-        segments.append({
-            "src": point(src),
-            "dst": point(dst),
-            "type": type,
-            "weight": weight,
-            "elapsed": elapsed,
-            "leaves": {leaf: seg_leaves[leaf]
-                       for leaf in sorted(seg_leaves)},
-        })
-    return segments
+    # Each edge's leaves in name order: columns sorted by name, then
+    # the present cells row by row.
+    names = sorted(range(len(walk.leaf_names)),
+                   key=walk.leaf_names.__getitem__)
+    row, column = np.nonzero(walk.leaf_present[:, names])
+    cycles = walk.leaf_cycles[:, names][row, column]
+    leaves: list[dict[str, float]] = [{} for _ in walk.path]
+    for index, name, value in zip(row.tolist(), column.tolist(),
+                                  cycles.tolist()):
+        leaves[index][walk.leaf_names[names[name]]] = value
+    return [{
+        "src": src_point,
+        "dst": dst_point,
+        "type": EDGE_TYPES[type],
+        "weight": weight,
+        "elapsed": elapsed,
+        "leaves": seg_leaves,
+    } for src_point, dst_point, type, weight, elapsed, seg_leaves in zip(
+        points(src), points(dst),
+        np.asarray(graph.edge_type)[path].tolist(),
+        np.asarray(graph.edge_weight)[path].tolist(),
+        walk.elapsed.tolist(), leaves)]
 
 
 def critpath_summary(result: "RunResult") -> dict[str, Any] | None:
@@ -717,7 +858,7 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
         "path_cycles": path_cycles,
         "graph": {"nodes": len(graph.node_label),
                   "edges": len(graph.edge_src)},
-        "segments": _segments(graph, walk.path),
+        "segments": _segments(graph, walk),
         "critical_leaves": dict(walk.leaves),
         "critical_edge_types": dict(walk.edge_types),
         "memory_driver": dict(walk.memory_driver),

@@ -44,12 +44,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.core.metrics import CycleCategory
-from repro.isa.stream_ops import StreamOpType
+from repro.isa.stream_ops import STREAM_OPS, StreamOpType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import MachineConfig
-    from repro.core.processor import RunResult
+    from repro.core.processor import InstructionTrace, RunResult
 
 #: Version tag for the profile-report layout.
 PROFILE_SCHEMA = "repro.profile-report/1"
@@ -113,57 +115,75 @@ def _component(total: float, busy: dict[str, float],
 
 def _kernel_rollup(result: "RunResult") -> list[dict[str, Any]]:
     """Aggregate invocation records by kernel name (Figure 6 rows)."""
-    totals: dict[str, dict[str, Any]] = {}
+    # One accumulator per kernel: invocations, stream elements, busy
+    # and stall cycles, and FU cycles by unit.
+    totals: dict[str, list[Any]] = {}
     for record in result.metrics.kernel_invocations:
-        entry = totals.setdefault(record.kernel, {
-            "invocations": 0, "stream_elements": 0,
-            "busy_cycles": 0, "stall_cycles": 0,
-            "fu_cycles": {}})
-        entry["invocations"] += 1
-        entry["stream_elements"] += record.stream_elements
-        entry["busy_cycles"] += record.busy_cycles
-        entry["stall_cycles"] += record.stall_cycles
+        entry = totals.get(record.kernel)
+        if entry is None:
+            entry = totals[record.kernel] = [0, 0, 0, 0, {}]
+        entry[0] += 1
+        entry[1] += record.stream_elements
+        entry[2] += record.busy_cycles
+        entry[3] += record.stall_cycles
+        fu_cycles = entry[4]
         for unit, cycles in record.fu_cycles.items():
-            entry["fu_cycles"][unit] = (
-                entry["fu_cycles"].get(unit, 0) + cycles)
+            fu_cycles[unit] = fu_cycles.get(unit, 0) + cycles
     rows = []
     for kernel in sorted(totals):
-        entry = totals[kernel]
-        cycles = max(entry["busy_cycles"] + entry["stall_cycles"], 1)
+        invocations, elements, busy, stall, fu_cycles = totals[kernel]
+        cycles = max(busy + stall, 1)
         rows.append({
             "kernel": kernel,
-            "invocations": entry["invocations"],
-            "stream_elements": entry["stream_elements"],
-            "busy_cycles": entry["busy_cycles"],
-            "stall_cycles": entry["stall_cycles"],
-            "busy_fraction": entry["busy_cycles"] / cycles,
-            "stall_fraction": entry["stall_cycles"] / cycles,
-            "fu_cycles": {unit: entry["fu_cycles"][unit]
-                          for unit in sorted(entry["fu_cycles"])},
+            "invocations": invocations,
+            "stream_elements": elements,
+            "busy_cycles": busy,
+            "stall_cycles": stall,
+            "busy_fraction": busy / cycles,
+            "stall_fraction": stall / cycles,
+            "fu_cycles": {unit: fu_cycles[unit]
+                          for unit in sorted(fu_cycles)},
         })
     return rows
 
 
+def _op_counts(trace: "InstructionTrace") -> np.ndarray:
+    """Instructions per op code (positions in :data:`STREAM_OPS`)."""
+    return np.bincount(np.asarray(trace.op), minlength=len(STREAM_OPS))
+
+
 def _stream_op_rollup(result: "RunResult") -> list[dict[str, Any]]:
-    """Aggregate the instruction trace by stream-op type."""
-    totals: dict[str, dict[str, float]] = {}
-    for event in result.trace:
-        entry = totals.setdefault(event.op, {
-            "count": 0, "cycles": 0.0, "queue_cycles": 0.0})
-        entry["count"] += 1
-        entry["cycles"] += event.duration
-        entry["queue_cycles"] += event.queue_delay
+    """Aggregate the instruction trace by stream-op type.
+
+    A weighted ``bincount`` adds in trace order, so each op's cycles
+    are the sums a per-instruction loop makes, bit for bit."""
+    trace = result.trace
+    op = np.asarray(trace.op)
+    started = np.asarray(trace.started_at)
+    duration = np.asarray(trace.finished_at) - started
+    queue_delay = started - np.asarray(trace.resident_at)
+    size = len(STREAM_OPS)
+    counts = _op_counts(trace).tolist()
+    cycles = np.bincount(op, weights=duration, minlength=size).tolist()
+    queue = np.bincount(op, weights=queue_delay, minlength=size).tolist()
     return [{
-        "op": op,
-        "count": int(totals[op]["count"]),
-        "cycles": totals[op]["cycles"],
-        "queue_cycles": totals[op]["queue_cycles"],
-    } for op in sorted(totals)]
+        "op": STREAM_OPS[code],
+        "count": counts[code],
+        "cycles": cycles[code],
+        "queue_cycles": queue[code],
+    } for code in sorted(range(size), key=STREAM_OPS.__getitem__)
+        if counts[code]]
 
 
-#: Ops the stream controller executes itself, one dispatch cycle each.
-_DISPATCHED_OPS = frozenset(
-    op.value for op in StreamOpType if op.is_register_op or op.is_misc)
+#: Op codes the stream controller executes itself, one dispatch cycle
+#: each.
+_DISPATCHED_CODES = [code for code, op in enumerate(StreamOpType)
+                     if op.is_register_op or op.is_misc]
+
+
+def _dispatch_count(trace: "InstructionTrace") -> int:
+    """Instructions the stream controller executed itself."""
+    return int(_op_counts(trace)[_DISPATCHED_CODES].sum())
 
 
 def profile_components(result: "RunResult") -> dict[str, dict[str, Any]]:
@@ -214,8 +234,7 @@ def profile_components(result: "RunResult") -> dict[str, dict[str, Any]]:
     # hence the nested clamp.
     issue_overhead = (metrics.machine.stream_controller_issue_cycles
                       + result.board.issue_pipeline_cycles)
-    dispatched = sum(1 for event in result.trace
-                     if event.op in _DISPATCHED_OPS)
+    dispatched = _dispatch_count(result.trace)
     controller_issue = min(issue_overhead * len(result.trace), total)
     components["controller"] = _component(
         total,

@@ -622,6 +622,55 @@ class TestColumnarWalk:
                 getattr(reference, name)), name
 
     @settings(max_examples=200, deadline=None)
+    @given(event_graphs())
+    def test_segment_leaves_match_the_per_edge_split(self, graph):
+        """Every segment's leaves are the name-sorted per-edge split of
+        its edge, zero-valued present leaves included."""
+        walk = critpath._walk(graph)
+        segments = critpath._segments(graph, walk)
+        assert len(segments) == len(walk.path)
+        for segment, index in zip(segments, walk.path):
+            edge = graph.edge(index)
+            elapsed = graph.node_t[edge.dst] - graph.node_t[edge.src]
+            leaves = critpath._edge_leaves(edge.type, edge.weight,
+                                           edge.detail, elapsed)
+            assert repr(segment["leaves"]) == repr(
+                {leaf: leaves[leaf] for leaf in sorted(leaves)})
+            assert (segment["src"]["id"], segment["dst"]["id"],
+                    segment["type"], repr(segment["weight"]),
+                    repr(segment["elapsed"])) == (
+                edge.src, edge.dst, edge.type, repr(edge.weight),
+                repr(elapsed))
+
+    @pytest.mark.parametrize("app, sizes, board", [
+        ("mpeg", {"frames": 2, "width": 192, "seed": 3}, "hardware"),
+        ("rtsl", {"triangles": 160, "seed": 3}, "isim"),
+    ])
+    def test_recorded_graphs_match_the_object_walk(self, app, sizes,
+                                                   board):
+        """Recorded graphs round where the drawn ones do not: summing
+        a resource's leaves in name order, or a leaf's cycles
+        pairwise, changes the last bit of these runs' reports."""
+        with Session(config=SessionConfig(cache=False,
+                                          backend="auto")) as session:
+            result = session.run(RunRequest.for_app(
+                app, sizes=sizes, board=BOARDS[board]()))
+        graph = result.event_graph
+        walk, reference = critpath._walk(graph), _reference_walk(graph)
+        assert walk.path == reference.path
+        for name in ("path_cycles", "leaves", "edge_types",
+                     "memory_driver", "resources", "ranked"):
+            assert repr(getattr(walk, name)) == repr(
+                getattr(reference, name)), name
+        for segment, index in zip(critpath._segments(graph, walk),
+                                  walk.path):
+            edge = graph.edge(index)
+            leaves = critpath._edge_leaves(edge.type, edge.weight,
+                                           edge.detail, segment["elapsed"])
+            assert repr(segment["leaves"]) == repr(
+                {leaf: leaves[leaf] for leaf in sorted(leaves)})
+
+    @settings(max_examples=200, deadline=None)
     @given(event_graphs(), _SCALES)
     def test_projection_matches_the_object_replay(self, graph, scales):
         projection = project_whatif(graph, scales)

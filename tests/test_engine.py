@@ -13,6 +13,7 @@ import json
 import os
 import pathlib
 import pickle
+import random
 import subprocess
 import sys
 
@@ -35,6 +36,7 @@ from repro.evaluation import evaluation_report, run_full_evaluation
 from repro.faults import BUILTIN_PLANS, FaultKind, FaultPlan, FaultSpec
 from repro.faults.campaign import run_campaign, validate_report
 from repro.obs.critpath import build_critpath
+from repro.obs.profile import build_profile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -206,9 +208,12 @@ class TestCache:
 
     def test_format_1_entry_is_a_miss_and_restored_as_format_2(
             self, tmp_path, monkeypatch):
-        """A pinned salt keeps the digest across the event-graph
-        layout change, so only the format number stops an old pickle
-        (one object per node and edge) from reaching the walk."""
+        """A pinned salt keeps the digest across layout changes, so
+        only the entry format stops an old pickle from reaching the
+        reports: a format-1 entry (one object per graph node and edge)
+        and a format-2 entry (one ``TraceEvent`` per instruction, no
+        checksum) are each a miss, and the rerun is stored as
+        format 3."""
         monkeypatch.setenv("REPRO_CACHE_SALT", "pinned")
         request = small_request()
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
@@ -216,24 +221,74 @@ class TestCache:
             session.run(request)
         cache = ResultCache(tmp_path)
         path = cache._object_path(digest)
-        entry = pickle.loads(path.read_bytes())
-        graph = entry["outcome"].result.event_graph
+        header, _, payload = path.read_bytes().partition(b"\n")
+        assert header.startswith(b"repro-cache/3 sha256=")
+        outcome = pickle.loads(payload)
+        result = outcome.result
+        result.trace = list(result.trace)
+        format_2 = pickle.dumps({"format": 2, "outcome": outcome})
+        graph = result.event_graph
         state = {"nodes": list(graph.nodes), "edges": list(graph.edges),
                  "meta": graph.meta}
         graph.__dict__.clear()
         graph.__dict__.update(state)
-        path.write_bytes(pickle.dumps({**entry, "format": 1}))
-        assert CACHE_FORMAT == 2
-        assert cache.load(digest) is None
-        assert not path.exists()
+        format_1 = pickle.dumps({"format": 1, "outcome": outcome})
+        assert CACHE_FORMAT == 3
+        for old in (format_1, format_2):
+            path.write_bytes(old)
+            path.with_suffix(".json").write_text("{}")
+            assert cache.load(digest) is None
+            assert not path.exists()
+            assert not path.with_suffix(".json").exists()
+            with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
+                handle = session.submit(request)
+                result = handle.result()
+                assert handle.digest == digest
+                assert handle.cache_status == "miss"
+            assert build_critpath(result)["checks"]["conservation"]["ok"]
+            assert path.read_bytes().startswith(b"repro-cache/3 sha256=")
+            restored = cache.load(digest).result
+            assert restored.event_graph == result.event_graph
+            assert restored.trace == result.trace
+
+    def test_corrupt_entries_are_misses_that_never_raise(self, tmp_path):
+        """Truncations and single-byte flips anywhere in an entry --
+        header or payload -- are misses that remove both entry files;
+        the intact entry is a hit that reports what a fresh run
+        reports."""
+        request = RunRequest.for_app("rtsl", sizes={"triangles": 60})
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
-            handle = session.submit(request)
-            result = handle.result()
-            assert handle.digest == digest
-            assert handle.cache_status == "miss"
-        assert build_critpath(result)["checks"]["conservation"]["ok"]
-        assert pickle.loads(path.read_bytes())["format"] == 2
-        assert cache.load(digest).result.event_graph == result.event_graph
+            digest = session.submit(request).digest
+            session.run(request)
+        cache = ResultCache(tmp_path)
+        path = cache._object_path(digest)
+        sidecar = path.with_suffix(".json")
+        intact, summary = path.read_bytes(), sidecar.read_bytes()
+        header = intact.index(b"\n") + 1
+        rng = random.Random(20260)
+        corrupted = [intact[:end] for end in sorted(
+            {0, 1, header - 1, header, header + 1, len(intact) // 2,
+             len(intact) - 1, *rng.sample(range(len(intact)), 8)})]
+        flips = ([*range(header)]
+                 + rng.sample(range(header, len(intact)), 64))
+        for offset in flips:
+            data = bytearray(intact)
+            data[offset] ^= rng.randrange(1, 256)
+            corrupted.append(bytes(data))
+        for data in corrupted:
+            path.write_bytes(data)
+            sidecar.write_bytes(summary)
+            assert cache.load(digest) is None
+            assert not path.exists() and not sidecar.exists()
+
+        path.write_bytes(intact)
+        sidecar.write_bytes(summary)
+        hit = cache.load(digest).result
+        with Session(config=SessionConfig(cache=False)) as session:
+            fresh = session.run(request)
+        for build in (build_profile, build_critpath):
+            assert json.dumps(build(hit), sort_keys=True) == json.dumps(
+                build(fresh), sort_keys=True)
 
     def test_inflight_dedup_within_one_session(self, tmp_path):
         request = small_request()

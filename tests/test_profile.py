@@ -9,13 +9,17 @@ and the ``repro perf`` regression gate end to end.
 """
 
 import json
+import pickle
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.breakdown import application_breakdown
 from repro.apps import depth, mpeg, qrd, rtsl
 from repro.cli import main as cli_main
 from repro.core import BoardConfig, MachineConfig
+from repro.core.processor import InstructionTrace, TraceEvent
 from repro.engine import Session, SessionConfig
 from repro.engine.session import RunRequest
 from repro.obs.diff import DIFF_SCHEMA, diff_profiles, render_diff
@@ -25,6 +29,8 @@ from repro.obs.history import (
     history_entry,
     read_history,
 )
+from repro.isa.stream_ops import StreamInstruction, StreamOpType
+from repro.obs import profile as profiler
 from repro.obs.profile import (
     PROFILE_SCHEMA,
     ProfileError,
@@ -337,3 +343,87 @@ class TestPerfCli:
         capsys.readouterr()
         assert cli_main(["diff", str(a),
                          str(tmp_path / "missing.json")]) == 2
+
+
+# ----------------------------------------------------------------------
+# The columnar instruction trace against per-event loops.
+# ----------------------------------------------------------------------
+#: Non-integral cycle times, so sums round and their order shows.
+_CYCLES = st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
+                    allow_subnormal=False)
+
+
+@st.composite
+def traces(draw):
+    """An instruction trace and the ``TraceEvent`` rows it holds:
+    empty, one op, or repeats of a few ops."""
+    palette = draw(st.lists(st.sampled_from(list(StreamOpType)),
+                            min_size=1, max_size=3))
+    ops = draw(st.lists(st.sampled_from(palette), max_size=30))
+    instructions, events = [], []
+    for index, op in enumerate(ops):
+        resident = draw(_CYCLES)
+        started = resident + draw(_CYCLES)
+        finished = started + draw(_CYCLES)
+        kernel = draw(st.sampled_from([None, "k1", "k2"]))
+        instructions.append(StreamInstruction(op, kernel=kernel,
+                                              tag=f"op{index}"))
+        events.append(TraceEvent(index, op.value, f"op{index}", kernel,
+                                 resident, started, finished))
+    trace = InstructionTrace(
+        instructions, [event.resident_at for event in events],
+        [event.started_at for event in events],
+        [event.finished_at for event in events])
+    return trace, events
+
+
+def _reference_stream_ops(events):
+    """The per-event rollup the bincount passes replaced."""
+    totals = {}
+    for event in events:
+        entry = totals.setdefault(event.op, {
+            "count": 0, "cycles": 0.0, "queue_cycles": 0.0})
+        entry["count"] += 1
+        entry["cycles"] += event.duration
+        entry["queue_cycles"] += event.queue_delay
+    return [{
+        "op": op,
+        "count": int(totals[op]["count"]),
+        "cycles": totals[op]["cycles"],
+        "queue_cycles": totals[op]["queue_cycles"],
+    } for op in sorted(totals)]
+
+
+def _reference_dispatch_count(events):
+    dispatched = {op.value for op in StreamOpType
+                  if op.is_register_op or op.is_misc}
+    return sum(1 for event in events if event.op in dispatched)
+
+
+class TestColumnarTrace:
+    @settings(max_examples=200, deadline=None)
+    @given(traces())
+    def test_rollups_match_the_per_event_loops(self, drawn):
+        trace, events = drawn
+        result = SimpleNamespace(trace=trace)
+        assert repr(profiler._stream_op_rollup(result)) == repr(
+            _reference_stream_ops(events))
+        assert repr(profiler._dispatch_count(trace)) == repr(
+            _reference_dispatch_count(events))
+
+    @settings(max_examples=100, deadline=None)
+    @given(traces())
+    def test_rows_and_pickle_round_trip(self, drawn):
+        trace, events = drawn
+        assert len(trace) == len(events)
+        assert list(trace) == events
+        assert [trace[i] for i in range(len(trace))] == events
+        assert trace[1:] == events[1:]
+        if events:
+            assert trace[-1] == events[-1]
+        data = pickle.dumps(trace)
+        assert b"TraceEvent" not in data
+        assert trace.finished_at.tobytes() in data
+        restored = pickle.loads(data)
+        assert restored == trace
+        assert list(restored) == events
