@@ -22,7 +22,7 @@ from array import array
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import overload
+from typing import TYPE_CHECKING, overload
 
 from repro.core.cluster import ClusterArray, InvocationResult
 from repro.core.config import BoardConfig, MachineConfig
@@ -75,6 +75,9 @@ from repro.obs.tracer import (
     TRACK_HOST,
     Tracer,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.profile import Derived
 
 __all__ = [
     "ImagineProcessor",
@@ -190,6 +193,12 @@ class RunResult:
     #: critical-path extraction and what-if projection
     #: (:mod:`repro.obs.critpath`).
     event_graph: EventGraph | None = None
+    #: The profile and critical-path walk the engine derived when it
+    #: completed the run (:func:`repro.obs.profile.derive`); pickled
+    #: with the result, so a cache entry carries them.  Not an
+    #: ``__init__`` argument: ``dataclasses.replace`` resets it.
+    derived: "Derived | None" = field(default=None, init=False,
+                                      repr=False, compare=False)
 
     @property
     def cycles(self) -> float:

@@ -14,7 +14,10 @@ object.  Eviction exists only to bound disk usage: set
 cache evicts least-recently-*used* entries -- loads refresh an
 entry's mtime, which is the LRU clock -- until it fits.  Writes are
 atomic (temp file + ``os.replace``), as is the ``index.json``
-summary the eviction pass maintains.  An entry's one-line header
+summary the eviction pass maintains.  A completed run's result
+carries the profile and critical-path walk the engine derived when it
+ran (:class:`repro.obs.profile.Derived`), so a hit reads its reports
+without deriving them again.  An entry's one-line header
 names the cache format and the sha256 of the pickled outcome that
 follows it; the checksum is verified before anything is unpickled,
 and unreadable, corrupt or other-format entries are treated as
@@ -38,8 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Version tag stored with every cache object; bump on layout changes
 #: (2: the event graph is stored as columns; 3: so is the instruction
-#: trace, and entries carry a checksum).
-CACHE_FORMAT = 3
+#: trace, and entries carry a checksum; 4: results carry their derived
+#: profile and critical-path walk).
+CACHE_FORMAT = 4
 
 #: Environment override for the size budget (bytes; unset/0 = unbounded).
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"

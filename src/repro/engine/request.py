@@ -75,6 +75,28 @@ def code_salt() -> str:
     return _code_salt_cache
 
 
+#: Config ``repr`` -> JSON text of its ``dataclasses.asdict``.  The
+#: configs are frozen, so each serialises the same every time; repr
+#: keys it because, unlike ``==``, it tells ``1`` from ``1.0``, as the
+#: JSON does.  A process uses a handful; the memo is emptied should
+#: it ever reach :data:`_CONFIG_MEMO_SIZE`.
+_config_text: dict[str, str] = {}
+_CONFIG_MEMO_SIZE = 256
+
+
+def _config_payload(config: MachineConfig | BoardConfig) -> dict:
+    """``dataclasses.asdict(config)``, serialised once per process;
+    every call returns a fresh copy, so no caller can change the
+    memo."""
+    key = repr(config)
+    text = _config_text.get(key)
+    if text is None:
+        if len(_config_text) >= _CONFIG_MEMO_SIZE:
+            _config_text.clear()
+        text = _config_text[key] = json.dumps(dataclasses.asdict(config))
+    return json.loads(text)
+
+
 def _canonical_faults(faults) -> str | None:
     """Normalize a plan (FaultPlan | dict | JSON text) to canonical JSON."""
     if faults is None:
@@ -192,8 +214,8 @@ class RunRequest:
             "v": DIGEST_VERSION,
             "app": self.app,
             "sizes": {str(k): v for k, v in self.sizes},
-            "machine": dataclasses.asdict(self.effective_machine()),
-            "board": dataclasses.asdict(self.effective_board()),
+            "machine": _config_payload(self.effective_machine()),
+            "board": _config_payload(self.effective_board()),
             "faults": (json.loads(self.faults)
                        if self.faults is not None else None),
             "seed": self.seed,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -273,13 +274,34 @@ def _capture(bundle: "AppBundle", request: RunRequest,
     return RunOutcome(status="completed", result=result)
 
 
+def _derive(outcome: RunOutcome) -> RunOutcome:
+    """Derive a completed run's profile and critical-path walk where
+    it ran, so its cache entry stores them
+    (:func:`repro.obs.profile.derive`).  A graph the walk rejects
+    leaves the run underived: it is stored and returned all the same,
+    and its readers derive, and raise, when asked.  An outcome that
+    crossed from a worker arrives derived already."""
+    if outcome.completed and outcome.result.derived is None:
+        from repro.obs.critpath import CritpathError
+        from repro.obs.profile import derive
+
+        try:
+            derive(outcome.result)
+        except CritpathError:
+            pass
+    return outcome
+
+
 def _execute_request(request: RunRequest,
                      preflight: bool = False,
-                     backend: str = "event") -> RunOutcome:
-    """Worker entry point: rebuild the bundle from the catalog, run."""
+                     backend: str = "event",
+                     derive: bool = False) -> RunOutcome:
+    """Worker entry point: rebuild the bundle from the catalog, run,
+    and derive the reports when the outcome feeds the cache."""
     bundle = catalog.build_app(request.app, **dict(request.sizes))
-    return _capture(bundle, request, preflight=preflight,
-                    backend=backend)
+    outcome = _capture(bundle, request, preflight=preflight,
+                       backend=backend)
+    return _derive(outcome) if derive else outcome
 
 
 def _stamp(outcome: RunOutcome, digest: str | None,
@@ -298,10 +320,12 @@ def _hit_copy(outcome: RunOutcome, digest: str | None) -> RunOutcome:
     the original delivery's manifest is left untouched."""
     result = outcome.result
     if result is not None and result.manifest is not None:
+        derived = result.derived
         result = dataclasses.replace(
             result,
             manifest=dataclasses.replace(
                 result.manifest, request_digest=digest, cache="hit"))
+        result.derived = derived
     return dataclasses.replace(outcome, result=result)
 
 
@@ -401,7 +425,13 @@ class Session:
         self._cache = (ResultCache(config.cache_dir,
                                    on_evict=self._m_evictions.inc)
                        if config.cache else None)
-        self._inflight: dict[str, RunHandle] = {}
+        #: Digest -> handle, for coalescing a submission onto a run of
+        #: the same digest: held strongly while the run executes, then
+        #: only while a caller still holds the handle, so settled
+        #: outcomes are not kept for the life of the session.
+        self._running: dict[str, RunHandle] = {}
+        self._settled: weakref.WeakValueDictionary[str, RunHandle] = (
+            weakref.WeakValueDictionary())
         self._history_recorded: set[str] = set()
         self._executor: concurrent.futures.ProcessPoolExecutor | None = None
         self._closed = False
@@ -458,6 +488,7 @@ class Session:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
+        self._running.clear()
         self._closed = True
 
     def _pool(self) -> concurrent.futures.ProcessPoolExecutor:
@@ -507,7 +538,9 @@ class Session:
 
         digest = request.digest(salt=self._salt)
         if self._cache is not None:
-            shared = self._inflight.get(digest)
+            shared = self._running.get(digest)
+            if shared is None:
+                shared = self._settled.get(digest)
             if shared is not None:
                 self._m_cache.labels(result="hit").inc()
                 self._m_dedup.inc()
@@ -525,16 +558,15 @@ class Session:
                 self._m_cache.labels(result="hit").inc()
                 handle._outcome = _stamp(cached, digest, "hit")
                 handle.cache_status = "hit"
-                self._inflight[digest] = handle
+                self._settled[digest] = handle
                 self._record_history(handle, handle._outcome)
                 return handle
-            self._inflight[digest] = handle
+            self._running[digest] = handle
 
         if self.jobs > 1:
-            handle._future = self._pool().submit(_execute_request,
-                                                 request,
-                                                 self.preflight,
-                                                 effective_backend)
+            handle._future = self._pool().submit(
+                _execute_request, request, self.preflight,
+                effective_backend, self._cache is not None)
             handle._attempts = 1
         else:
             bundle = prebuilt if prebuilt is not None else \
@@ -669,7 +701,7 @@ class Session:
                     self._executor = None
                 handle._future = self._pool().submit(
                     _execute_request, handle.request, self.preflight,
-                    handle.backend)
+                    handle.backend, self._cache is not None)
         self._complete(handle, outcome)
 
     def _complete(self, handle: RunHandle, outcome: RunOutcome) -> None:
@@ -679,7 +711,7 @@ class Session:
         if handle.digest is not None and self._cache is not None:
             self._m_cache.labels(result="miss").inc()
             handle.cache_status = "miss"
-            outcome = _stamp(outcome, handle.digest, "miss")
+            outcome = _stamp(_derive(outcome), handle.digest, "miss")
             if outcome.cacheable:
                 self._cache.store(handle.digest, outcome,
                                   handle.request)
@@ -688,13 +720,15 @@ class Session:
             handle.cache_status = "uncached"
             outcome = _stamp(outcome, handle.digest, "uncached")
         handle._outcome = outcome
-        if (handle.digest is not None and not outcome.cacheable
-                and self._inflight.get(handle.digest) is handle):
+        if (handle.digest is not None
+                and self._running.get(handle.digest) is handle):
+            del self._running[handle.digest]
             # Non-cacheable failures (worker crashes, backend
             # refusals) must not coalesce onto later submissions of
             # the same digest: a vector BackendUnsupported would
             # otherwise answer a subsequent event-backend submit.
-            del self._inflight[handle.digest]
+            if outcome.cacheable:
+                self._settled[handle.digest] = handle
         self._record_history(handle, outcome)
 
     def _record_history(self, handle: RunHandle,

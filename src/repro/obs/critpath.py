@@ -211,7 +211,8 @@ class EventGraph:
     """
 
     #: Memoized critical-path walk, keyed by ``(nodes, edges)`` count
-    #: so an append invalidates it; never pickled.
+    #: so an append invalidates it; never pickled (a result-cache
+    #: entry stores it beside the graph, see :func:`walk_columns`).
     _walk_memo: tuple[tuple[int, int], _Walk] | None = None
 
     def __init__(self, meta: dict[str, float] | None = None) -> None:
@@ -288,6 +289,12 @@ class EventGraph:
     @property
     def edges(self) -> Sequence[GraphEdge]:
         return _Rows(self.edge_src, self.edge)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(nodes, edges)``: what is derived from the graph is keyed
+        by it, so an append invalidates it."""
+        return (len(self.node_label), len(self.edge_src))
 
     @property
     def end(self) -> GraphNode:
@@ -530,18 +537,23 @@ class _Walk:
     resources: dict[str, dict[str, float | int]]
     #: Resource names by critical cycles, ``unattributed`` excluded.
     ranked: list[str]
-    #: Per path edge: elapsed cycles, and (see :func:`_attribute`) the
-    #: leaves' cycles and present mask, columns named by
-    #: ``leaf_names``; :func:`build_critpath`'s segments read them.
+    #: Per path edge, its elapsed cycles.
     elapsed: np.ndarray = field(default_factory=lambda: np.zeros(0),
                                 compare=False, repr=False)
+    #: The leaves the path names, sorted.
     leaf_names: tuple[str, ...] = ()
-    leaf_cycles: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, 0)), compare=False,
-        repr=False)
-    leaf_present: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, 0), dtype=bool),
+    #: The path edges' leaf attribution (see :func:`_attribute`) as
+    #: sparse cells: path position, column into ``leaf_names`` and
+    #: cycles, by position and then leaf name.  A cell may hold 0.0;
+    #: :func:`build_critpath`'s segments read them.
+    cell_row: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int32),
         compare=False, repr=False)
+    cell_leaf: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int32),
+        compare=False, repr=False)
+    cell_cycles: np.ndarray = field(default_factory=lambda: np.zeros(0),
+                                    compare=False, repr=False)
 
 
 def _best_incoming(t: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -599,12 +611,17 @@ def _walk(graph: EventGraph) -> _Walk:
     path_details = [details.get(edge, _NO_DETAIL) for edge in path]
     leaf_names, leaf_cycles, leaf_present = _attribute(
         path_code, weight[on_path], elapsed, path_details)
-    # Per-leaf and per-type sums add in path order (a weighted
-    # bincount is sequential), as a per-edge loop would.
-    row, column = np.nonzero(leaf_present)
-    leaf_totals = np.bincount(column, weights=leaf_cycles[row, column],
-                              minlength=len(leaf_names)).tolist()
-    leaves = dict(zip(leaf_names, leaf_totals))
+    by_name = sorted(range(len(leaf_names)), key=leaf_names.__getitem__)
+    cell_row, cell_leaf = np.nonzero(leaf_present[:, by_name])
+    cell_cycles = leaf_cycles[:, by_name][cell_row, cell_leaf]
+    sorted_names = tuple(leaf_names[lid] for lid in by_name)
+    # Per-leaf sums add in path order (a weighted bincount is
+    # sequential), as a per-edge loop would; keyed in first-appearance
+    # order, which the per-component sums below rely on.
+    totals = dict(zip(sorted_names, np.bincount(
+        cell_leaf, weights=cell_cycles,
+        minlength=len(leaf_names)).tolist()))
+    leaves = {leaf: totals[leaf] for leaf in leaf_names}
     type_cycles = np.bincount(path_code, weights=elapsed,
                               minlength=len(EDGE_TYPES)).tolist()
     edge_types = {EDGE_TYPES[type]: type_cycles[type]
@@ -685,9 +702,10 @@ def _walk(graph: EventGraph) -> _Walk:
         resources=resources,
         ranked=ranked,
         elapsed=elapsed,
-        leaf_names=leaf_names,
-        leaf_cycles=leaf_cycles,
-        leaf_present=leaf_present,
+        leaf_names=sorted_names,
+        cell_row=cell_row.astype(np.int32),
+        cell_leaf=cell_leaf.astype(np.int32),
+        cell_cycles=cell_cycles,
     )
 
 
@@ -696,11 +714,61 @@ def _cached_walk(graph: EventGraph) -> _Walk:
     the profile's ``critpath`` block, :func:`critpath_summary` and
     :func:`build_critpath`.  Callers copy before returning anything
     from it."""
-    key = (len(graph.node_label), len(graph.edge_src))
+    key = graph.shape
     memo = graph._walk_memo
     if memo is None or memo[0] != key:
         memo = graph._walk_memo = (key, _walk(graph))
     return memo[1]
+
+
+#: :class:`_Walk` fields a cache entry stores as they are.
+_STORED_AS_IS = ("path_cycles", "leaves", "edge_types", "memory_driver",
+                 "resources", "ranked", "leaf_names")
+
+
+def walk_columns(graph: EventGraph) -> dict[str, Any]:
+    """The graph's walk as the compact columns a result-cache entry
+    stores: the path's edge indices (int32) and its leaf cells
+    (int32 position and leaf column, float64 cycles) as raw bytes, and
+    the sorted leaf names and aggregates as they are.  Per-edge
+    elapsed cycles are left out; :func:`_attach_walk` reads them from
+    the graph."""
+    walk = _cached_walk(graph)
+    return {name: getattr(walk, name) for name in _STORED_AS_IS} | {
+        "path": np.asarray(walk.path, dtype=np.int32).tobytes(),
+        "cell_row": walk.cell_row.tobytes(),
+        "cell_leaf": walk.cell_leaf.tobytes(),
+        "cell_cycles": walk.cell_cycles.tobytes(),
+    }
+
+
+def _attach_walk(graph: EventGraph, columns: dict[str, Any]) -> None:
+    """Memoize on ``graph`` the walk :func:`walk_columns` stored for
+    it.  The cells become read-only views of the stored bytes."""
+    path = np.frombuffer(columns["path"], dtype=np.int32)
+    t = np.asarray(graph.node_t)
+    graph._walk_memo = (graph.shape, _Walk(
+        **{name: columns[name] for name in _STORED_AS_IS},
+        path=path.tolist(),
+        elapsed=(t[np.asarray(graph.edge_dst)[path]]
+                 - t[np.asarray(graph.edge_src)[path]]),
+        cell_row=np.frombuffer(columns["cell_row"], dtype=np.int32),
+        cell_leaf=np.frombuffer(columns["cell_leaf"], dtype=np.int32),
+        cell_cycles=np.frombuffer(columns["cell_cycles"]),
+    ))
+
+
+def _result_walk(result: "RunResult") -> _Walk:
+    """The walk of ``result``'s graph: the memoized one, else the one
+    derived with the run (:class:`repro.obs.profile.Derived`), else a
+    fresh walk."""
+    graph = result.event_graph
+    derived = getattr(result, "derived", None)
+    memo = graph._walk_memo
+    if (derived is not None and derived.shape == graph.shape
+            and (memo is None or memo[0] != derived.shape)):
+        _attach_walk(graph, derived.walk)
+    return _cached_walk(graph)
 
 
 def _top_resources(walk: _Walk) -> list[dict[str, Any]]:
@@ -729,16 +797,13 @@ def _segments(graph: EventGraph, walk: _Walk) -> list[dict[str, Any]]:
                     nodes.tolist(), kinds[nodes].tolist(),
                     indices[nodes].tolist(), times[nodes].tolist())]
 
-    # Each edge's leaves in name order: columns sorted by name, then
-    # the present cells row by row.
-    names = sorted(range(len(walk.leaf_names)),
-                   key=walk.leaf_names.__getitem__)
-    row, column = np.nonzero(walk.leaf_present[:, names])
-    cycles = walk.leaf_cycles[:, names][row, column]
+    # Each edge's leaves in name order: the cells are sorted so.
     leaves: list[dict[str, float]] = [{} for _ in walk.path]
-    for index, name, value in zip(row.tolist(), column.tolist(),
-                                  cycles.tolist()):
-        leaves[index][walk.leaf_names[names[name]]] = value
+    names = walk.leaf_names
+    for index, name, value in zip(walk.cell_row.tolist(),
+                                  walk.cell_leaf.tolist(),
+                                  walk.cell_cycles.tolist()):
+        leaves[index][names[name]] = value
     return [{
         "src": src_point,
         "dst": dst_point,
@@ -759,7 +824,7 @@ def critpath_summary(result: "RunResult") -> dict[str, Any] | None:
     graph = getattr(result, "event_graph", None)
     if graph is None or not graph.nodes:
         return None
-    walk = _cached_walk(graph)
+    walk = _result_walk(result)
     top = _top_resources(walk)
     return {
         "path_cycles": walk.path_cycles,
@@ -830,21 +895,23 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
     Deterministic for a given run: maps are emitted in sorted or
     rank order and nothing wall-clock dependent is included.
     """
-    from repro.obs.profile import profile_components
+    from repro.obs.profile import profile_components, stored_profile
 
     graph = getattr(result, "event_graph", None)
     if graph is None or not graph.nodes:
         raise CritpathError(
             f"run {result.name!r} carries no event graph (produced "
             f"by an older simulator build?)")
-    walk = _cached_walk(graph)
+    walk = _result_walk(result)
     total = float(result.metrics.total_cycles)
     path_cycles = walk.path_cycles
     residual = abs(path_cycles - total)
     conservation_ok = residual <= PATH_TOLERANCE * max(total, 1.0)
 
-    bounds = _profile_bounds(walk.leaves, profile_components(result),
-                             total)
+    profile = stored_profile(result)
+    bounds = _profile_bounds(
+        walk.leaves, (profile["components"] if profile is not None
+                      else profile_components(result)), total)
 
     manifest = result.manifest
     return {
@@ -1236,5 +1303,6 @@ __all__ = [
     "render_critpath",
     "render_whatif",
     "validate_critpath",
+    "walk_columns",
     "whatif_configs",
 ]

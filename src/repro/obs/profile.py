@@ -42,6 +42,9 @@ the exclusive tree, never inside it.
 
 from __future__ import annotations
 
+import pickle
+import zlib
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -251,14 +254,97 @@ def profile_components(result: "RunResult") -> dict[str, dict[str, Any]]:
     return components
 
 
+@dataclass(frozen=True)
+class Derived:
+    """A finished run's profile and critical-path walk, derived once
+    when the engine completes the run (:func:`derive`) and stored with
+    its result-cache entry, so a cache hit re-derives neither.
+
+    They hold while the run's event graph keeps the shape it had: an
+    append, or another graph (``dataclasses.replace`` on a result
+    resets :attr:`RunResult.derived`), derives afresh.
+    """
+
+    #: The event graph's ``(nodes, edges)`` when derived.
+    shape: tuple[int, int]
+    #: The pickled ``repro.profile-report/1`` with ``request_digest``
+    #: unset; each read unpickles a fresh copy and stamps the digest
+    #: from the result's manifest.
+    profile: bytes
+    #: The critical-path walk as columns
+    #: (:func:`repro.obs.critpath.walk_columns`).
+    walk: dict[str, Any]
+
+    # Pickled compressed: the leaf cells repeat a few values, and
+    # zlib at level 1 shrinks the three fields to 14-38% of their size
+    # (RTSL 8.5 -> 3.2 KB, QRD 63 -> 14 KB at default size) for well
+    # under a millisecond each way, which keeps a cache entry within
+    # 10% of its size without them.
+    def __getstate__(self) -> bytes:
+        return zlib.compress(
+            pickle.dumps((self.shape, self.profile, self.walk)), 1)
+
+    def __setstate__(self, state: bytes) -> None:
+        shape, profile, walk = pickle.loads(zlib.decompress(state))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "walk", walk)
+
+
+def derive(result: "RunResult") -> None:
+    """Derive ``result``'s profile and critical-path walk once and keep
+    them on :attr:`RunResult.derived` (the walk also memoized on its
+    event graph).  A run without an event graph is left as it is.
+
+    Raises :class:`~repro.obs.critpath.CritpathError` when the graph
+    admits no walk; the result is then left underived.
+    """
+    from repro.obs.critpath import walk_columns
+
+    graph = getattr(result, "event_graph", None)
+    if graph is None or not graph.node_label:
+        return
+    result.derived = None
+    profile = build_profile(result)
+    profile["request_digest"] = None
+    result.derived = Derived(shape=graph.shape,
+                             profile=pickle.dumps(profile),
+                             walk=walk_columns(graph))
+
+
+def stored_profile(result: "RunResult") -> dict[str, Any] | None:
+    """A fresh copy of the profile derived with the run
+    (``request_digest`` unset), or ``None`` when the run was not
+    derived or its event graph has changed since."""
+    derived = getattr(result, "derived", None)
+    graph = getattr(result, "event_graph", None)
+    if derived is None or graph is None or derived.shape != graph.shape:
+        return None
+    return pickle.loads(derived.profile)
+
+
 def build_profile(result: "RunResult") -> dict[str, Any]:
     """Fold one finished run into a ``repro.profile-report/1`` dict.
 
     The document is deterministic for a given run: every map is
     emitted in declaration or sorted order and nothing wall-clock
     dependent is included, so serialising it with ``json.dumps`` is
-    byte-stable across processes, job counts and hash seeds.
+    byte-stable across processes, job counts and hash seeds.  A run
+    the engine derived (:func:`derive`) returns a copy of its stored
+    profile.
     """
+    profile = stored_profile(result)
+    if profile is None:
+        profile = _fold(result)
+    manifest = result.manifest
+    profile["request_digest"] = (manifest.request_digest
+                                 if manifest is not None else None)
+    return profile
+
+
+def _fold(result: "RunResult") -> dict[str, Any]:
+    """The profile of ``result``, derived afresh (``request_digest``
+    unset)."""
     metrics = result.metrics
     total = float(metrics.total_cycles)
     components = profile_components(result)
@@ -277,14 +363,12 @@ def build_profile(result: "RunResult") -> dict[str, Any]:
 
     from repro.obs.critpath import critpath_summary
 
-    manifest = result.manifest
     return {
         "schema": PROFILE_SCHEMA,
         "kind": "run",
         "program": result.name,
         "board_mode": result.board.mode,
-        "request_digest": (manifest.request_digest
-                           if manifest is not None else None),
+        "request_digest": None,
         "total_cycles": total,
         "critpath": critpath_summary(result),
         "summary": {
@@ -427,10 +511,13 @@ __all__ = [
     "STALL_LEAVES",
     "CATEGORY_LEAF",
     "CONSERVATION_TOLERANCE",
+    "Derived",
     "ProfileError",
     "build_profile",
+    "derive",
     "kernel_catalog_profile",
     "profile_components",
+    "stored_profile",
     "validate_profile",
     "render_profile",
 ]

@@ -9,6 +9,8 @@ and cache temperatures, failure capture, the removal of the old
 construction inside the engine.
 """
 
+import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BoardConfig, MachineConfig, SimulationError
+from repro.core.config import DramConfig
 from repro.engine import (
     RunFailure,
     RunRequest,
@@ -32,6 +35,7 @@ from repro.engine import (
 )
 from repro.engine.cache import CACHE_FORMAT, ResultCache
 from repro.engine.catalog import APP_NAMES, CatalogError, canonical_name
+from repro.engine.request import DIGEST_VERSION
 from repro.evaluation import evaluation_report, run_full_evaluation
 from repro.faults import BUILTIN_PLANS, FaultKind, FaultPlan, FaultSpec
 from repro.faults.campaign import run_campaign, validate_report
@@ -141,6 +145,46 @@ class TestDigest:
         monkeypatch.setenv("REPRO_CACHE_SALT", "pinned")
         assert code_salt() == "pinned"
 
+    @pytest.mark.parametrize("request_", [
+        *(RunRequest.for_app(app, board=board)
+          for app in APP_NAMES
+          for board in (BoardConfig.hardware(), BoardConfig.isim())),
+        # An int where the default is a float digests as an int.
+        small_request(machine=MachineConfig(
+            clock_hz=200000000, num_ags=3,
+            dram=DramConfig(clock_ratio=1, page_policy="closed"))),
+        small_request(machine=MachineConfig(num_ags=3)),
+        small_request(faults=BUILTIN_PLANS["board"], seed=3),
+    ], ids=lambda request: request.app)
+    def test_digest_matches_the_asdict_payload(self, request_):
+        """Configs are serialised once per process; the digest stays
+        the one ``dataclasses.asdict`` on every call gives."""
+        payload = {
+            "v": DIGEST_VERSION,
+            "app": request_.app,
+            "sizes": {str(k): v for k, v in request_.sizes},
+            "machine": dataclasses.asdict(request_.effective_machine()),
+            "board": dataclasses.asdict(request_.effective_board()),
+            "faults": (json.loads(request_.faults)
+                       if request_.faults is not None else None),
+            "seed": request_.seed,
+            "strict": request_.strict,
+        }
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert request_.digest(salt="s") == hashlib.sha256(
+            f"s\n{body}".encode()).hexdigest()
+        assert request_.payload() == payload
+
+    def test_payload_callers_cannot_change_the_memo(self):
+        request = small_request(machine=MachineConfig(num_ags=3))
+        digest = request.digest(salt="s")
+        payload = request.payload()
+        payload["machine"]["num_ags"] = 7
+        payload["machine"]["dram"]["channels"] = 1
+        payload["board"]["mode"] = "isim"
+        assert request.payload()["machine"]["num_ags"] == 3
+        assert request.digest(salt="s") == digest
+
     @pytest.mark.parametrize("hashseed", ["0", "4242"])
     def test_digest_stable_across_processes(self, hashseed):
         """The cache key must not depend on interpreter hash state."""
@@ -210,10 +254,11 @@ class TestCache:
             self, tmp_path, monkeypatch):
         """A pinned salt keeps the digest across layout changes, so
         only the entry format stops an old pickle from reaching the
-        reports: a format-1 entry (one object per graph node and edge)
-        and a format-2 entry (one ``TraceEvent`` per instruction, no
-        checksum) are each a miss, and the rerun is stored as
-        format 3."""
+        reports: a format-1 entry (one object per graph node and edge),
+        a format-2 entry (one ``TraceEvent`` per instruction, no
+        checksum) and a format-3 entry (checksummed, but a result
+        without its derived profile and walk) are each a miss, and the
+        rerun is stored as format 4."""
         monkeypatch.setenv("REPRO_CACHE_SALT", "pinned")
         request = small_request()
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
@@ -222,9 +267,14 @@ class TestCache:
         cache = ResultCache(tmp_path)
         path = cache._object_path(digest)
         header, _, payload = path.read_bytes().partition(b"\n")
-        assert header.startswith(b"repro-cache/3 sha256=")
+        assert header.startswith(b"repro-cache/4 sha256=")
         outcome = pickle.loads(payload)
         result = outcome.result
+        result.derived = None
+        payload = pickle.dumps(outcome)
+        format_3 = (b"repro-cache/3 sha256="
+                    + hashlib.sha256(payload).hexdigest().encode()
+                    + b"\n" + payload)
         result.trace = list(result.trace)
         format_2 = pickle.dumps({"format": 2, "outcome": outcome})
         graph = result.event_graph
@@ -233,8 +283,8 @@ class TestCache:
         graph.__dict__.clear()
         graph.__dict__.update(state)
         format_1 = pickle.dumps({"format": 1, "outcome": outcome})
-        assert CACHE_FORMAT == 3
-        for old in (format_1, format_2):
+        assert CACHE_FORMAT == 4
+        for old in (format_1, format_2, format_3):
             path.write_bytes(old)
             path.with_suffix(".json").write_text("{}")
             assert cache.load(digest) is None
@@ -246,7 +296,7 @@ class TestCache:
                 assert handle.digest == digest
                 assert handle.cache_status == "miss"
             assert build_critpath(result)["checks"]["conservation"]["ok"]
-            assert path.read_bytes().startswith(b"repro-cache/3 sha256=")
+            assert path.read_bytes().startswith(b"repro-cache/4 sha256=")
             restored = cache.load(digest).result
             assert restored.event_graph == result.event_graph
             assert restored.trace == result.trace
@@ -302,6 +352,22 @@ class TestCache:
             assert first.result().manifest.cache == "miss"
             assert engine_counts(session.metrics)["hits"] == 1
             assert engine_counts(session.metrics)["executed"] == 1
+
+    def test_settled_runs_are_not_retained(self, tmp_path):
+        """A long-lived session holds no outcome its callers dropped:
+        40 distinct digests through one session leave none behind."""
+        import gc
+        import weakref
+
+        retained = []
+        with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
+            for seed in range(40):
+                outcome = session.submit(small_request(seed=seed)).outcome()
+                assert outcome.completed
+                retained.append(weakref.ref(outcome))
+            del outcome
+            gc.collect()
+            assert sum(ref() is not None for ref in retained) == 0
 
     def test_disabled_cache_marks_uncached(self, tmp_path):
         with Session(config=SessionConfig(cache=False)) as session:
