@@ -8,9 +8,9 @@ memory stalls (loads can no longer be overlapped).
 
 from benchlib import get_bundle, save_report
 
-from repro.analysis.breakdown import application_breakdown
 from repro.analysis.report import render_table
 from repro.core import BoardConfig
+from repro.obs.profile import build_profile
 
 
 def _run_bundle(bundle, **kwargs):
@@ -29,7 +29,7 @@ def regenerate() -> str:
     for mips in MIPS_POINTS:
         board = BoardConfig.hardware(host_mips=mips)
         result = _run_bundle(bundle, board=board)
-        breakdown = application_breakdown(result)
+        breakdown = build_profile(result)["figure11"]
         rows.append([
             f"{mips:.1f} MIPS",
             f"{result.seconds * 1e3:.2f} ms",

@@ -16,7 +16,6 @@ from repro.analysis.bounds import (
 )
 from repro.analysis.breakdown import (
     KernelRow,
-    application_breakdown,
     kernel_breakdown,
     measure_kernel,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "KernelRow",
     "REPORT_SCHEMA",
     "Severity",
-    "application_breakdown",
     "compute_bounds",
     "kernel_breakdown",
     "kernel_profile",

@@ -9,8 +9,9 @@
   arithmetic rate, LRF and SRF bandwidth, IPC and power, all derived
   from the kernel's compiled schedule at an application-typical
   stream length.
-* :func:`application_breakdown` extracts Figure 11's eight categories
-  from a finished simulation.
+
+Figure 11's application breakdown is the profile's ``figure11`` block
+(:func:`repro.obs.profile.build_profile`).
 """
 
 from __future__ import annotations
@@ -125,13 +126,6 @@ def measure_kernel(spec: KernelSpec, stream_elements: int | None = None,
         power_watts=watts,
         description=spec.description,
     )
-
-
-def application_breakdown(result: RunResult) -> dict[str, float]:
-    """Figure-11 fractions (the eight categories, summing to 1)."""
-    fractions = result.metrics.cycle_fractions()
-    return {category.value: fraction
-            for category, fraction in fractions.items()}
 
 
 def application_overhead(result: RunResult) -> float:

@@ -81,10 +81,43 @@ def _print_engine_stats(session) -> None:
     print(session.describe(), file=sys.stderr)
 
 
-def _app_builders():
-    from repro.engine.catalog import app_builders
+def _app_name(args) -> str | None:
+    """``args.name`` as a catalog key, or None once the unknown-name
+    message is printed (the command then exits 2)."""
+    from repro.engine.catalog import APP_NAMES
 
-    return app_builders()
+    name = args.name.lower()
+    if name not in APP_NAMES:
+        print(f"unknown application {args.name!r}; "
+              f"choose from {sorted(APP_NAMES)}", file=sys.stderr)
+        return None
+    return name
+
+
+def _app_list(args) -> list[str] | None:
+    """``args.apps`` (default: the whole catalog) as catalog keys, or
+    None once the unknown-names message is printed (exit 2)."""
+    from repro.engine.catalog import APP_NAMES
+
+    apps = [name.lower() for name in (args.apps or APP_NAMES)]
+    unknown = set(apps) - set(APP_NAMES)
+    if unknown:
+        print(f"unknown application(s) {sorted(unknown)}; "
+              f"choose from {sorted(APP_NAMES)}", file=sys.stderr)
+        return None
+    return apps
+
+
+def _write_out(path: str, text: str, what: str) -> bool:
+    """Write ``text`` and a newline to ``path``; False once ``cannot
+    write <what>: <error>`` is printed (the command then exits 2)."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text + "\n")
+    except OSError as error:
+        print(f"cannot write {what}: {error}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_microbench(args) -> int:
@@ -159,15 +192,12 @@ def _cmd_kernels(args) -> int:
 
 def _cmd_app(args) -> int:
     from repro.analysis import render_kernel_profile, render_timeline
-    from repro.analysis.breakdown import application_breakdown
     from repro.analysis.report import render_breakdown, run_report
     from repro.engine import build_app
+    from repro.obs.profile import build_profile
 
-    builders = _app_builders()
-    name = args.name.lower()
-    if name not in builders:
-        print(f"unknown application {args.name!r}; "
-              f"choose from {sorted(builders)}", file=sys.stderr)
+    name = _app_name(args)
+    if name is None:
         return 2
     bundle = build_app(name)
     with _session(args) as session:
@@ -182,7 +212,7 @@ def _cmd_app(args) -> int:
     print()
     print(render_breakdown(
         "execution-time breakdown",
-        {bundle.name: application_breakdown(result)}))
+        {bundle.name: build_profile(result)["figure11"]}))
     print()
     print(render_kernel_profile(result))
     if args.timeline:
@@ -196,11 +226,8 @@ def _cmd_trace(args) -> int:
     from repro.engine import build_app
     from repro.obs import Tracer, counters_csv, write_chrome_trace
 
-    builders = _app_builders()
-    name = args.name.lower()
-    if name not in builders:
-        print(f"unknown application {args.name!r}; "
-              f"choose from {sorted(builders)}", file=sys.stderr)
+    name = _app_name(args)
+    if name is None:
         return 2
     tracer = Tracer()
     bundle = build_app(name)
@@ -241,11 +268,8 @@ def _cmd_faults(args) -> int:
         return 2
     from repro.engine import build_app
 
-    builders = _app_builders()
-    name = args.name.lower()
-    if name not in builders:
-        print(f"unknown application {args.name!r}; "
-              f"choose from {sorted(builders)}", file=sys.stderr)
+    name = _app_name(args)
+    if name is None:
         return 2
     try:
         plan = get_plan(args.plan)
@@ -263,11 +287,7 @@ def _cmd_faults(args) -> int:
         _print_engine_stats(session)
     text = json.dumps(report, indent=2)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
-        except OSError as error:
-            print(f"cannot write report: {error}", file=sys.stderr)
+        if not _write_out(args.out, text, "report"):
             return 2
         completed = sum(row["completed"] for row in report["faults"])
         total = sum(len(row["trials"]) for row in report["faults"])
@@ -350,11 +370,7 @@ def _cmd_evaluate(args) -> int:
         text = json.dumps(evaluation_report(texts, board=board),
                           indent=2)
         if args.out:
-            try:
-                with open(args.out, "w") as handle:
-                    handle.write(text + "\n")
-            except OSError as error:
-                print(f"cannot write report: {error}", file=sys.stderr)
+            if not _write_out(args.out, text, "report"):
                 return 2
             print(f"wrote {args.out}: {len(texts)} section(s)",
                   file=sys.stderr)
@@ -378,11 +394,7 @@ def _cmd_lint(args) -> int:
     if as_json or args.out:
         text = report.to_json()
         if args.out:
-            try:
-                with open(args.out, "w") as handle:
-                    handle.write(text + "\n")
-            except OSError as error:
-                print(f"cannot write report: {error}", file=sys.stderr)
+            if not _write_out(args.out, text, "report"):
                 return 2
             print(f"wrote {args.out}: {len(report.errors)} error(s), "
                   f"{len(report.warnings)} warning(s)",
@@ -408,17 +420,14 @@ def _cmd_power(args) -> int:
 
 def _cmd_profile(args) -> int:
     from repro.engine import RunRequest
-    from repro.engine.catalog import APP_NAMES
     from repro.obs.profile import (
         build_profile,
         render_profile,
         validate_profile,
     )
 
-    name = args.name.lower()
-    if name not in APP_NAMES:
-        print(f"unknown application {args.name!r}; "
-              f"choose from {sorted(APP_NAMES)}", file=sys.stderr)
+    name = _app_name(args)
+    if name is None:
         return 2
     with _session(args) as session:
         result = session.run(RunRequest.for_app(name,
@@ -427,11 +436,8 @@ def _cmd_profile(args) -> int:
     profile = build_profile(result)
     validate_profile(profile)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(json.dumps(profile, indent=2) + "\n")
-        except OSError as error:
-            print(f"cannot write profile: {error}", file=sys.stderr)
+        if not _write_out(args.out, json.dumps(profile, indent=2),
+                          "profile"):
             return 2
         print(f"wrote {args.out}: "
               f"{len(profile['components'])} components, "
@@ -445,16 +451,13 @@ def _cmd_profile(args) -> int:
 
 def _cmd_critpath(args) -> int:
     from repro.engine import RunRequest
-    from repro.engine.catalog import APP_NAMES
     from repro.obs.critpath import (
         render_critpath,
         validate_critpath,
     )
 
-    name = args.name.lower()
-    if name not in APP_NAMES:
-        print(f"unknown application {args.name!r}; "
-              f"choose from {sorted(APP_NAMES)}", file=sys.stderr)
+    name = _app_name(args)
+    if name is None:
         return 2
     with _session(args) as session:
         report = session.critpath(
@@ -462,12 +465,8 @@ def _cmd_critpath(args) -> int:
         _print_engine_stats(session)
     validate_critpath(report)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(json.dumps(report, indent=2) + "\n")
-        except OSError as error:
-            print(f"cannot write critpath report: {error}",
-                  file=sys.stderr)
+        if not _write_out(args.out, json.dumps(report, indent=2),
+                          "critpath report"):
             return 2
         print(f"wrote {args.out}: {len(report['segments'])} "
               f"segments, binding resource "
@@ -481,17 +480,14 @@ def _cmd_critpath(args) -> int:
 
 def _cmd_whatif(args) -> int:
     from repro.engine import RunRequest
-    from repro.engine.catalog import APP_NAMES
     from repro.obs.critpath import (
         CritpathError,
         parse_scales,
         render_whatif,
     )
 
-    name = args.name.lower()
-    if name not in APP_NAMES:
-        print(f"unknown application {args.name!r}; "
-              f"choose from {sorted(APP_NAMES)}", file=sys.stderr)
+    name = _app_name(args)
+    if name is None:
         return 2
     try:
         scales = parse_scales(args.scale)
@@ -508,12 +504,8 @@ def _cmd_whatif(args) -> int:
             return 2
         _print_engine_stats(session)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(json.dumps(report, indent=2) + "\n")
-        except OSError as error:
-            print(f"cannot write whatif report: {error}",
-                  file=sys.stderr)
+        if not _write_out(args.out, json.dumps(report, indent=2),
+                          "whatif report"):
             return 2
         print(f"wrote {args.out}: predicted speedup "
               f"{report['predicted_speedup']:.2f}x")
@@ -554,7 +546,6 @@ def _cmd_diff(args) -> int:
 
 def _cmd_perf(args) -> int:
     from repro.engine import RunRequest
-    from repro.engine.catalog import APP_NAMES
     from repro.obs.critpath import build_critpath
     from repro.obs.history import DEFAULT_HISTORY_PATH
     from repro.obs.profile import build_profile, validate_profile
@@ -563,11 +554,8 @@ def _cmd_perf(args) -> int:
     # default would leak into every command sharing --history.
     if args.history is None:
         args.history = DEFAULT_HISTORY_PATH
-    apps = [name.lower() for name in (args.apps or APP_NAMES)]
-    unknown = set(apps) - set(APP_NAMES)
-    if unknown:
-        print(f"unknown application(s) {sorted(unknown)}; "
-              f"choose from {sorted(APP_NAMES)}", file=sys.stderr)
+    apps = _app_list(args)
+    if apps is None:
         return 2
     modes = args.boards or ["hardware", "isim"]
     boards = {"hardware": BoardConfig.hardware(),
@@ -619,25 +607,17 @@ def _cmd_perf(args) -> int:
             document["apps"][app.upper()] = rows
         _print_engine_stats(session)
 
-    text = json.dumps(document, indent=2)
-    try:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    except OSError as error:
-        print(f"cannot write {args.out!r}: {error}", file=sys.stderr)
+    if not _write_out(args.out, json.dumps(document, indent=2),
+                      repr(args.out)):
         return 2
     print(f"wrote {args.out}: {len(apps)} app(s) x "
           f"{len(modes)} board(s)"
           + (f"; history -> {args.history}" if args.history else ""))
 
     if args.critpath_out:
-        try:
-            with open(args.critpath_out, "w") as handle:
-                handle.write(json.dumps(critpath_document, indent=2)
-                             + "\n")
-        except OSError as error:
-            print(f"cannot write {args.critpath_out!r}: {error}",
-                  file=sys.stderr)
+        if not _write_out(args.critpath_out,
+                          json.dumps(critpath_document, indent=2),
+                          repr(args.critpath_out)):
             return 2
         print(f"wrote {args.critpath_out}: binding resources on "
               f"{reference_mode}")
@@ -781,7 +761,6 @@ def _cmd_slo(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    from repro.engine.catalog import APP_NAMES
     from repro.engine.gate import (
         BEST_OF,
         BOARD_MODES,
@@ -792,11 +771,8 @@ def _cmd_gate(args) -> int:
     )
     from repro.obs.history import append_entries
 
-    apps = [name.lower() for name in (args.apps or APP_NAMES)]
-    unknown = set(apps) - set(APP_NAMES)
-    if unknown:
-        print(f"unknown application(s) {sorted(unknown)}; "
-              f"choose from {sorted(APP_NAMES)}", file=sys.stderr)
+    apps = _app_list(args)
+    if apps is None:
         return 2
     report, history = run_gate(
         apps=apps, boards=args.boards or BOARD_MODES,
@@ -1123,10 +1099,11 @@ def main(argv: list[str] | None = None) -> int:
                        help="max queued+running jobs before 429 "
                             "backpressure (default 64)")
     serve.add_argument("--data-dir", default=None, metavar="DIR",
-                       help="journal + artifact root (default: a "
-                            "fresh temp dir)")
+                       help="journal root (default: a fresh temp "
+                            "dir)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="engine result-cache root (default "
+                       help="engine result-cache root, which also "
+                            "holds the served artifacts (default "
                             "<data-dir>/engine-cache)")
     serve.add_argument("--chaos", default="none", metavar="PLAN",
                        help="chaos plan: none | ci-soak | full | a "

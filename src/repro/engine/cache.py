@@ -4,25 +4,32 @@ Layout (under ``~/.cache/repro`` by default, or ``REPRO_CACHE_DIR``,
 or the ``SessionConfig(cache_dir=...)`` override)::
 
     <root>/objects/<d0d1>/<digest>.pkl    # header + pickled RunOutcome
-    <root>/objects/<d0d1>/<digest>.json   # human-readable manifest
+    <root>/objects/<d0d1>/<digest>.json   # served artifact envelope
+
+The two files are the two halves of one entry.  The engine writes the
+``.pkl``; the experiment service writes the ``.json``, its
+``repro.serve.artifact/1`` answer (:mod:`repro.serve.artifacts`), after
+every completed job.  Either half may exist alone: a traced serve job
+runs uncached and leaves only an envelope.
 
 The digest is the :meth:`RunRequest.digest` content hash, so the
 cache needs no eviction logic to stay *correct*: a changed request,
 config, fault plan, seed or code salt simply addresses a different
 object.  Eviction exists only to bound disk usage: set
 ``REPRO_CACHE_MAX_BYTES`` (or ``ResultCache(max_bytes=...)``) and the
-cache evicts least-recently-*used* entries -- loads refresh an
-entry's mtime, which is the LRU clock -- until it fits.  Writes are
-atomic (temp file + ``os.replace``), as is the ``index.json``
-summary the eviction pass maintains.  A completed run's result
-carries the profile and critical-path walk the engine derived when it
-ran (:class:`repro.obs.profile.Derived`), so a hit reads its reports
-without deriving them again.  An entry's one-line header
-names the cache format and the sha256 of the pickled outcome that
-follows it; the checksum is verified before anything is unpickled,
-and unreadable, corrupt or other-format entries are treated as
-misses and removed.  ``repro cache --stats/--prune``
-exposes the same machinery from the command line.
+cache evicts least-recently-*used* entries, both halves at once,
+until it fits.  An entry's last use is the newer mtime of its halves,
+and a verified load of either half refreshes it.  Writes are atomic
+(temp file + ``os.replace``), as is the ``index.json`` summary the
+eviction pass maintains.  A completed run's result carries the
+profile and critical-path walk the engine derived when it ran
+(:class:`repro.obs.profile.Derived`), so a hit reads its reports
+without deriving them again.  A ``.pkl``'s one-line header names the
+cache format and the sha256 of the pickled outcome that follows it;
+the checksum is verified before anything is unpickled, and
+unreadable, corrupt or other-format entries are treated as misses
+and removed, both halves.  ``repro cache --stats/--prune`` exposes the
+same machinery from the command line.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ import tempfile
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.request import RunRequest
     from repro.engine.session import RunOutcome
 
 #: Version tag stored with every cache object; bump on layout changes
@@ -69,6 +75,39 @@ def _header(payload: bytes) -> bytes:
             f"{hashlib.sha256(payload).hexdigest()}").encode()
 
 
+def entry_path(root: pathlib.Path | str, digest: str,
+               suffix: str = ".pkl") -> pathlib.Path:
+    """One half of the entry for ``digest`` under ``root``: ``.pkl``
+    (the checksummed outcome) or ``.json`` (the served envelope)."""
+    return pathlib.Path(root) / "objects" / digest[:2] / f"{digest}{suffix}"
+
+
+def touch(path: pathlib.Path) -> None:
+    """Refresh the LRU clock (an entry half's mtime) on a hit."""
+    try:
+        os.utime(path)
+    except OSError:
+        pass
+
+
+def atomic_write(path: pathlib.Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file and ``os.replace``, so
+    a concurrent reader sees the old bytes or the new, never a torn
+    file; creates the parent directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def default_cache_dir() -> pathlib.Path:
     """``$REPRO_CACHE_DIR`` > ``$XDG_CACHE_HOME/repro`` > ``~/.cache/repro``."""
     override = os.environ.get("REPRO_CACHE_DIR")
@@ -97,7 +136,7 @@ class ResultCache:
         self.on_evict = on_evict
 
     def _object_path(self, digest: str) -> pathlib.Path:
-        return self.root / "objects" / digest[:2] / f"{digest}.pkl"
+        return entry_path(self.root, digest)
 
     @property
     def index_path(self) -> pathlib.Path:
@@ -125,38 +164,15 @@ class ResultCache:
         if outcome is None:
             self._discard(digest)
             return None
-        self._touch(path)
+        touch(path)
         return outcome
 
-    @staticmethod
-    def _touch(path: pathlib.Path) -> None:
-        """Refresh the LRU clock (entry mtime) on a hit."""
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-
-    def store(self, digest: str, outcome: "RunOutcome",
-              request: "RunRequest") -> None:
+    def store(self, digest: str, outcome: "RunOutcome") -> None:
         """Persist ``outcome`` under ``digest`` (best-effort, atomic)."""
-        path = self._object_path(digest)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             payload = pickle.dumps(outcome)
-            self._atomic_write(path, _header(payload) + b"\n" + payload)
-            summary = {
-                "digest": digest,
-                "format": CACHE_FORMAT,
-                "status": outcome.status,
-                "cycles": (outcome.result.metrics.total_cycles
-                           if outcome.result is not None else None),
-                "error": outcome.error_type,
-                "request": request.payload(),
-            }
-            self._atomic_write(
-                path.with_suffix(".json"),
-                (json.dumps(summary, sort_keys=True, indent=2)
-                 + "\n").encode())
+            atomic_write(self._object_path(digest),
+                         _header(payload) + b"\n" + payload)
             if self.max_bytes is not None:
                 self.prune(self.max_bytes)
         except OSError:
@@ -167,26 +183,22 @@ class ResultCache:
     # Size accounting, LRU eviction and the on-disk index.
     # ------------------------------------------------------------------
     def entries(self) -> list[dict[str, Any]]:
-        """Every cached object, oldest-use first: digest, byte size
-        (pickle + manifest) and last-use timestamp."""
-        base = self.root / "objects"
-        if not base.exists():
-            return []
-        rows = []
-        for path in base.glob("*/*.pkl"):
+        """Every entry, oldest-use first: digest, byte size (both
+        halves) and last use (the newer mtime of the two)."""
+        rows: dict[str, dict[str, Any]] = {}
+        for path in (self.root / "objects").glob("*/*"):
+            if path.suffix not in (".pkl", ".json"):
+                continue                    # an in-flight temp file
             try:
                 stat = path.stat()
             except OSError:
                 continue
-            size = stat.st_size
-            try:
-                size += path.with_suffix(".json").stat().st_size
-            except OSError:
-                pass
-            rows.append({"digest": path.stem, "bytes": size,
-                         "last_used": stat.st_mtime})
-        rows.sort(key=lambda row: (row["last_used"], row["digest"]))
-        return rows
+            row = rows.setdefault(path.stem, {
+                "digest": path.stem, "bytes": 0, "last_used": 0.0})
+            row["bytes"] += stat.st_size
+            row["last_used"] = max(row["last_used"], stat.st_mtime)
+        return sorted(rows.values(),
+                      key=lambda row: (row["last_used"], row["digest"]))
 
     def stats(self) -> dict[str, Any]:
         """Occupancy summary (also persisted as ``index.json``)."""
@@ -232,8 +244,7 @@ class ResultCache:
         index = {"format": CACHE_FORMAT, "entries": entries,
                  "bytes": total, "max_bytes": self.max_bytes}
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._atomic_write(
+            atomic_write(
                 self.index_path,
                 (json.dumps(index, sort_keys=True, indent=2)
                  + "\n").encode())
@@ -241,28 +252,13 @@ class ResultCache:
             pass
 
     def _discard(self, digest: str) -> None:
-        for path in (self._object_path(digest),
-                     self._object_path(digest).with_suffix(".json")):
+        for suffix in (".pkl", ".json"):
             try:
-                path.unlink()
+                entry_path(self.root, digest, suffix).unlink()
             except OSError:
                 pass
-
-    @staticmethod
-    def _atomic_write(path: pathlib.Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                   prefix=f".{path.name}.")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
 
 __all__ = ["CACHE_FORMAT", "MAX_BYTES_ENV", "ResultCache",
-           "configured_max_bytes", "default_cache_dir"]
+           "atomic_write", "configured_max_bytes", "default_cache_dir",
+           "entry_path", "touch"]

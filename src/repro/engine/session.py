@@ -713,8 +713,7 @@ class Session:
             handle.cache_status = "miss"
             outcome = _stamp(_derive(outcome), handle.digest, "miss")
             if outcome.cacheable:
-                self._cache.store(handle.digest, outcome,
-                                  handle.request)
+                self._cache.store(handle.digest, outcome)
         else:
             self._m_cache.labels(result="uncached").inc()
             handle.cache_status = "uncached"

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.analysis import kernel_breakdown, measure_kernel
-from repro.analysis.breakdown import application_breakdown
 from repro.analysis.power_compare import power_efficiency_comparison
 from repro.analysis.report import render_breakdown, render_table
 from repro.core import BoardConfig, MachineConfig
@@ -200,7 +199,7 @@ class Evaluation:
     def figure11(self) -> str:
         return render_breakdown(
             "Figure 11: application breakdown",
-            {name: application_breakdown(self.result(name, "isim"))
+            {name: self.profile(name, "isim")["figure11"]
              for name in _APP_DISPLAY})
 
     def tables4_5(self) -> str:

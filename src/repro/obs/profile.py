@@ -355,8 +355,7 @@ def _fold(result: "RunResult") -> dict[str, Any]:
                                "stall": row["stall_fraction"]}
                for row in kernels}
     # Figure 11 verbatim: CycleCategory declaration order, fractions
-    # of total -- exactly what application_breakdown() reports, so
-    # the benchmark .txt renders are byte-identical.
+    # of total, so the benchmark .txt renders are byte-identical.
     fractions = metrics.cycle_fractions()
     figure11 = {category.value: fractions[category]
                 for category in CycleCategory}

@@ -1,25 +1,30 @@
-"""Digest-keyed artifact store (``repro.serve.artifact/1``).
+"""Digest-keyed artifact envelopes (``repro.serve.artifact/1``).
 
-Finished results are written as self-checking JSON envelopes::
+A finished result is served as a self-checking JSON envelope, stored
+as the ``.json`` half of the engine cache entry for the same digest
+(:mod:`repro.engine.cache`)::
 
-    <root>/artifacts/<d0d1>/<digest>.json
+    <cache root>/objects/<d0d1>/<digest>.json
 
-Each envelope records the request digest it answers and a sha256
-checksum over its canonical body; :meth:`ArtifactStore.load` verifies
-both before serving, so a corrupted or truncated entry -- including
-one mangled by the chaos harness -- reads as a *miss*, never as a
-wrong-digest artifact.  Loading is pure I/O over the standard
-library: the hot path of the service imports no simulator code.
+So there is one store: the engine cache counts, budgets and prunes
+envelopes with the pickled outcomes beside them, and a verified load
+refreshes the entry's recency.  Each envelope records the request
+digest it answers and a sha256 checksum over its canonical body;
+:meth:`ArtifactStore.load` verifies both before serving, so a
+corrupted or truncated envelope -- including one mangled by the chaos
+harness -- reads as a *miss*, never as a wrong-digest artifact, and is
+discarded (the pickled half stays, so the rerun is a cache hit).
+Loading is pure I/O over the standard library.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
-import tempfile
 from typing import Any, Callable
+
+from repro.engine.cache import atomic_write, entry_path, touch
 
 #: Version tag on every artifact envelope.
 ARTIFACT_SCHEMA = "repro.serve.artifact/1"
@@ -35,7 +40,7 @@ def _checksum(digest: str, body: Any) -> str:
 
 
 class ArtifactStore:
-    """Content-addressed JSON artifacts with integrity verification."""
+    """Verified JSON envelopes in the engine cache rooted at ``root``."""
 
     def __init__(self, root: str | pathlib.Path,
                  on_written: Callable[[pathlib.Path], None]
@@ -46,8 +51,7 @@ class ArtifactStore:
         self.on_written = on_written
 
     def path(self, digest: str) -> pathlib.Path:
-        return (self.root / "artifacts" / digest[:2]
-                / f"{digest}.json")
+        return entry_path(self.root, digest, ".json")
 
     # ------------------------------------------------------------------
     def store(self, digest: str, body: Any) -> pathlib.Path:
@@ -59,21 +63,8 @@ class ArtifactStore:
             "body": body,
         }
         path = self.path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = (json.dumps(envelope, sort_keys=True, indent=2)
-                + "\n").encode()
-        fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                   prefix=f".{path.name}.")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, (json.dumps(envelope, sort_keys=True,
+                                       indent=2) + "\n").encode())
         if self.on_written is not None:
             self.on_written(path)
         return path
@@ -82,8 +73,8 @@ class ArtifactStore:
         """The verified envelope for ``digest``, or ``None``.
 
         A missing, unparseable, mis-addressed or checksum-mismatched
-        entry is a miss; corrupt entries are discarded so the next
-        execution rewrites them.
+        envelope is a miss; a corrupt one is discarded so the next
+        execution rewrites it.  A hit refreshes the entry's recency.
         """
         path = self.path(digest)
         try:
@@ -101,6 +92,7 @@ class ArtifactStore:
                 != _checksum(digest, envelope.get("body"))):
             self.discard(digest)
             return None
+        touch(path)
         return envelope
 
     def has(self, digest: str) -> bool:
@@ -108,24 +100,12 @@ class ArtifactStore:
         return self.path(digest).exists()
 
     def discard(self, digest: str) -> None:
+        """Remove the envelope for ``digest`` (only the envelope: the
+        pickled outcome beside it is the engine cache's to judge)."""
         try:
             self.path(digest).unlink()
         except OSError:
             pass
-
-    def stats(self) -> dict[str, Any]:
-        """Entry count and total bytes on disk."""
-        entries = 0
-        total = 0
-        base = self.root / "artifacts"
-        if base.exists():
-            for path in base.rglob("*.json"):
-                try:
-                    total += path.stat().st_size
-                    entries += 1
-                except OSError:
-                    continue
-        return {"entries": entries, "bytes": total}
 
 
 __all__ = ["ARTIFACT_SCHEMA", "ArtifactStore"]

@@ -15,7 +15,7 @@ Routes::
     GET  /v1/artifacts/{digest}  artifact by request digest (200 / 404)
     GET  /healthz                liveness
     GET  /readyz                 readiness (503 while shedding)
-    GET  /v1/stats               service + engine counters
+    GET  /v1/stats               service + engine counters, cache
     GET  /metrics                Prometheus text exposition v0.0.4
 
 Every request (except ``GET /metrics`` -- a scrape must not count
@@ -277,6 +277,7 @@ class ServiceServer:
             ready, document = service.readiness()
             return (200 if ready else 503), document, None
         if path == "/v1/stats" and method == "GET":
+            from repro.engine.cache import ResultCache
             from repro.engine.session import engine_counts
 
             return 200, {
@@ -284,7 +285,7 @@ class ServiceServer:
                 "breaker": service.breaker.as_dict(service.metrics),
                 "engine": engine_counts(service.metrics),
                 "backend": service.config.backend,
-                "artifacts": service.artifacts.stats(),
+                "cache": ResultCache(service.cache_dir).stats(),
             }, None
         if path == "/v1/jobs" and method == "POST":
             return self._submit(body)

@@ -59,10 +59,10 @@ class ServiceUnavailable(ServeError):
 class ServiceConfig:
     """Tunables for one :class:`~repro.serve.service.ExperimentService`.
 
-    ``data_dir`` roots the crash-safe journal and the artifact store;
-    ``cache_dir`` roots the engine's content-addressed result cache
-    (defaults to ``<data_dir>/engine-cache`` so a service instance is
-    self-contained).
+    ``data_dir`` roots the crash-safe journal; ``cache_dir`` roots the
+    engine's content-addressed result cache, whose entries also hold
+    the served artifacts (defaults to ``<data_dir>/engine-cache`` so a
+    service instance is self-contained).
     """
 
     data_dir: str | None = None

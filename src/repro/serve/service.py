@@ -4,8 +4,8 @@
 
 * **admission** -- parse the payload into a
   :class:`~repro.engine.request.RunRequest`; serve verified artifacts
-  straight from the digest-keyed store (pure I/O, no simulator
-  import); coalesce duplicate digests onto the in-flight primary;
+  straight from the engine cache entry for the digest (pure I/O, no
+  simulation); coalesce duplicate digests onto the in-flight primary;
   refuse work beyond the bounded queue with explicit backpressure
   (:class:`~repro.serve.models.QueueFull` -> 429 + Retry-After);
 * **execution** -- asyncio worker tasks run jobs on a thread pool of
@@ -31,6 +31,7 @@ import pathlib
 import tempfile
 import threading
 import time
+import traceback
 from typing import TYPE_CHECKING, Any
 
 from repro.serve.artifacts import ArtifactStore
@@ -176,7 +177,7 @@ class ExperimentService:
         self.journal = JobJournal(self.data_dir / "journal.jsonl",
                                   fsync=self.config.journal_fsync)
         self.artifacts = ArtifactStore(
-            self.data_dir, on_written=self.chaos.artifact_written)
+            cache_dir, on_written=self.chaos.artifact_written)
         self._init_metrics(metrics)
         self.breaker = CircuitBreaker(self.config.breaker_threshold,
                                       self.config.breaker_cooldown_s,
@@ -586,7 +587,15 @@ class ExperimentService:
                 self._fail(job, "UnrecoverableJob",
                            "no request attached")
                 continue
-            await self._run_job(loop, job, request)
+            try:
+                await self._run_job(loop, job, request)
+            except Exception as error:
+                # No single job may end the worker: a job the attempt
+                # loop could not settle fails here, with its traceback.
+                if not job.terminal:
+                    self._fail(job, type(error).__name__, str(error),
+                               diagnostics={
+                                   "traceback": traceback.format_exc()})
 
     async def _run_job(self, loop: asyncio.AbstractEventLoop,
                        job: Job, request: "RunRequest") -> None:
@@ -629,9 +638,15 @@ class ExperimentService:
                 return
             self._observe_exec_time(time.monotonic() - started)
             if outcome.completed:
-                artifact = self._build_artifact(job, outcome,
-                                                cache_status)
-                self.artifacts.store(job.digest, artifact)
+                try:
+                    self.artifacts.store(job.digest, self._build_artifact(
+                        job, outcome, cache_status))
+                except Exception as error:   # a failed write or derivation
+                    if await self._maybe_retry(job,
+                                               type(error).__name__,
+                                               str(error)):
+                        continue
+                    return
                 self.breaker.success()
                 self._complete(job)
                 return

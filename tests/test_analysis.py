@@ -19,7 +19,6 @@ from repro.analysis import (
 )
 from repro.analysis.breakdown import (
     APPLICATION_STREAM_ELEMENTS,
-    application_breakdown,
     application_overhead,
 )
 from repro.analysis.power_compare import (
@@ -30,6 +29,7 @@ from repro.analysis.power_compare import (
 from repro.analysis.report import render_breakdown, render_table
 from repro.kernels import KERNEL_LIBRARY
 from repro.kernels.library import TABLE2_KERNELS
+from repro.obs.profile import build_profile
 
 
 def _run_bundle(bundle, **kwargs):
@@ -82,7 +82,7 @@ class TestApplicationBreakdown:
 
         bundle = depth.build(height=24, width=64, disparities=4)
         result = _run_bundle(bundle)
-        breakdown = application_breakdown(result)
+        breakdown = build_profile(result)["figure11"]
         assert sum(breakdown.values()) == pytest.approx(1.0, abs=1e-3)
         assert 0 <= application_overhead(result) <= 1
 

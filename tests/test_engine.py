@@ -79,10 +79,15 @@ class TestCatalog:
         assert small_bundle.source == (
             "depth", tuple(sorted(SIZES.items())))
 
-    def test_cli_resolves_names_from_the_catalog(self):
-        from repro.cli import _app_builders
+    def test_cli_resolves_names_from_the_catalog(self, capsys):
+        from types import SimpleNamespace
 
-        assert tuple(_app_builders()) == APP_NAMES
+        from repro.cli import _app_name
+
+        assert tuple(_app_name(SimpleNamespace(name=name.upper()))
+                     for name in APP_NAMES) == APP_NAMES
+        assert _app_name(SimpleNamespace(name="bogus")) is None
+        assert str(sorted(APP_NAMES)) in capsys.readouterr().err
 
 
 class TestDigest:
@@ -302,17 +307,19 @@ class TestCache:
             assert restored.trace == result.trace
 
     def test_corrupt_entries_are_misses_that_never_raise(self, tmp_path):
-        """Truncations and single-byte flips anywhere in an entry --
-        header or payload -- are misses that remove both entry files;
-        the intact entry is a hit that reports what a fresh run
-        reports."""
+        """Truncations and single-byte flips anywhere in an entry's
+        pickle -- header or payload -- are misses that remove both
+        halves of the entry (pickle and served envelope); the intact
+        entry is a hit that reports what a fresh run reports."""
+        from repro.serve.artifacts import ArtifactStore
+
         request = RunRequest.for_app("rtsl", sizes={"triangles": 60})
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
             digest = session.submit(request).digest
             session.run(request)
         cache = ResultCache(tmp_path)
         path = cache._object_path(digest)
-        sidecar = path.with_suffix(".json")
+        sidecar = ArtifactStore(tmp_path).store(digest, {"cycles": 1.0})
         intact, summary = path.read_bytes(), sidecar.read_bytes()
         header = intact.index(b"\n") + 1
         rng = random.Random(20260)

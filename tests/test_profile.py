@@ -15,7 +15,6 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.breakdown import application_breakdown
 from repro.apps import depth, mpeg, qrd, rtsl
 from repro.cli import main as cli_main
 from repro.core import BoardConfig, MachineConfig
@@ -112,7 +111,10 @@ class TestConservation:
     def test_figure11_matches_application_breakdown(
             self, profile_matrix):
         for result, profile in profile_matrix.values():
-            assert profile["figure11"] == application_breakdown(result)
+            fractions = result.metrics.cycle_fractions()
+            assert list(profile["figure11"].items()) == [
+                (category.value, fraction)
+                for category, fraction in fractions.items()]
 
     def test_figure6_fractions_sum_to_one(self, profile_matrix):
         for _, profile in profile_matrix.values():

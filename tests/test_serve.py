@@ -323,6 +323,113 @@ class TestService:
 
         run(scenario())
 
+    def test_artifact_is_the_json_half_of_the_cache_entry(self,
+                                                          tmp_path):
+        """One store: the served envelope sits beside the pickled
+        outcome in the engine cache, so pruning the cache removes it
+        and a resubmit executes again, to the same bytes."""
+        from repro.engine.cache import ResultCache, entry_path
+
+        async def scenario():
+            service = ExperimentService(service_config(tmp_path))
+            await service.start()
+            try:
+                job, _ = service.submit(DEPTH)
+                await service.wait(job.id, timeout_s=120)
+                path = entry_path(service.cache_dir, job.digest, ".json")
+                first = path.read_bytes()
+                assert entry_path(service.cache_dir, job.digest).exists()
+                assert not (service.data_dir / "artifacts").exists()
+
+                ResultCache(service.cache_dir).prune(0)
+                assert not path.exists()
+                executions = serve_counts(service.metrics)["executions"]
+                again, envelope = service.submit(DEPTH)
+                assert envelope is None
+                await service.wait(again.id, timeout_s=120)
+                assert service.status(again.id).state == "completed"
+                assert serve_counts(
+                    service.metrics)["executions"] == executions + 1
+                assert path.read_bytes() == first
+            finally:
+                await service.stop()
+
+        run(scenario())
+
+    def test_failed_artifact_write_never_ends_the_worker(self,
+                                                         tmp_path):
+        """An artifact write that raises is an attempt failure, not a
+        dead worker: with one worker, both queued jobs still settle,
+        a later job completes and ``drain`` returns."""
+        import errno
+
+        async def scenario():
+            service = ExperimentService(
+                service_config(tmp_path, workers=1))
+            store = service.artifacts.store
+            failed: list[str] = []
+
+            def store_once_full(digest, body):
+                if not failed:
+                    failed.append(digest)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return store(digest, body)
+
+            service.artifacts.store = store_once_full
+            await service.start()
+            try:
+                first, _ = service.submit(DEPTH)
+                second, _ = service.submit(DEPTH2)
+                assert await service.drain(timeout_s=60)
+                assert failed == [first.digest]
+                assert service.status(first.id).state == "completed"
+                assert service.status(first.id).attempts == 2
+                assert service.status(second.id).state == "completed"
+                later, _ = service.submit(
+                    {"app": "depth", "sizes": {"width": 48,
+                                               "height": 24}})
+                await service.wait(later.id, timeout_s=120)
+                assert service.status(later.id).state == "completed"
+                assert await service.drain(timeout_s=60)
+                assert service._pending == 0
+            finally:
+                await service.stop()
+
+        run(scenario())
+
+    def test_worker_survives_a_job_that_raises(self, tmp_path):
+        """Whatever escapes one job's attempt loop fails that job (with
+        its traceback) and leaves the worker serving the queue."""
+        async def scenario():
+            service = ExperimentService(
+                service_config(tmp_path, workers=1))
+            run_job = service._run_job
+            broken: list[str] = []
+
+            async def run_job_once_broken(loop, job, request):
+                if not broken:
+                    broken.append(job.id)
+                    raise RuntimeError("attempt loop bug")
+                await run_job(loop, job, request)
+
+            service._run_job = run_job_once_broken
+            await service.start()
+            try:
+                first, _ = service.submit(DEPTH)
+                second, _ = service.submit(DEPTH2)
+                assert await service.drain(timeout_s=60)
+                failed = service.status(first.id)
+                assert failed.state == "failed"
+                assert failed.error_type == "RuntimeError"
+                assert "attempt loop bug" in \
+                    failed.diagnostics["traceback"]
+                assert service.status(second.id).state == "completed"
+                assert service._pending == 0
+            finally:
+                await service.stop()
+
+        run(scenario())
+
     def test_duplicate_digest_coalesces(self, tmp_path):
         async def scenario():
             service = ExperimentService(
@@ -895,7 +1002,6 @@ class TestCacheEviction:
     def _fill(self, cache, count):
         import types
 
-        request = types.SimpleNamespace(payload=lambda: {"app": "x"})
         outcome = types.SimpleNamespace(status="completed",
                                         result=None, error_type=None)
         import os
@@ -903,7 +1009,7 @@ class TestCacheEviction:
 
         for index in range(count):
             digest = f"{index:02d}" + "ab" * 7
-            cache.store(digest, outcome, request)
+            cache.store(digest, outcome)
             # Space out mtimes so LRU order is unambiguous even on
             # coarse filesystem timestamps.
             past = _time.time() - (count - index) * 10
@@ -932,6 +1038,75 @@ class TestCacheEviction:
         cache.prune(per_entry * 2 + per_entry // 2)
         kept = {row["digest"] for row in cache.entries()}
         assert digests[0] in kept
+
+    def test_hot_artifact_load_refreshes_recency(self, tmp_path):
+        """A served digest is hot: its artifact loads refresh the
+        entry, so under a budget that fits one entry it outlives a
+        newer entry nobody is reading."""
+        import os
+        import time as _time
+        import types
+
+        from repro.engine.cache import ResultCache, entry_path
+
+        async def scenario():
+            service = ExperimentService(service_config(tmp_path))
+            await service.start()
+            try:
+                job, _ = service.submit(DEPTH)
+                await service.wait(job.id, timeout_s=120)
+                cache = ResultCache(service.cache_dir)
+                unserved = "cd" * 8
+                cache.store(unserved, types.SimpleNamespace(
+                    status="completed", result=None, error_type=None))
+                now = _time.time()
+                for digest, age in ((job.digest, 200), (unserved, 100)):
+                    for suffix in (".pkl", ".json"):
+                        path = entry_path(service.cache_dir, digest,
+                                          suffix)
+                        if path.exists():
+                            os.utime(path, (now - age, now - age))
+                _, envelope = service.submit(DEPTH)
+                assert envelope is not None
+                budget = max(row["bytes"] for row in cache.entries())
+                report = cache.prune(budget)
+                assert report["evicted"] == 1
+                assert [row["digest"] for row in cache.entries()] == \
+                    [job.digest]
+                assert service.artifacts.load(job.digest) is not None
+            finally:
+                await service.stop()
+
+        run(scenario())
+
+    def test_envelope_only_entry_is_counted_and_evicted(self, tmp_path):
+        """A traced serve job runs uncached and leaves only the
+        envelope half; the cache still counts and prunes it."""
+        from repro.engine.cache import ResultCache, entry_path
+
+        async def scenario():
+            service = ExperimentService(
+                service_config(tmp_path, trace_jobs=1))
+            await service.start()
+            try:
+                job, _ = service.submit(DEPTH)
+                await service.wait(job.id, timeout_s=120)
+                assert service.status(job.id).state == "completed"
+                assert not entry_path(service.cache_dir,
+                                      job.digest).exists()
+                envelope = entry_path(service.cache_dir, job.digest,
+                                      ".json")
+                cache = ResultCache(service.cache_dir)
+                assert cache.entries() == [{
+                    "digest": job.digest,
+                    "bytes": envelope.stat().st_size,
+                    "last_used": envelope.stat().st_mtime}]
+                assert cache.prune(0)["evicted"] == 1
+                assert not envelope.exists()
+            finally:
+                await service.stop()
+
+        run(scenario())
 
     def test_store_enforces_budget(self, tmp_path):
         from repro.engine.cache import ResultCache
