@@ -42,7 +42,6 @@ HISTORY_PATH = RESULTS_DIR / "history.jsonl"
 def get_session() -> Session:
     """The one engine session every benchmark shares."""
     session = Session(config=SessionConfig(
-        backend=os.environ.get("REPRO_BACKEND", "event"),
         jobs=int(os.environ.get("REPRO_JOBS", "1")),
         cache=not os.environ.get("REPRO_NO_CACHE"),
         history=(None if os.environ.get("REPRO_NO_HISTORY")

@@ -54,12 +54,12 @@ def main():
 
     # Simulate on the development-board model.  Hand-built bundles
     # run in-process; catalog apps (repro.engine.RunRequest) can also
-    # shard across processes and hit the result cache.
-    # backend="auto" uses the vectorized backend whenever the run
-    # qualifies -- bit-identical to the event model, roughly 10x
-    # faster (docs/engine.md).
+    # shard across processes and hit the result cache.  An untraced,
+    # fault-free run like this one runs on the vectorized backend --
+    # bit-identical to the event model, several times faster
+    # (docs/engine.md).
     bundle = AppBundle(name="saxpy_app", image=image)
-    with Session(backend="auto") as session:
+    with Session() as session:
         run = session.run_bundle(bundle,
                                  board=BoardConfig.hardware())
     print(run.summary())

@@ -40,7 +40,7 @@ def __getattr__(name):
     # Lazy so that ``import repro`` stays light and the engine (which
     # itself imports repro for the code salt) avoids a cycle.
     if name in ("Session", "SessionConfig", "RunRequest",
-                "RunHandle", "BACKENDS"):
+                "RunHandle"):
         import repro.engine as engine
 
         return getattr(engine, name)
@@ -61,7 +61,6 @@ __all__ = [
     "RunResult",
     "Session",
     "SessionConfig",
-    "BACKENDS",
     "CompiledKernel",
     "KernelBuilder",
     "compile_kernel",

@@ -26,7 +26,6 @@ from repro.core.config import MachineConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.common import AppBundle
-    from repro.engine.session import Session
     from repro.isa.vliw import CompiledKernel
     from repro.streamc.compiler import StreamProgramImage
 
@@ -86,7 +85,7 @@ def preflight_image(image: "StreamProgramImage",
 _SCOPE_FAMILIES = {
     "kernel": frozenset({"MC"}),
     "image": frozenset({"SP", "BD", "ADV"}),
-    "session": frozenset({"CX"}),
+    "simulator": frozenset({"CX"}),
     "repo": frozenset({"EP"}),
 }
 
@@ -100,16 +99,13 @@ def lint_catalog(machine: MachineConfig | None = None,
                  apps: Iterable[str] | None = None,
                  kernels: Iterable[str] | None = None,
                  consistency: bool = True,
-                 session: "Session | None" = None,
                  repo: bool = False,
                  select: Iterable[str] | None = None) -> AnalysisReport:
     """Sweep the whole corpus: catalog apps, library kernels, and
     (optionally) the differential consistency pass per kernel.
 
     ``repo=True`` additionally runs the repository-scope passes
-    (entry-point discipline).  A ``session`` may be supplied to reuse
-    an existing engine session for the consistency probes; otherwise a
-    private in-process, uncached one is created and closed.
+    (entry-point discipline).
 
     ``select`` restricts the run to rule families (``MC``, ``SP``,
     ``BD``/``ADV``, ``CX``, ``EP``): scopes that cannot produce a
@@ -130,7 +126,7 @@ def lint_catalog(machine: MachineConfig | None = None,
 
     needs_kernel = wants("kernel")
     needs_image = wants("image")
-    needs_session = consistency and wants("session")
+    needs_simulator = consistency and wants("simulator")
     needs_repo = (repo if families is None
                   else bool(families & _SCOPE_FAMILIES["repo"]))
 
@@ -144,8 +140,8 @@ def lint_catalog(machine: MachineConfig | None = None,
         scopes.append("kernel")
     if needs_image:
         scopes.append("image")
-    if needs_session:
-        scopes.append("session")
+    if needs_simulator:
+        scopes.append("simulator")
     if needs_repo:
         scopes.append("repo")
     report.passes = [p.name for scope in scopes
@@ -156,7 +152,7 @@ def lint_catalog(machine: MachineConfig | None = None,
     # entirely for selections (like ``EP``) that never look at one.
     compiled: dict[str, "CompiledKernel"] = {}
     images: dict[str, "StreamProgramImage"] = {}
-    if needs_kernel or needs_image or needs_session:
+    if needs_kernel or needs_image or needs_simulator:
         compiled = {name: KERNEL_LIBRARY[name].compiled()
                     for name in kernel_names}
         for app in app_names:
@@ -183,21 +179,12 @@ def lint_catalog(machine: MachineConfig | None = None,
                                       image=images[app])
             report.extend(run_scope("image", context))
 
-    if needs_session:
-        own_session = session is None
-        if own_session:
-            from repro.engine.session import Session, SessionConfig
-
-            session = Session(config=SessionConfig(jobs=1, cache=False))
-        try:
-            for name in sorted(compiled):
-                context = AnalysisContext(
-                    machine=machine, subject=f"kernel:{name}",
-                    kernel=compiled[name], session=session)
-                report.extend(run_scope("session", context))
-        finally:
-            if own_session:
-                session.close()
+    if needs_simulator:
+        for name in sorted(compiled):
+            context = AnalysisContext(machine=machine,
+                                      subject=f"kernel:{name}",
+                                      kernel=compiled[name])
+            report.extend(run_scope("simulator", context))
 
     if needs_repo:
         context = AnalysisContext(machine=machine, subject="repo")

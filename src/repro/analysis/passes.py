@@ -9,10 +9,9 @@ themselves with :func:`analysis_pass` and declare a *scope*:
 
 * ``"kernel"`` passes run once per compiled kernel;
 * ``"image"`` passes run once per compiled stream program;
-* ``"session"`` passes additionally get a live
-  :class:`~repro.engine.Session` (the AnICA-style differential
-  consistency pass that cross-checks static predictions against the
-  simulator);
+* ``"simulator"`` passes run once per compiled kernel and simulate
+  it (the AnICA-style differential consistency pass that
+  cross-checks static predictions against both backends);
 * ``"repo"`` passes inspect the source tree itself (the entry-point
   discipline lint).
 
@@ -29,29 +28,26 @@ from repro.analysis.findings import Finding
 from repro.core.config import MachineConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.session import Session
     from repro.isa.vliw import CompiledKernel
     from repro.streamc.compiler import StreamProgramImage
 
 #: Valid pass scopes.
-SCOPES = ("kernel", "image", "session", "repo")
+SCOPES = ("kernel", "image", "simulator", "repo")
 
 
 @dataclass
 class AnalysisContext:
     """Everything a pass may look at.
 
-    ``machine`` is always set; ``kernel`` is set for kernel-scope
-    passes, ``image`` for image-scope passes, ``session`` for
-    session-scope passes.  ``subject`` names the artifact for finding
-    locations.
+    ``machine`` is always set; ``kernel`` is set for kernel- and
+    simulator-scope passes, ``image`` for image-scope passes.
+    ``subject`` names the artifact for finding locations.
     """
 
     machine: MachineConfig
     subject: str
     kernel: "CompiledKernel | None" = None
     image: "StreamProgramImage | None" = None
-    session: "Session | None" = None
     #: Per-run scratch shared between passes (e.g. memoized wrap runs).
     scratch: dict = field(default_factory=dict)
 

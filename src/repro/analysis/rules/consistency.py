@@ -2,12 +2,13 @@
 
 The static model and the cycle simulator each predict what one kernel
 invocation does -- operation counts, SRF traffic, busy cycles.  This
-pass runs every kernel under test through a real
-:class:`~repro.engine.Session` simulation and cross-checks the
-simulator's :class:`~repro.core.metrics.KernelInvocationRecord`
-against predictions derived *only* from the compiled kernel.  A
-divergence means one side is wrong -- exactly the class of bug
-differential testing surfaces that neither side catches alone.
+pass runs every kernel under test on both simulation backends (the
+differential gate's processors, :func:`repro.engine.gate.processor`)
+and cross-checks the simulator's
+:class:`~repro.core.metrics.KernelInvocationRecord` against
+predictions derived *only* from the compiled kernel.  A divergence
+means one side is wrong -- exactly the class of bug differential
+testing surfaces that neither side catches alone.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from typing import Iterator
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.passes import AnalysisContext, analysis_pass
+from repro.core import SimulationError
+from repro.core.config import BoardConfig
+from repro.host.processor import HostError
 from repro.isa.kernel_ir import FuClass
 from repro.isa.stream_ops import StreamInstruction, StreamOpType
 from repro.isa.vliw import CompiledKernel
@@ -56,31 +60,33 @@ def probe_bundle(kernel: CompiledKernel, num_clusters: int):
 PROBE_BACKENDS = ("event", "vector")
 
 
-@analysis_pass("consistency.simulator", "session")
+@analysis_pass("consistency.simulator", "simulator")
 def check_against_simulator(context: AnalysisContext
                             ) -> Iterator[Finding]:
     """Static per-invocation predictions vs simulated metrics."""
+    from repro.engine.gate import processor
+
     kernel = context.kernel
-    session = context.session
-    assert kernel is not None and session is not None
+    assert kernel is not None
     where = context.subject
     machine = context.machine
 
     bundle, elements = probe_bundle(kernel, machine.num_clusters)
     records_by_backend = {}
     for backend in PROBE_BACKENDS:
-        handle = session.submit_bundle(bundle, machine=machine,
-                                       backend=backend)
-        outcome = handle.outcome()
-        if not outcome.completed:
+        try:
+            result = processor(backend, bundle.kernels,
+                               BoardConfig.hardware(),
+                               machine).run(bundle.image)
+        except (SimulationError, HostError) as error:
             yield Finding(
                 "CX004", Severity.ERROR, where,
                 f"probe simulation failed on the {backend} backend: "
-                f"{outcome.error_type}: {outcome.error_message}",
+                f"{type(error).__name__}: {error}",
                 hint="the kernel cannot even run; fix the simulation "
                      "failure before trusting any static prediction")
             return
-        records = outcome.result.metrics.kernel_invocations
+        records = result.metrics.kernel_invocations
         if len(records) != 1:
             yield Finding(
                 "CX004", Severity.ERROR, where,
@@ -91,7 +97,7 @@ def check_against_simulator(context: AnalysisContext
 
     # The differential gate itself: every backend must reproduce the
     # reference invocation record bit-for-bit, so a CX verdict holds
-    # regardless of which backend a session happens to select.
+    # whichever backend the engine picks for a run.
     record = records_by_backend[PROBE_BACKENDS[0]]
     reference = vars(record)
     for backend in PROBE_BACKENDS[1:]:

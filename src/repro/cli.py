@@ -49,11 +49,10 @@ from the content-addressed cache under ``~/.cache/repro`` (disable
 with ``--no-cache``, relocate with ``--cache-dir``), and the engine's
 hit/miss counters are printed to stderr.  Output is byte-identical
 whatever the job count or cache temperature (``docs/engine.md``).
-One shared ``--backend {auto,event,vector}`` flag selects the
-simulation backend everywhere a session is built (``app``,
-``faults``, ``evaluate``, ``profile``, ``critpath``, ``whatif``,
-``perf``, ``serve``); backends are bit-identical by contract, so the
-flag changes wall-clock time only.
+The engine picks the simulation backend from the run: the vectorized
+backend unless the run is traced or carries a fault plan, which run on
+the event-driven reference model; the two are bit-identical by
+contract, so the choice changes wall-clock time only.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ def _session(args):
     from repro.engine import Session, SessionConfig
 
     config = SessionConfig(
-        backend=getattr(args, "backend", "event"),
         jobs=getattr(args, "jobs", 1),
         cache=not getattr(args, "no_cache", False),
         cache_dir=getattr(args, "cache_dir", None),
@@ -709,7 +707,6 @@ def _cmd_serve(args) -> int:
                            workers=args.workers,
                            queue_limit=args.queue_limit,
                            history=args.history or None,
-                           backend=args.backend,
                            trace_jobs=args.trace_jobs)
     service = ExperimentService(config, chaos=ChaosMonkey(plan))
     access_log = None
@@ -876,19 +873,7 @@ def main(argv: list[str] | None = None) -> int:
                              "instead of the development board")
     parser.add_argument("--host-mips", type=float, default=None,
                         help="override host-interface bandwidth")
-    # One backend flag, shared by every session-building command
-    # (serve cannot reuse engine_opts -- it has its own --cache-dir /
-    # --history -- so the backend selector lives in its own parent).
-    backend_opts = argparse.ArgumentParser(add_help=False)
-    backend_opts.add_argument(
-        "--backend", default="event",
-        choices=("auto", "event", "vector"),
-        help="simulation backend: the event-driven reference model, "
-             "the vectorized steady-state model, or auto (vector "
-             "whenever the run qualifies; bit-identical either way "
-             "-- see docs/engine.md)")
-    engine_opts = argparse.ArgumentParser(add_help=False,
-                                          parents=[backend_opts])
+    engine_opts = argparse.ArgumentParser(add_help=False)
     engine_opts.add_argument("--jobs", type=int, default=1, metavar="N",
                              help="worker processes for independent "
                                   "simulations (default 1; output is "
@@ -1087,8 +1072,7 @@ def main(argv: list[str] | None = None) -> int:
         "serve", help="run the async experiment service (HTTP/JSON "
                       "submit/poll/fetch over the engine), or with "
                       "--soak drive it through the seeded chaos "
-                      "load harness (docs/serving.md)",
-        parents=[backend_opts])
+                      "load harness (docs/serving.md)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8321,

@@ -37,8 +37,8 @@ enforces this on the full app matrix plus a fuzzed streamc corpus.
 
 Faults and tracing are inherently per-event and stay on the reference
 path: constructing this class with an injector or an enabled tracer
-raises :class:`BackendUnsupported`, and ``backend="auto"`` falls back
-to the event backend for such runs.
+raises :class:`BackendUnsupported`, and the engine runs such runs on
+the event backend.
 """
 
 from __future__ import annotations
@@ -351,12 +351,12 @@ class VectorProcessor:
                  strict: bool = False) -> None:
         if faults is not None:
             raise BackendUnsupported(
-                "fault injection is per-event; run fault plans on "
-                "backend='event' (backend='auto' does this for you)")
+                "fault injection is per-event; fault plans run on the "
+                "event backend (the engine sends them there)")
         if tracer is not None and getattr(tracer, "enabled", True):
             raise BackendUnsupported(
-                "tracing is per-event; run traced simulations on "
-                "backend='event' (backend='auto' does this for you)")
+                "tracing is per-event; traced runs run on the event "
+                "backend (the engine sends them there)")
         self.machine = machine or MachineConfig()
         self.board = board or BoardConfig()
         self.kernels = dict(kernels or {})

@@ -24,7 +24,7 @@ Quickstart::
 
 from repro.engine.cache import ResultCache, default_cache_dir
 from repro.engine.catalog import APP_NAMES, CatalogError, build_app
-from repro.engine.request import BACKENDS, RunRequest, code_salt
+from repro.engine.request import RunRequest, code_salt
 from repro.engine.session import (
     EngineError,
     RunFailure,
@@ -38,7 +38,6 @@ from repro.engine.session import (
 
 __all__ = [
     "APP_NAMES",
-    "BACKENDS",
     "CatalogError",
     "EngineError",
     "ResultCache",

@@ -16,20 +16,21 @@ The digest is the :meth:`RunRequest.digest` content hash, so the
 cache needs no eviction logic to stay *correct*: a changed request,
 config, fault plan, seed or code salt simply addresses a different
 object.  Eviction exists only to bound disk usage: set
-``REPRO_CACHE_MAX_BYTES`` (or ``ResultCache(max_bytes=...)``) and the
-cache evicts least-recently-*used* entries, both halves at once,
-until it fits.  An entry's last use is the newer mtime of its halves,
-and a verified load of either half refreshes it.  Writes are atomic
-(temp file + ``os.replace``), as is the ``index.json`` summary the
-eviction pass maintains.  A completed run's result carries the
-profile and critical-path walk the engine derived when it ran
-(:class:`repro.obs.profile.Derived`), so a hit reads its reports
-without deriving them again.  A ``.pkl``'s one-line header names the
-cache format and the sha256 of the pickled outcome that follows it;
-the checksum is verified before anything is unpickled, and
-unreadable, corrupt or other-format entries are treated as misses
-and removed, both halves.  ``repro cache --stats/--prune`` exposes the
-same machinery from the command line.
+``REPRO_CACHE_MAX_BYTES`` (or ``ResultCache(max_bytes=...)``) and
+every write of either half evicts least-recently-*used* entries, both
+halves at once, until the cache fits.  A half larger than the whole
+budget is not written at all.  An entry's last use is the newer mtime
+of its halves, and a verified load of either half refreshes it.
+Writes are atomic (temp file + ``os.replace``), as is the
+``index.json`` summary the eviction pass maintains.  A completed
+run's result carries the profile and critical-path walk the engine
+derived when it ran (:class:`repro.obs.profile.Derived`), so a hit
+reads its reports without deriving them again.  A ``.pkl``'s
+one-line header names the cache format and the sha256 of the pickled
+outcome that follows it; the checksum is verified before anything is
+unpickled, and unreadable, corrupt or other-format entries are
+treated as misses and removed, both halves.  ``repro cache
+--stats/--prune`` exposes the same machinery from the command line.
 """
 
 from __future__ import annotations
@@ -169,15 +170,26 @@ class ResultCache:
 
     def store(self, digest: str, outcome: "RunOutcome") -> None:
         """Persist ``outcome`` under ``digest`` (best-effort, atomic)."""
+        payload = pickle.dumps(outcome)
         try:
-            payload = pickle.dumps(outcome)
-            atomic_write(self._object_path(digest),
-                         _header(payload) + b"\n" + payload)
-            if self.max_bytes is not None:
-                self.prune(self.max_bytes)
+            self.write(digest, ".pkl", _header(payload) + b"\n" + payload)
         except OSError:
             # A read-only or full cache dir must never fail the run.
             pass
+
+    def write(self, digest: str, suffix: str,
+              data: bytes) -> pathlib.Path | None:
+        """Atomically write one half of the entry for ``digest``, then
+        evict down to the budget.  A half larger than the whole budget
+        is not written (it would only be evicted again): returns
+        ``None`` then, else the path written."""
+        if self.max_bytes is not None and len(data) > self.max_bytes:
+            return None
+        path = entry_path(self.root, digest, suffix)
+        atomic_write(path, data)
+        if self.max_bytes is not None:
+            self.prune(self.max_bytes)
+        return path
 
     # ------------------------------------------------------------------
     # Size accounting, LRU eviction and the on-disk index.

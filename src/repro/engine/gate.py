@@ -137,8 +137,11 @@ def result_fingerprint(result) -> str:
     return json.dumps(document, sort_keys=True, default=str)
 
 
-def _processor(backend: str, kernels, board: BoardConfig,
-               machine: MachineConfig):
+def processor(backend: str, kernels, board: BoardConfig,
+              machine: MachineConfig):
+    """A fresh fault-free, untraced processor of ``backend``
+    (``"event"`` or ``"vector"``): the differential replays' one
+    construction site."""
     if backend == "vector":
         from repro.core.vector import VectorProcessor
 
@@ -255,12 +258,12 @@ def _run(backend: str, image, kernels, board: BoardConfig,
     The first run is untimed: compiling the vector schedule tables is
     a one-off cost warm runs never pay.
     """
-    result = _processor(backend, kernels, board, machine).run(image)
+    result = processor(backend, kernels, board, machine).run(image)
     best = float("inf")
     for _ in range(timed):
-        processor = _processor(backend, kernels, board, machine)
+        fresh = processor(backend, kernels, board, machine)
         started = time.perf_counter()
-        processor.run(image)
+        fresh.run(image)
         best = min(best, time.perf_counter() - started)
     return result, best
 

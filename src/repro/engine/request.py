@@ -3,7 +3,7 @@
 A :class:`RunRequest` describes one simulation completely: which
 catalog application to build (and at what sizes), the machine and
 board configurations, an optional fault plan (stored as canonical
-JSON), a seed, and the strict/trace execution flags.  Because the
+JSON), a seed, and the strict flag.  Because the
 description is declarative -- names and dataclasses, no live objects
 -- a request can cross a process boundary, be rebuilt by a worker,
 and be hashed into a stable content digest that keys the on-disk
@@ -11,18 +11,14 @@ result cache.
 
 Digest rules (see ``docs/engine.md``):
 
-* every field that can change the simulated outcome is hashed:
-  app + sizes, the *resolved* machine and board configuration (a
-  ``None`` config hashes identically to the explicit default), the
-  fault-plan document, the seed and the strict flag;
-* the ``trace`` flag is NOT hashed -- attaching a tracer must not
-  change simulated behaviour (PR 1's observer-effect guarantee), and
-  traced runs bypass the cache anyway;
-* the ``backend`` selector is NOT hashed either -- backends are
-  bit-identical by contract (``repro gate`` enforces it),
-  so an event-warmed cache serves vector requests and vice versa;
-  which backend actually executed a run is provenance and lives in
-  the manifest, not the digest;
+* every field is hashed: app + sizes, the *resolved* machine and
+  board configuration (a ``None`` config hashes identically to the
+  explicit default), the fault-plan document, the seed and the strict
+  flag;
+* which backend executes a run is not part of the request: backends
+  are bit-identical by contract (``repro gate`` enforces it), so an
+  event-warmed cache serves vector runs and vice versa; the backend
+  that actually executed is provenance and lives in the manifest;
 * a *code salt* is mixed in: a hash over the package's own source
   tree (override with ``REPRO_CACHE_SALT``), so editing the simulator
   invalidates every cached result instead of silently replaying stale
@@ -44,10 +40,6 @@ from repro.faults.models import FaultPlan
 
 #: Bump when the digest payload layout itself changes.
 DIGEST_VERSION = 1
-
-#: Valid values for the ``backend`` selector (``None`` = inherit the
-#: session's configured backend).
-BACKENDS = ("auto", "event", "vector")
 
 _code_salt_cache: str | None = None
 
@@ -132,18 +124,9 @@ class RunRequest:
     faults: str | None = None
     seed: int | None = None
     strict: bool = False
-    trace: bool = False
-    #: Simulation backend override: ``"event"``, ``"vector"``,
-    #: ``"auto"`` or ``None`` (inherit the session's backend).
-    #: Excluded from :meth:`payload` -- see the module docstring.
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "app", self.app.lower())
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS} or None, "
-                f"got {self.backend!r}")
         if isinstance(self.sizes, Mapping):
             object.__setattr__(
                 self, "sizes", tuple(sorted(self.sizes.items())))
@@ -162,13 +145,12 @@ class RunRequest:
                 machine: MachineConfig | None = None,
                 board: BoardConfig | None = None,
                 faults=None, seed: int | None = None,
-                strict: bool = False, trace: bool = False,
-                backend: str | None = None) -> "RunRequest":
+                strict: bool = False) -> "RunRequest":
         """Build a request, accepting a FaultPlan/dict/JSON for faults."""
         return cls(app=name, sizes=tuple(sorted((sizes or {}).items())),
                    machine=machine, board=board,
                    faults=_canonical_faults(faults), seed=seed,
-                   strict=strict, trace=trace, backend=backend)
+                   strict=strict)
 
     def resolved(self, machine: MachineConfig | None = None,
                  board: BoardConfig | None = None) -> "RunRequest":
@@ -203,13 +185,8 @@ class RunRequest:
     # Digest.
     # ------------------------------------------------------------------
     def payload(self) -> dict:
-        """The JSON-stable dict that the digest is computed over.
-
-        ``trace`` and ``backend`` are deliberately absent: neither may
-        change simulated results (observer-effect guarantee; backend
-        bit-identity contract), so both backends share one digest and
-        one cache entry per request.
-        """
+        """The JSON-stable dict that the digest is computed over: every
+        field, with the configs resolved."""
         return {
             "v": DIGEST_VERSION,
             "app": self.app,
@@ -230,4 +207,4 @@ class RunRequest:
         return hashlib.sha256(material.encode()).hexdigest()
 
 
-__all__ = ["BACKENDS", "DIGEST_VERSION", "RunRequest", "code_salt"]
+__all__ = ["DIGEST_VERSION", "RunRequest", "code_salt"]

@@ -38,7 +38,7 @@ from repro.core import SimulationError
 from repro.core.config import BoardConfig, MachineConfig
 from repro.engine import catalog
 from repro.engine.cache import ResultCache
-from repro.engine.request import BACKENDS, RunRequest, code_salt
+from repro.engine.request import RunRequest, code_salt
 from repro.host.processor import HostError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,10 +53,6 @@ CACHE_STATUSES = ("hit", "miss", "uncached")
 
 #: Deterministic simulation failures that are themselves cacheable
 #: results; infrastructure failures (timeouts, crashes) never are.
-#: ``BackendUnsupported`` is deliberately absent: a vector-backend
-#: refusal is a property of the *selection*, not of the request, and
-#: the digest is backend-agnostic -- caching the refusal would serve
-#: a failure to an event-backend run of the same request.
 _CACHEABLE_ERRORS = ("SimulationError", "InvariantViolation", "HostError")
 
 
@@ -70,11 +66,11 @@ class SessionConfig:
     Parameters
     ----------
     backend:
-        Simulation backend: ``"event"`` (the per-event reference
-        model), ``"vector"`` (the compiled backend,
-        :mod:`repro.core.vector`) or ``"auto"`` (vector for fault-free
-        untraced runs, event otherwise).  Bit-identical by contract;
-        requests may override per call.
+        ``"auto"`` runs the compiled vector backend
+        (:mod:`repro.core.vector`) unless the run has a tracer or a
+        fault plan, which run on the event backend; ``"event"`` runs
+        everything on the event backend, the per-event reference
+        model.  Bit-identical by contract (``repro gate``).
     jobs:
         Worker processes for declarative batches (1 = in-process).
     cache / cache_dir:
@@ -93,7 +89,7 @@ class SessionConfig:
         ``None`` disables recording.
     """
 
-    backend: str = "event"
+    backend: str = "auto"
     jobs: int = 1
     cache: bool = True
     cache_dir: Any = None
@@ -103,9 +99,9 @@ class SessionConfig:
     history: Any = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
+        if self.backend not in ("auto", "event"):
             raise ValueError(
-                f"backend must be one of {BACKENDS}, "
+                f"backend must be 'auto' or 'event', "
                 f"got {self.backend!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
@@ -195,31 +191,20 @@ def engine_counts(metrics: "MetricsRegistry") -> dict:
 # ----------------------------------------------------------------------
 # Execution primitives (module-level: picklable for worker processes).
 # ----------------------------------------------------------------------
-def _resolve_backend(backend: str, request: RunRequest,
-                     traced: bool) -> str:
-    """Collapse an ``auto`` selection to the backend that will run.
+def _backend_for(mode: str, request: RunRequest,
+                 tracer: "Tracer | None") -> str:
+    """The one backend rule: under ``mode="auto"`` the vector backend
+    runs unless the run has a tracer or a fault plan; everything else
+    runs on the event backend."""
+    return ("vector" if mode == "auto" and tracer is None
+            and request.faults is None else "event")
 
-    ``auto`` picks the vector backend exactly when the run is eligible
-    for it -- no fault plan and no tracer attached -- and falls back
-    to the event reference model otherwise.  An *explicit*
-    ``"vector"`` is never rewritten: an ineligible run then fails with
-    a typed :class:`~repro.core.vector.BackendUnsupported` outcome.
-    """
+
+def _simulate(bundle: "AppBundle", request: RunRequest, backend: str,
+              tracer: "Tracer | None" = None) -> "RunResult":
+    """Run ``bundle`` under ``request``'s configuration on ``backend``
+    (``"event"`` or ``"vector"``); raises on simulation failure."""
     if backend == "vector":
-        return "vector"
-    if (backend == "auto" and not traced and not request.trace
-            and request.faults is None):
-        return "vector"
-    return "event"
-
-
-def _simulate(bundle: "AppBundle", request: RunRequest,
-              tracer: "Tracer | None" = None,
-              backend: str = "event") -> "RunResult":
-    """Run ``bundle`` under ``request``'s configuration; raises on
-    simulation failure."""
-    resolved = _resolve_backend(backend, request, tracer is not None)
-    if resolved == "vector":
         from repro.core.vector import VectorProcessor
 
         processor_cls = VectorProcessor
@@ -237,10 +222,9 @@ def _simulate(bundle: "AppBundle", request: RunRequest,
     return processor.run(bundle.image)
 
 
-def _capture(bundle: "AppBundle", request: RunRequest,
+def _capture(bundle: "AppBundle", request: RunRequest, backend: str,
              tracer: "Tracer | None" = None,
-             preflight: bool = False,
-             backend: str = "event") -> RunOutcome:
+             preflight: bool = False) -> RunOutcome:
     """Run and fold simulation failures into a typed outcome."""
     if preflight and request.strict:
         # Opt-in strict-mode gate: statically verify the artifact
@@ -260,8 +244,7 @@ def _capture(bundle: "AppBundle", request: RunRequest,
                 error_message=str(error),
                 exception=error)
     try:
-        result = _simulate(bundle, request, tracer=tracer,
-                           backend=backend)
+        result = _simulate(bundle, request, backend, tracer=tracer)
     except (SimulationError, HostError) as error:
         diagnostics = getattr(error, "diagnostics", None)
         return RunOutcome(
@@ -292,15 +275,13 @@ def _derive(outcome: RunOutcome) -> RunOutcome:
     return outcome
 
 
-def _execute_request(request: RunRequest,
+def _execute_request(request: RunRequest, backend: str,
                      preflight: bool = False,
-                     backend: str = "event",
                      derive: bool = False) -> RunOutcome:
     """Worker entry point: rebuild the bundle from the catalog, run,
     and derive the reports when the outcome feeds the cache."""
     bundle = catalog.build_app(request.app, **dict(request.sizes))
-    outcome = _capture(bundle, request, preflight=preflight,
-                       backend=backend)
+    outcome = _capture(bundle, request, backend, preflight=preflight)
     return _derive(outcome) if derive else outcome
 
 
@@ -346,9 +327,6 @@ class RunHandle:
         self._session = session
         self.request = request
         self.digest = digest
-        #: Backend selection this run will execute under if it is not
-        #: served from the cache ("auto" collapses at execution time).
-        self.backend: str = "event"
         self.cache_status: str | None = None
         self.tracer: "Tracer | None" = None
         self._outcome: RunOutcome | None = None
@@ -380,18 +358,14 @@ class Session:
     """The run API: submit requests, shard them, cache the results.
 
     Engine knobs live in one :class:`SessionConfig`
-    (``Session(config=SessionConfig(jobs=4, backend="auto"))``); the
-    simulated-world parameters stay as keywords:
+    (``Session(config=SessionConfig(jobs=4))``); the simulated-world
+    parameters stay as keywords:
 
     Parameters
     ----------
     config:
         Engine knobs (backend/jobs/cache/timeout/...); defaults to
         ``SessionConfig()``.
-    backend:
-        Convenience override for ``config.backend`` -- the headline
-        selector (``Session(backend="vector")``); ``"event"``,
-        ``"vector"`` or ``"auto"``.
     machine / board:
         Defaults applied to requests that leave theirs ``None``.
     salt:
@@ -402,18 +376,14 @@ class Session:
     """
 
     def __init__(self, *, config: SessionConfig | None = None,
-                 backend: str | None = None,
                  machine: MachineConfig | None = None,
                  board: BoardConfig | None = None,
                  salt: str | None = None,
                  metrics: "MetricsRegistry | None" = None) -> None:
         if config is None:
             config = SessionConfig()
-        if backend is not None:
-            config = dataclasses.replace(config, backend=backend)
         self.config = config
         self.jobs = config.jobs
-        self.backend = config.backend
         self.preflight = config.preflight
         self.machine = machine
         self.board = board
@@ -467,7 +437,7 @@ class Session:
             "pool re-dispatches after a worker crash")
         self._m_backend = m.counter(
             "engine_backend_selected_total",
-            "backend resolution per submission", labels=("backend",))
+            "backend picked per submission", labels=("backend",))
         self._m_executed = m.counter(
             "engine_runs_executed_total",
             "simulations actually executed")
@@ -502,39 +472,30 @@ class Session:
     # ------------------------------------------------------------------
     # Submission.
     # ------------------------------------------------------------------
+    def _backend(self, request: RunRequest,
+                 tracer: "Tracer | None") -> str:
+        """The backend this submission runs on, counted."""
+        backend = _backend_for(self.config.backend, request, tracer)
+        self._m_backend.labels(backend=backend).inc()
+        return backend
+
     def submit(self, request: RunRequest,
                prebuilt: "AppBundle | None" = None,
-               tracer: "Tracer | None" = None,
-               backend: str | None = None) -> RunHandle:
+               tracer: "Tracer | None" = None) -> RunHandle:
         """Schedule one declarative request; returns immediately when
-        a pool is available, else executes in-process.
-
-        Backend precedence: the ``backend`` argument, else
-        ``request.backend``, else the session's configured backend.
-        The choice never enters the request digest, so it cannot
-        change which cache entry the run keys to.
-        """
+        a pool is available, else executes in-process."""
         if self._closed:
             raise EngineError("session is closed")
         catalog.canonical_name(request.app)   # fail fast on bad names
         request = request.resolved(self.machine, self.board)
-        effective_backend = (backend if backend is not None
-                             else request.backend
-                             if request.backend is not None
-                             else self.backend)
-        self._m_backend.labels(backend=effective_backend).inc()
+        backend = self._backend(request, tracer)
 
-        if request.trace or tracer is not None:
+        if tracer is not None:
             # Traced runs stay in-process (tracers do not cross
             # process boundaries) and bypass the cache.
-            from repro.obs.tracer import Tracer
-
             bundle = prebuilt if prebuilt is not None else \
                 catalog.build_app(request.app, **dict(request.sizes))
-            return self._run_uncached(
-                request, bundle,
-                tracer if tracer is not None else Tracer(),
-                effective_backend)
+            return self._run_uncached(request, bundle, tracer, backend)
 
         digest = request.digest(salt=self._salt)
         if self._cache is not None:
@@ -545,12 +506,10 @@ class Session:
                 self._m_cache.labels(result="hit").inc()
                 self._m_dedup.inc()
                 handle = RunHandle(self, request, digest)
-                handle.backend = effective_backend
                 handle.cache_status = "hit"
                 handle._shared = shared
                 return handle
         handle = RunHandle(self, request, digest)
-        handle.backend = effective_backend
 
         if self._cache is not None:
             cached = self._cache.load(digest)
@@ -565,15 +524,14 @@ class Session:
 
         if self.jobs > 1:
             handle._future = self._pool().submit(
-                _execute_request, request, self.preflight,
-                effective_backend, self._cache is not None)
+                _execute_request, request, backend, self.preflight,
+                self._cache is not None)
             handle._attempts = 1
         else:
             bundle = prebuilt if prebuilt is not None else \
                 catalog.build_app(request.app, **dict(request.sizes))
             self._complete(handle, _capture(
-                bundle, request, preflight=self.preflight,
-                backend=effective_backend))
+                bundle, request, backend, preflight=self.preflight))
         return handle
 
     def submit_bundle(self, bundle: "AppBundle", *,
@@ -581,8 +539,7 @@ class Session:
                       machine: MachineConfig | None = None,
                       faults=None, seed: int | None = None,
                       strict: bool = False,
-                      tracer: "Tracer | None" = None,
-                      backend: str | None = None) -> RunHandle:
+                      tracer: "Tracer | None" = None) -> RunHandle:
         """Schedule a run of an already-built bundle.
 
         Catalog-built bundles (see :func:`repro.engine.catalog.build_app`)
@@ -595,21 +552,17 @@ class Session:
             name, sizes = source
             request = RunRequest.for_app(
                 name, sizes=dict(sizes), machine=machine, board=board,
-                faults=faults, seed=seed, strict=strict,
-                backend=backend)
+                faults=faults, seed=seed, strict=strict)
             return self.submit(request, prebuilt=bundle)
 
         # Hand-built bundle: the request only carries configuration
         # (its app field names the bundle, it is never rebuilt).
         request = RunRequest.for_app(
             bundle.name, machine=machine, board=board, faults=faults,
-            seed=seed, strict=strict, backend=backend)
+            seed=seed, strict=strict)
         request = request.resolved(self.machine, self.board)
-        effective_backend = (backend if backend is not None
-                             else self.backend)
-        self._m_backend.labels(backend=effective_backend).inc()
         return self._run_uncached(request, bundle, tracer,
-                                  effective_backend)
+                                  self._backend(request, tracer))
 
     def _run_uncached(self, request: RunRequest, bundle: "AppBundle",
                       tracer: "Tracer | None",
@@ -617,10 +570,9 @@ class Session:
         """Run ``bundle`` in-process, outside the cache (traced and
         hand-built runs)."""
         handle = RunHandle(self, request, digest=None)
-        handle.backend = backend
         handle.tracer = tracer
-        outcome = _capture(bundle, request, tracer=tracer,
-                           preflight=self.preflight, backend=backend)
+        outcome = _capture(bundle, request, backend, tracer=tracer,
+                           preflight=self.preflight)
         self._m_cache.labels(result="uncached").inc()
         self._m_executed.inc()
         if not outcome.completed:
@@ -633,23 +585,19 @@ class Session:
     # Blocking conveniences.
     # ------------------------------------------------------------------
     def run(self, request: RunRequest,
-            tracer: "Tracer | None" = None,
-            backend: str | None = None) -> "RunResult":
+            tracer: "Tracer | None" = None) -> "RunResult":
         """Submit one request and wait for its result."""
-        return self.submit(request, tracer=tracer,
-                           backend=backend).result()
+        return self.submit(request, tracer=tracer).result()
 
     def run_bundle(self, bundle: "AppBundle", *,
                    board: BoardConfig | None = None,
                    machine: MachineConfig | None = None,
                    faults=None, seed: int | None = None,
                    strict: bool = False,
-                   tracer: "Tracer | None" = None,
-                   backend: str | None = None) -> "RunResult":
+                   tracer: "Tracer | None" = None) -> "RunResult":
         return self.submit_bundle(
             bundle, board=board, machine=machine, faults=faults,
-            seed=seed, strict=strict, tracer=tracer,
-            backend=backend).result()
+            seed=seed, strict=strict, tracer=tracer).result()
 
     def run_batch(self, requests: Iterable[RunRequest]
                   ) -> "list[RunResult]":
@@ -700,8 +648,10 @@ class Session:
                                             cancel_futures=True)
                     self._executor = None
                 handle._future = self._pool().submit(
-                    _execute_request, handle.request, self.preflight,
-                    handle.backend, self._cache is not None)
+                    _execute_request, handle.request,
+                    _backend_for(self.config.backend, handle.request,
+                                 None),
+                    self.preflight, self._cache is not None)
         self._complete(handle, outcome)
 
     def _complete(self, handle: RunHandle, outcome: RunOutcome) -> None:
@@ -722,10 +672,8 @@ class Session:
         if (handle.digest is not None
                 and self._running.get(handle.digest) is handle):
             del self._running[handle.digest]
-            # Non-cacheable failures (worker crashes, backend
-            # refusals) must not coalesce onto later submissions of
-            # the same digest: a vector BackendUnsupported would
-            # otherwise answer a subsequent event-backend submit.
+            # Non-cacheable failures (worker crashes, timeouts) must
+            # not coalesce onto later submissions of the same digest.
             if outcome.cacheable:
                 self._settled[handle.digest] = handle
         self._record_history(handle, outcome)

@@ -333,51 +333,6 @@ def _lane_leaf(lane: Any) -> str:
             else _DISPATCH_LEAF)
 
 
-def _split(parts: list[tuple[str, float]], elapsed: float
-           ) -> dict[str, float]:
-    """Distribute ``elapsed`` over weighted leaves; anything beyond
-    the parts' own total is unexplained wait."""
-    # Summed left to right (not ``sum``, which compensates on newer
-    # Pythons) so :func:`_attribute` reproduces every bit.
-    total = 0.0
-    for _, value in parts:
-        total += max(value, 0.0)
-    leaves: dict[str, float] = {}
-    if total <= 0.0:
-        if elapsed > 0.0:
-            leaves[UNATTRIBUTED_LEAF] = elapsed
-        return leaves
-    usable = min(elapsed, total)
-    for leaf, value in parts:
-        if value > 0.0:
-            leaves[leaf] = leaves.get(leaf, 0.0) + value * usable / total
-    rest = elapsed - usable
-    if rest > 1e-9:
-        leaves[UNATTRIBUTED_LEAF] = leaves.get(
-            UNATTRIBUTED_LEAF, 0.0) + rest
-    return leaves
-
-
-def _edge_leaves(type: str, weight: float, detail: dict[str, Any],
-                 elapsed: float) -> dict[str, float]:
-    """Attribute one critical segment's elapsed cycles to
-    ``component.side.leaf`` paths from the profile vocabulary (the
-    per-edge form of :func:`_attribute`)."""
-    if type == EDGE_KERNEL_EXEC:
-        return _split([(leaf, float(detail.get(key, 0.0)))
-                       for key, leaf in _KERNEL_PARTS], elapsed)
-    if type == EDGE_MEM_STREAM:
-        leaf = _lane_leaf(detail.get("lane"))
-        return {leaf: elapsed} if elapsed > 0.0 else {}
-    if type == EDGE_HOST_OP:
-        return {_DISPATCH_LEAF: elapsed} if elapsed else {}
-    if type in _WEIGHT_LEAF:
-        return _split([(_WEIGHT_LEAF[type], weight)], elapsed)
-    # Zero-weight bookkeeping edges (program_start, scoreboard_slot,
-    # retire): any elapsed time is an unexplained gap.
-    return {UNATTRIBUTED_LEAF: elapsed} if elapsed > 1e-9 else {}
-
-
 #: Leaves every graph can name, then lanes as found; ids into this
 #: list are the columns of :func:`_attribute`'s slot tables.
 _FIXED_LEAVES = tuple(dict.fromkeys((
@@ -393,15 +348,22 @@ _WEIGHT_LEAF_OF_CODE = np.array(
 def _attribute(code: np.ndarray, weight: np.ndarray,
                elapsed: np.ndarray, details: list[dict[str, Any]]
                ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """The leaf attribution of a run of edges, as array passes.
+    """Attribute each edge's ``elapsed`` cycles to
+    ``component.side.leaf`` paths from the profile vocabulary, as
+    array passes, one edge-type group at a time.
 
-    The arithmetic of :func:`_edge_leaves`, one edge-type group at a
-    time, over per-edge slots: one per kernel part (a single-part
-    split uses the first), then one for unexplained wait.  ``details``
-    are the edges' detail dicts.  Returns the leaf names in order of
-    first appearance (edge by edge, slots in order), and per (edge,
-    leaf) the cycles and whether the leaf is present -- a present leaf
-    may hold 0.0.
+    A kernel edge splits its elapsed time over the kernel's parts, and
+    an edge with a ``_WEIGHT_LEAF`` over its own weight: each part
+    (``max(part, 0.0)``, summed left to right) gets its share of at
+    most the parts' total, and time beyond it is unexplained wait.  A
+    memory stream's time goes to its AG lane (or dispatch), a host
+    op's to dispatch, and a bookkeeping edge's (program start,
+    scoreboard slot, retire) is an unexplained gap.  Per edge there is
+    one slot per kernel part (a single-part split uses the first),
+    then one for unexplained wait.  ``details`` are the edges' detail
+    dicts.  Returns the leaf names in order of first appearance (edge
+    by edge, slots in order), and per (edge, leaf) the cycles and
+    whether the leaf is present -- a present leaf may hold 0.0.
     """
     rows = len(code)
     parts_per_edge = len(_KERNEL_PARTS)
@@ -411,7 +373,7 @@ def _attribute(code: np.ndarray, weight: np.ndarray,
     value = np.zeros((rows, parts_per_edge + 1))
     present = np.zeros((rows, parts_per_edge + 1), dtype=bool)
 
-    # _split types: the kernel's five parts or the edge's own weight,
+    # Split edges: the kernel's five parts or the edge's own weight,
     # split over the elapsed time, and any excess as wait.
     parts = np.zeros((rows, parts_per_edge))
     single = _WEIGHT_LEAF_OF_CODE[code]
@@ -503,6 +465,19 @@ def _stream_resource(detail: dict[str, Any]) -> str:
     controller."""
     lane = detail.get("lane")
     return f"ag{lane}" if lane is not None else "controller"
+
+
+def _edge_resources(code: np.ndarray, details: dict[int, dict]
+                    ) -> tuple[np.ndarray, dict[str, int]]:
+    """Per edge, the id of the resource its constraint belongs to (-1
+    for pure bookkeeping), and the resource names to ids."""
+    resource = _RESOURCE_OF_CODE[code]
+    resource_ids = {name: rid for rid, name in enumerate(_RESOURCE_NAMES)}
+    streams = np.flatnonzero(code == EDGE_CODE[EDGE_MEM_STREAM])
+    for edge in streams.tolist():
+        name = _stream_resource(details.get(edge, _NO_DETAIL))
+        resource[edge] = resource_ids.setdefault(name, len(resource_ids))
+    return resource, resource_ids
 
 
 def _edge_resource(type: str, detail: dict[str, Any]) -> str | None:
@@ -648,12 +623,7 @@ def _walk(graph: EventGraph) -> _Walk:
     # Slack: how much later each non-path edge's constraint could
     # have arrived without moving its destination, minimised and
     # counted per resource (both exact in any order).
-    resource = _RESOURCE_OF_CODE[code]
-    resource_ids = {name: rid for rid, name in enumerate(_RESOURCE_NAMES)}
-    streams = np.flatnonzero(code == EDGE_CODE[EDGE_MEM_STREAM])
-    for edge in streams.tolist():
-        name = _stream_resource(details.get(edge, _NO_DETAIL))
-        resource[edge] = resource_ids.setdefault(name, len(resource_ids))
+    resource, resource_ids = _edge_resources(code, details)
     local = t[dst] - (t[src] + weight)
     local = np.where(local < 0.0, 0.0, local)
     local[path] = 0.0
@@ -848,27 +818,31 @@ def partial_critpath_summary(graph: "EventGraph | None"
     """
     if graph is None or not graph.edge_src:
         return None
-    resources: dict[str, float] = {}
-    leaves: dict[str, float] = {}
-    top_edge: int | None = None
-    for edge, (code, weight) in enumerate(zip(graph.edge_type,
-                                              graph.edge_weight)):
-        type = EDGE_TYPES[code]
-        detail = graph.edge_detail.get(edge, _NO_DETAIL)
-        resource = _edge_resource(type, detail)
-        if resource is None:
-            continue
-        resources[resource] = resources.get(resource, 0.0) + weight
-        for leaf, cycles in _edge_leaves(type, weight, detail,
-                                         weight).items():
-            leaves[leaf] = leaves.get(leaf, 0.0) + cycles
-        if top_edge is None or weight > graph.edge_weight[top_edge]:
-            top_edge = edge
-    if not resources or top_edge is None:
+    code = np.asarray(graph.edge_type)
+    weight = np.asarray(graph.edge_weight, dtype=float)
+    details = graph.edge_detail
+    resource, resource_ids = _edge_resources(code, details)
+    kept = np.flatnonzero(resource >= 0)
+    if not len(kept):
         return None
+    # Sums in edge order (a weighted bincount is sequential).
+    owner = resource[kept]
+    totals = np.bincount(owner, weights=weight[kept],
+                         minlength=len(resource_ids)).tolist()
+    counted = np.bincount(owner, minlength=len(resource_ids))
+    resources = {name: totals[rid] for name, rid in resource_ids.items()
+                 if counted[rid]}
+    # Each edge's leaves, as if its whole weight had elapsed.
+    leaf_names, leaf_cycles, leaf_present = _attribute(
+        code[kept], weight[kept], weight[kept],
+        [details.get(edge, _NO_DETAIL) for edge in kept.tolist()])
+    row, column = np.nonzero(leaf_present)
+    leaves = dict(zip(leaf_names, np.bincount(
+        column, weights=leaf_cycles[row, column],
+        minlength=len(leaf_names)).tolist()))
     ranked = sorted(resources,
                     key=lambda name: (-resources[name], name))
-    top = graph.edge(top_edge)
+    top = graph.edge(int(kept[np.argmax(weight[kept])]))
     return {
         "kind": "partial",
         "edges": len(graph.edge_src),

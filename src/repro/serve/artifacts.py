@@ -7,8 +7,9 @@ as the ``.json`` half of the engine cache entry for the same digest
     <cache root>/objects/<d0d1>/<digest>.json
 
 So there is one store: the engine cache counts, budgets and prunes
-envelopes with the pickled outcomes beside them, and a verified load
-refreshes the entry's recency.  Each envelope records the request
+envelopes with the pickled outcomes beside them (every envelope write
+holds the cache to its budget), and a verified load refreshes the
+entry's recency.  Each envelope records the request
 digest it answers and a sha256 checksum over its canonical body;
 :meth:`ArtifactStore.load` verifies both before serving, so a
 corrupted or truncated envelope -- including one mangled by the chaos
@@ -24,7 +25,7 @@ import json
 import pathlib
 from typing import Any, Callable
 
-from repro.engine.cache import atomic_write, entry_path, touch
+from repro.engine.cache import ResultCache, entry_path, touch
 
 #: Version tag on every artifact envelope.
 ARTIFACT_SCHEMA = "repro.serve.artifact/1"
@@ -46,6 +47,7 @@ class ArtifactStore:
                  on_written: Callable[[pathlib.Path], None]
                  | None = None) -> None:
         self.root = pathlib.Path(root)
+        self._cache = ResultCache(self.root)
         #: Post-write hook; the chaos harness uses it to corrupt or
         #: truncate freshly written entries.
         self.on_written = on_written
@@ -54,18 +56,21 @@ class ArtifactStore:
         return entry_path(self.root, digest, ".json")
 
     # ------------------------------------------------------------------
-    def store(self, digest: str, body: Any) -> pathlib.Path:
-        """Atomically persist ``body`` as the artifact for ``digest``."""
+    def store(self, digest: str, body: Any) -> pathlib.Path | None:
+        """Atomically persist ``body`` as the artifact for ``digest``;
+        ``None`` when the envelope alone exceeds the cache budget and
+        is not written."""
         envelope = {
             "schema": ARTIFACT_SCHEMA,
             "digest": digest,
             "checksum": _checksum(digest, body),
             "body": body,
         }
-        path = self.path(digest)
-        atomic_write(path, (json.dumps(envelope, sort_keys=True,
-                                       indent=2) + "\n").encode())
-        if self.on_written is not None:
+        path = self._cache.write(
+            digest, ".json",
+            (json.dumps(envelope, sort_keys=True, indent=2)
+             + "\n").encode())
+        if path is not None and self.on_written is not None:
             self.on_written(path)
         return path
 

@@ -284,7 +284,6 @@ class ServiceServer:
                 "serve": serve_counts(service.metrics),
                 "breaker": service.breaker.as_dict(service.metrics),
                 "engine": engine_counts(service.metrics),
-                "backend": service.config.backend,
                 "cache": ResultCache(service.cache_dir).stats(),
             }, None
         if path == "/v1/jobs" and method == "POST":

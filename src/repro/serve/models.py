@@ -11,7 +11,6 @@ silently-defaulted job.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -67,10 +66,6 @@ class ServiceConfig:
 
     data_dir: str | None = None
     cache_dir: str | None = None
-    #: Simulation backend for every engine session the service owns
-    #: (``event``/``vector``/``auto`` -- bit-identical by contract,
-    #: so this changes latency, never payloads).
-    backend: str = "event"
     workers: int = 2
     #: Admission bound: queued + running jobs beyond this are refused
     #: with 429 + Retry-After.
@@ -299,12 +294,6 @@ def canonical_payload(payload: Mapping[str, Any]) -> dict:
             if key in _PAYLOAD_FIELDS}
 
 
-def config_as_dict(config: ServiceConfig) -> dict:
-    entry = dataclasses.asdict(config)
-    entry["retry"] = config.retry.as_dict()
-    return entry
-
-
 __all__ = [
     "BadRequest",
     "JOB_STATES",
@@ -315,6 +304,5 @@ __all__ = [
     "ServiceUnavailable",
     "TERMINAL_STATES",
     "canonical_payload",
-    "config_as_dict",
     "request_from_payload",
 ]

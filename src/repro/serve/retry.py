@@ -97,16 +97,6 @@ class RetryPolicy:
         return [self.delay(key, attempt)
                 for attempt in range(1, self.max_attempts)]
 
-    def as_dict(self) -> dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "base_s": self.base_s,
-            "factor": self.factor,
-            "cap_s": self.cap_s,
-            "jitter_cap_s": self.jitter_cap_s,
-            "seed": self.seed,
-        }
-
 
 __all__ = [
     "RetryPolicy",

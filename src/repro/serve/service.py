@@ -531,7 +531,6 @@ class ExperimentService:
             from repro.engine import Session, SessionConfig
 
             session = Session(config=SessionConfig(
-                backend=self.config.backend,
                 jobs=self.config.engine_jobs,
                 cache=True, cache_dir=self.cache_dir,
                 timeout=self.config.engine_timeout_s),

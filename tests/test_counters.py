@@ -133,7 +133,7 @@ READYZ_PROBES = sorted([
     "serve.engine.misses", "serve.engine.retried",
     "serve.engine.runs", "serve.engine.timeouts",
     "serve.engine.uncached",
-    "engine_backend_selected_total{backend=event}",
+    "engine_backend_selected_total{backend=vector}",
     "engine_cache_requests_total{result=miss}",
     "engine_runs_executed_total",
     "serve_artifact_hits_total",

@@ -183,8 +183,7 @@ class TestDeterminism:
 
 @pytest.fixture(scope="module")
 def qrd_result():
-    with Session(config=SessionConfig(cache=False,
-                                      backend="auto")) as session:
+    with Session(config=SessionConfig(cache=False)) as session:
         return session.run(RunRequest.for_app("qrd",
                                               sizes=SMALL_SIZES["qrd"]))
 
@@ -458,6 +457,96 @@ _TIE_ORDER = (
     "scoreboard_slot", "host_issue", "retire", "program_start")
 
 
+def _split(parts, elapsed):
+    """Distribute ``elapsed`` over weighted leaves; anything beyond
+    the parts' own total is unexplained wait."""
+    # Summed left to right (not ``sum``, which compensates on newer
+    # Pythons), as ``critpath._attribute`` does.
+    total = 0.0
+    for _, value in parts:
+        total += max(value, 0.0)
+    leaves = {}
+    if total <= 0.0:
+        if elapsed > 0.0:
+            leaves[critpath.UNATTRIBUTED_LEAF] = elapsed
+        return leaves
+    usable = min(elapsed, total)
+    for leaf, value in parts:
+        if value > 0.0:
+            leaves[leaf] = leaves.get(leaf, 0.0) + value * usable / total
+    rest = elapsed - usable
+    if rest > 1e-9:
+        leaves[critpath.UNATTRIBUTED_LEAF] = leaves.get(
+            critpath.UNATTRIBUTED_LEAF, 0.0) + rest
+    return leaves
+
+
+def _edge_leaves(type, weight, detail, elapsed):
+    """One edge's elapsed cycles as profile leaves: the per-edge rule
+    ``critpath._attribute`` applies to whole columns."""
+    if type == EDGE_KERNEL_EXEC:
+        return _split([(leaf, float(detail.get(key, 0.0)))
+                       for key, leaf in critpath._KERNEL_PARTS], elapsed)
+    if type == EDGE_MEM_STREAM:
+        leaf = critpath._lane_leaf(detail.get("lane"))
+        return {leaf: elapsed} if elapsed > 0.0 else {}
+    if type == "host_op":
+        return {critpath._DISPATCH_LEAF: elapsed} if elapsed else {}
+    if type in critpath._WEIGHT_LEAF:
+        return _split([(critpath._WEIGHT_LEAF[type], weight)], elapsed)
+    # Bookkeeping edges (program_start, scoreboard_slot, retire): any
+    # elapsed time is an unexplained gap.
+    return ({critpath.UNATTRIBUTED_LEAF: elapsed} if elapsed > 1e-9
+            else {})
+
+
+def _reference_partial(graph):
+    """The per-edge fold ``partial_critpath_summary`` replaced."""
+    resources, leaves, top_edge = {}, {}, None
+    for index, edge in enumerate(graph.edges):
+        resource = critpath._edge_resource(edge.type, edge.detail)
+        if resource is None:
+            continue
+        resources[resource] = resources.get(resource, 0.0) + edge.weight
+        for leaf, cycles in _edge_leaves(edge.type, edge.weight,
+                                         edge.detail, edge.weight).items():
+            leaves[leaf] = leaves.get(leaf, 0.0) + cycles
+        if top_edge is None or edge.weight > graph.edge_weight[top_edge]:
+            top_edge = index
+    if top_edge is None:
+        return None
+    ranked = sorted(resources, key=lambda name: (-resources[name], name))
+    top = graph.edge(top_edge)
+    return {
+        "kind": "partial",
+        "edges": len(graph.edge_src),
+        "binding_resource": ranked[0],
+        "resource_cycles": {name: resources[name] for name in ranked},
+        "top_segment": {
+            "type": top.type, "weight": top.weight,
+            "resource": critpath._edge_resource(top.type, top.detail)},
+        "top_leaves": {
+            leaf: leaves[leaf]
+            for leaf in sorted(leaves,
+                               key=lambda key: (-leaves[key], key))[:5]},
+    }
+
+
+def _truncated(graph, edges):
+    """``graph`` as it stood when its first ``edges`` edges existed:
+    the state a run killed at that point leaves behind."""
+    cut = EventGraph(meta=dict(graph.meta))
+    last = max(graph.edge_dst[:edges], default=0)
+    for ident in range(last + 1):
+        node = graph.node(ident)
+        cut.add_node(node.kind, node.index, node.t, node.label)
+    for index in range(edges):
+        edge = graph.edge(index)
+        cut.add_edge(edge.src, edge.dst, edge.type, edge.weight,
+                     **edge.detail)
+    return cut
+
+
 def _reference_walk(graph):
     """The per-edge object walk the columnar one replaced: per node,
     ``max`` over its incoming edges (first wins a full tie), then
@@ -486,7 +575,7 @@ def _reference_walk(graph):
         edge = edges[index]
         elapsed = nodes[edge.dst].t - nodes[edge.src].t
         elapsed_cycles.append(elapsed)
-        for leaf, cycles in critpath._edge_leaves(
+        for leaf, cycles in _edge_leaves(
                 edge.type, edge.weight, edge.detail, elapsed).items():
             leaves[leaf] = leaves.get(leaf, 0.0) + cycles
         edge_types[edge.type] = edge_types.get(edge.type, 0.0) + elapsed
@@ -632,8 +721,8 @@ class TestColumnarWalk:
         for segment, index in zip(segments, walk.path):
             edge = graph.edge(index)
             elapsed = graph.node_t[edge.dst] - graph.node_t[edge.src]
-            leaves = critpath._edge_leaves(edge.type, edge.weight,
-                                           edge.detail, elapsed)
+            leaves = _edge_leaves(edge.type, edge.weight, edge.detail,
+                                  elapsed)
             assert repr(segment["leaves"]) == repr(
                 {leaf: leaves[leaf] for leaf in sorted(leaves)})
             assert (segment["src"]["id"], segment["dst"]["id"],
@@ -651,8 +740,7 @@ class TestColumnarWalk:
         """Recorded graphs round where the drawn ones do not: summing
         a resource's leaves in name order, or a leaf's cycles
         pairwise, changes the last bit of these runs' reports."""
-        with Session(config=SessionConfig(cache=False,
-                                          backend="auto")) as session:
+        with Session(config=SessionConfig(cache=False)) as session:
             result = session.run(RunRequest.for_app(
                 app, sizes=sizes, board=BOARDS[board]()))
         graph = result.event_graph
@@ -665,10 +753,30 @@ class TestColumnarWalk:
         for segment, index in zip(critpath._segments(graph, walk),
                                   walk.path):
             edge = graph.edge(index)
-            leaves = critpath._edge_leaves(edge.type, edge.weight,
-                                           edge.detail, segment["elapsed"])
+            leaves = _edge_leaves(edge.type, edge.weight, edge.detail,
+                                  segment["elapsed"])
             assert repr(segment["leaves"]) == repr(
                 {leaf: leaves[leaf] for leaf in sorted(leaves)})
+
+    @pytest.mark.parametrize("app", sorted(SMALL_BUILDS))
+    @pytest.mark.parametrize("share", (1.0, 0.6, 0.25, 0.0))
+    def test_partial_summary_matches_the_per_edge_fold(
+            self, critpath_matrix, app, share):
+        """On each app's recorded graph, whole and cut short as a
+        killed run leaves it, the array pass reproduces the per-edge
+        fold bit for bit."""
+        graph = critpath_matrix[app, "hardware"][0].event_graph
+        if share < 1.0:
+            graph = _truncated(graph, int(len(graph.edge_src) * share))
+        summary = critpath.partial_critpath_summary(graph)
+        assert repr(summary) == repr(_reference_partial(graph))
+        assert (summary is None) == (share == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(event_graphs())
+    def test_partial_summary_matches_on_drawn_graphs(self, graph):
+        assert repr(critpath.partial_critpath_summary(graph)) == repr(
+            _reference_partial(graph))
 
     @settings(max_examples=200, deadline=None)
     @given(event_graphs(), _SCALES)

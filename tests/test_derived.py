@@ -90,7 +90,7 @@ def test_a_hit_derives_nothing(app, board, tmp_path, monkeypatch,
                                service):
     request = RunRequest.for_app(app, sizes=SMALL_SIZES[app],
                                  board=BOARDS[board]())
-    config = SessionConfig(backend="auto", cache_dir=tmp_path)
+    config = SessionConfig(cache_dir=tmp_path)
     with Session(config=config) as session:
         cold = session.run(request)
     assert cold.manifest.cache == "miss"
@@ -143,7 +143,7 @@ def test_entry_bytes_do_not_depend_on_where_the_run_derived(
     for jobs in (1, 2):
         root = tmp_path / f"jobs{jobs}"
         with Session(config=SessionConfig(
-                jobs=jobs, backend="vector", cache_dir=root)) as session:
+                jobs=jobs, cache_dir=root)) as session:
             handle = session.submit(request)
             assert handle.result().derived is not None
             assert handle.cache_status == "miss"

@@ -114,10 +114,6 @@ class TestDigest:
         assert explicit.digest(salt="s") == \
             small_request().digest(salt="s")
 
-    def test_trace_flag_not_hashed(self):
-        assert small_request(trace=True).digest(salt="s") == \
-            small_request().digest(salt="s")
-
     @pytest.mark.parametrize("change", [
         {"machine": MachineConfig(num_clusters=4)},
         {"board": BoardConfig.isim()},

@@ -192,3 +192,18 @@ class TestEndToEndStreamProgram:
         assert np.allclose(image.outputs["out"], 2 * np.arange(512))
         assert result.metrics.sdr_writes == image.sdr_writes
         result.metrics.check_conservation(1e-3)
+
+
+class TestVectorRefusal:
+    def test_vector_processor_refuses_faults_and_tracers(self):
+        """The vector backend cannot reproduce per-event runs exactly,
+        so it refuses them itself; the engine never asks it to."""
+        from repro.core.vector import BackendUnsupported, VectorProcessor
+        from repro.faults import BUILTIN_PLANS
+        from repro.obs.tracer import Tracer
+
+        kernels = {"scale": scale_kernel()}
+        with pytest.raises(BackendUnsupported):
+            VectorProcessor(kernels=kernels, faults=BUILTIN_PLANS["board"])
+        with pytest.raises(BackendUnsupported):
+            VectorProcessor(kernels=kernels, tracer=Tracer())

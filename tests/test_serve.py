@@ -1108,6 +1108,63 @@ class TestCacheEviction:
 
         run(scenario())
 
+    @pytest.mark.parametrize("budget", (1000, 12000))
+    def test_every_write_holds_the_budget(self, tmp_path, monkeypatch,
+                                          budget):
+        """Envelope writes prune too: two served DEPTH jobs leave the
+        cache within budget, whether nothing fits (1000 bytes) or one
+        envelope but not two (12000)."""
+        from repro.engine.cache import ResultCache
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", str(budget))
+
+        async def scenario():
+            service = ExperimentService(service_config(tmp_path))
+            await service.start()
+            try:
+                for payload in (DEPTH, DEPTH2):
+                    job, _ = service.submit(payload)
+                    await service.wait(job.id, timeout_s=120)
+                    assert service.status(job.id).state == "completed"
+                return ResultCache(service.cache_dir).stats()
+            finally:
+                await service.stop()
+
+        stats = run(scenario())
+        assert stats["max_bytes"] == budget
+        assert stats["over_budget"] is False
+        assert stats["entries"] == (0 if budget == 1000 else 1)
+
+    def test_oversized_half_is_never_written(self, tmp_path,
+                                             monkeypatch):
+        """A half larger than the whole budget is skipped, not written
+        and evicted again, and it evicts none of the entries that
+        fit."""
+        import types
+
+        from repro.engine.cache import ResultCache, entry_path
+        from repro.serve.artifacts import ArtifactStore
+
+        probe = ResultCache(tmp_path)
+        self._fill(probe, 1)
+        per_entry = probe.entries()[0]["bytes"]
+        probe.prune(0)
+        budget = per_entry * 2 + 10
+        evicted = []
+        cache = ResultCache(tmp_path, max_bytes=budget,
+                            on_evict=evicted.append)
+        kept = self._fill(cache, 2)
+        big = "ef" * 8
+        cache.store(big, types.SimpleNamespace(
+            status="completed", result=b"x" * budget, error_type=None))
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", str(budget))
+        assert ArtifactStore(tmp_path).store(
+            big, {"blob": "x" * budget}) is None
+        assert not entry_path(tmp_path, big).exists()
+        assert not entry_path(tmp_path, big, ".json").exists()
+        assert evicted == []
+        assert [row["digest"] for row in cache.entries()] == kept
+
     def test_store_enforces_budget(self, tmp_path):
         from repro.engine.cache import ResultCache
 
