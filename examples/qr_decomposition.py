@@ -10,7 +10,7 @@ Imagine sustain multi-GFLOPS on dense linear algebra.
 
 import numpy as np
 
-from repro.apps.qrd import factorization_error, reconstruct_q
+from repro.apps.qrd import factorization_error, r_factor, reconstruct_q
 from repro.core import BoardConfig
 from repro.engine import Session, build_app
 
@@ -25,7 +25,7 @@ def main():
     print(f"||Q^H Q - I||      = {unitarity:.2e}")
 
     q = reconstruct_q(bundle)
-    r = bundle.oracle["R"]
+    r = r_factor(bundle)
     print(f"R upper-triangular: "
           f"{np.allclose(np.tril(r, -1), 0)}; "
           f"Q shape {q.shape}")

@@ -10,7 +10,7 @@ and renders the recovered depth map as ASCII art.
 
 import numpy as np
 
-from repro.apps.depth import disparity_accuracy
+from repro.apps.depth import depth_map, disparity_accuracy
 from repro.core import BoardConfig
 from repro.engine import Session, build_app
 
@@ -48,7 +48,7 @@ def main():
               f"{accuracy * 100:.1f}%")
 
         print("\nRecovered depth map (darker = nearer plane):")
-        print(ascii_depth_map(bundle.oracle["depth_map"]))
+        print(ascii_depth_map(depth_map(bundle)))
 
         print("\nHost-interface sensitivity (the paper's Figure 14):")
         for mips in (0.5, 2.0, 8.0):

@@ -7,12 +7,16 @@ benchmarks at 4.81 GFLOPS, its best floating-point result.
 Structure per column j: the ``house`` kernel computes the Householder
 vector of the active column; ``update2`` applies the rank-1 reflector
 to the trailing matrix in column blocks (strided record loads walk the
-column-major matrix).  Long streams keep the clusters busy -- QRD has
+column-major matrix).  Each reflector's ``beta`` reaches ``update2``
+as a runtime scalar read from the ``house`` kernel's aux stream, so
+the program's control flow never depends on data and it is a playback
+program.  Long streams keep the clusters busy -- QRD has
 the longest kernel streams of Table 5 -- and block updates exceed the
 stripmine limit, so kernel+restart sequences appear, as in Table 4.
 
-The oracle reconstructs Q from the stored reflectors and checks
-``Q R = A`` and unitarity of ``Q``.
+The oracle helpers read the factors from the program's outputs:
+:func:`reconstruct_q` accumulates Q from the stored reflectors, and
+:func:`factorization_error` checks ``Q R = A`` and unitarity of ``Q``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ def build(rows: int = DEFAULT_ROWS, cols: int = DEFAULT_COLS,
     a_arr = program.array("A", interleave(matrix.T.reshape(-1)))
     v_arr = program.alloc_array("V", cols * column_words)
     beta_arr = program.alloc_array("betas", 4 * cols)
-    betas: list[float] = []
 
     steps = min(rows, cols)
     panel = block_columns
@@ -64,7 +67,7 @@ def build(rows: int = DEFAULT_ROWS, cols: int = DEFAULT_COLS,
             start=a_arr.base + p * column_words + 2 * p)
         block = program.load(a_arr, pattern=panel_pattern,
                              record_words=2, name=f"panel{p}")
-        reflectors = []
+        panel_reflectors = []
         for i in range(width):
             j = p + i
             if i < width - 1:
@@ -77,9 +80,8 @@ def build(rows: int = DEFAULT_ROWS, cols: int = DEFAULT_COLS,
             v, aux = program.kernel(
                 HOUSE, [pivot],
                 params={"scale": 1.0, "skip": i}, name=f"house{j}")
-            beta = float(aux.data[0])
-            betas.append(beta)
-            reflectors.append((v, beta))
+            beta = program.scalar(aux, 0)
+            panel_reflectors.append((v, beta))
             program.store(v, v_arr, start=j * column_words)
             program.store(aux, beta_arr, start=4 * j)
             pivot = program.kernel1(
@@ -103,7 +105,7 @@ def build(rows: int = DEFAULT_ROWS, cols: int = DEFAULT_COLS,
                 start=a_arr.base + k * column_words + 2 * p)
             block = program.load(a_arr, pattern=pattern,
                                  record_words=2, name=f"blk{p}_{k}")
-            for j, (v, beta) in enumerate(reflectors):
+            for j, (v, beta) in enumerate(panel_reflectors):
                 block = program.kernel1(
                     UPDATE2, [v, block],
                     params={"beta": beta, "columns": block_width},
@@ -113,27 +115,43 @@ def build(rows: int = DEFAULT_ROWS, cols: int = DEFAULT_COLS,
 
     image = program.build()
     image.validate()
-    final = deinterleave(image.outputs["A"]).reshape(cols, rows).T
-    reflectors = []
-    for j in range(steps):
-        p = (j // panel) * panel
-        stored = deinterleave(
-            image.outputs["V"][j * column_words:
-                               j * column_words + 2 * (rows - p)])
-        reflectors.append(stored[j - p:])
     return AppBundle(
         name="QRD",
         image=image,
-        oracle={
-            "matrix": matrix,
-            "R": np.triu(final[:cols, :]),
-            "final": final,
-            "reflectors": reflectors,
-            "betas": betas,
-        },
+        oracle={"matrix": matrix, "block_columns": block_columns},
         work_units=1.0,
         work_name="QRD",
     )
+
+
+def final_matrix(bundle: AppBundle) -> np.ndarray:
+    """The matrix as the program left it: R above, zeros below."""
+    rows, cols = bundle.oracle["matrix"].shape
+    return deinterleave(bundle.image.outputs["A"]).reshape(cols, rows).T
+
+
+def r_factor(bundle: AppBundle) -> np.ndarray:
+    """The upper triangular factor R (cols x cols)."""
+    cols = bundle.oracle["matrix"].shape[1]
+    return np.triu(final_matrix(bundle)[:cols, :])
+
+
+def reflectors(bundle: AppBundle) -> list[tuple[np.ndarray, float]]:
+    """``(v, beta)`` of every Householder step, as stored: ``v``
+    over the step's active rows, ``beta`` from its aux words."""
+    rows, cols = bundle.oracle["matrix"].shape
+    panel = bundle.oracle["block_columns"]
+    column_words = 2 * rows
+    outputs = bundle.image.outputs
+    betas = outputs["betas"]
+    pairs = []
+    for j in range(min(rows, cols)):
+        p = (j // panel) * panel
+        stored = deinterleave(
+            outputs["V"][j * column_words:
+                         j * column_words + 2 * (rows - p)])
+        pairs.append((stored[j - p:], float(betas[4 * j])))
+    return pairs
 
 
 def reconstruct_q(bundle: AppBundle) -> np.ndarray:
@@ -141,8 +159,7 @@ def reconstruct_q(bundle: AppBundle) -> np.ndarray:
     matrix = bundle.oracle["matrix"]
     rows = matrix.shape[0]
     q = np.eye(rows, dtype=complex)
-    for j, (v, beta) in enumerate(zip(bundle.oracle["reflectors"],
-                                      bundle.oracle["betas"])):
+    for j, (v, beta) in enumerate(reflectors(bundle)):
         h = np.eye(rows - j, dtype=complex) - beta * np.outer(v, v.conj())
         full = np.eye(rows, dtype=complex)
         full[j:, j:] = h
@@ -156,7 +173,7 @@ def factorization_error(bundle: AppBundle) -> tuple[float, float]:
     rows, cols = matrix.shape
     q = reconstruct_q(bundle)
     r = np.zeros_like(matrix)
-    r[:cols, :] = bundle.oracle["R"]
+    r[:cols, :] = r_factor(bundle)
     residual = (np.linalg.norm(q @ r - matrix)
                 / np.linalg.norm(matrix))
     unitarity = np.linalg.norm(q.conj().T @ q - np.eye(rows))

@@ -160,7 +160,7 @@ def processor(backend: str, kernels, board: BoardConfig,
 # ----------------------------------------------------------------------
 def _fuzz_specs():
     from repro.isa.kernel_ir import KernelBuilder
-    from repro.streamc.program import KernelSpec
+    from repro.streamc.program import KernelSpec, same_words
 
     def make(name: str, inputs: int) -> KernelSpec:
         builder = KernelBuilder(name)
@@ -170,7 +170,8 @@ def _fuzz_specs():
         builder.stream_output("o", builder.op("fmul", total, total))
         return KernelSpec(
             name, builder.build(),
-            lambda ins, p: [np.sum(ins, axis=0) ** 2])
+            lambda ins, p: [np.sum(ins, axis=0) ** 2],
+            output_words=same_words)
 
     return {n: make(f"vfuzz{n}", n) for n in (1, 2, 3)}
 

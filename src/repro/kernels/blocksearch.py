@@ -79,10 +79,21 @@ def _blocksearch_apply(inputs: list[np.ndarray],
     return [pack16(vectors), pack16(predicted)]
 
 
+def _blocksearch_words(words: list[int], params: dict) -> list[int]:
+    """One offset per block, padded to a whole word, and the
+    predicted stream (as long as the current one)."""
+    block = int(params.get("block", 16))
+    if (2 * words[0]) % block:
+        raise ValueError("blocksearch input must be whole blocks")
+    blocks = 2 * words[0] // block
+    return [(blocks + 1) // 2, words[0]]
+
+
 BLOCKSEARCH = KernelSpec(
     name="blocksearch",
     graph=build_blocksearch_graph(),
     apply_fn=_blocksearch_apply,
+    output_words=_blocksearch_words,
     output_record_words=(1, 1),
     description="search similar macroblocks for motion estimation",
 )

@@ -56,14 +56,25 @@ def build_conv_graph(taps: int) -> KernelGraph:
     return builder.build()
 
 
+def _check_rows(taps: int, count: int) -> None:
+    if count != taps:
+        raise ValueError(f"conv{taps}x{taps} needs {taps} row streams")
+
+
+def _make_output_words(taps: int):
+    def output_words(words: list[int], params: dict) -> list[int]:
+        _check_rows(taps, len(words))
+        return [words[0]]
+
+    return output_words
+
+
 def _make_apply(taps: int):
     kernel2d = np.outer(binomial_taps(taps), binomial_taps(taps))
     shift = kernel2d.sum()
 
     def apply(inputs: list[np.ndarray], params: dict) -> list[np.ndarray]:
-        if len(inputs) != taps:
-            raise ValueError(
-                f"conv{taps}x{taps} needs {taps} row streams")
+        _check_rows(taps, len(inputs))
         rows = np.stack([unpack16(words) for words in inputs])
         width = rows.shape[1]
         padded = pad_edge(rows, taps // 2)
@@ -83,6 +94,7 @@ CONV7X7 = KernelSpec(
     name="conv7x7",
     graph=build_conv_graph(7),
     apply_fn=_make_apply(7),
+    output_words=_make_output_words(7),
     description="convolve images with a 7x7 filter (16 bit)",
 )
 
@@ -90,5 +102,6 @@ CONV3X3 = KernelSpec(
     name="conv3x3",
     graph=build_conv_graph(3),
     apply_fn=_make_apply(3),
+    output_words=_make_output_words(3),
     description="convolve images with a 3x3 filter (16 bit)",
 )

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.isa.kernel_ir import KernelBuilder, KernelGraph
 from repro.kernels.pixelmath import clamp_u16, pack16, unpack16
-from repro.streamc.program import KernelSpec
+from repro.streamc.program import KernelSpec, same_words
 
 
 def build_srfcopy_graph() -> KernelGraph:
@@ -38,6 +38,7 @@ SRFCOPY = KernelSpec(
     name="srfcopy",
     graph=build_srfcopy_graph(),
     apply_fn=_identity_apply,
+    output_words=lambda words, params: list(words[:2]),
     output_record_words=(1, 1),
     description="SRF bandwidth stress kernel",
 )
@@ -59,10 +60,16 @@ def _split_apply(inputs: list[np.ndarray],
     return [data[:head_words].copy(), data[head_words:].copy()]
 
 
+def _split_words(words: list[int], params: dict) -> list[int]:
+    head = len(range(words[0])[:int(params["head_words"])])
+    return [head, words[0] - head]
+
+
 SPLIT = KernelSpec(
     name="split",
     graph=build_split_graph(),
     apply_fn=_split_apply,
+    output_words=_split_words,
     output_record_words=(1, 1),
     description="stream split (head record / remainder)",
 )
@@ -99,5 +106,6 @@ COLORCONV = KernelSpec(
     name="colorconv",
     graph=build_colorconv_graph(),
     apply_fn=_colorconv_apply,
+    output_words=same_words,
     description="RGB to luma conversion",
 )

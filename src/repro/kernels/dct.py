@@ -62,11 +62,24 @@ def build_dct_graph(name: str = "dct8x8") -> KernelGraph:
     return builder.build()
 
 
+def _check_blocks(name: str, words: int) -> None:
+    if (2 * words) % 64:
+        raise ValueError(f"{name} input must be whole 8x8 blocks")
+
+
+def _blockwise_words(name: str):
+    """Output lengths of blockwise kernel ``name``: a word per word."""
+    def output_words(words: list[int], params: dict) -> list[int]:
+        _check_blocks(name, words[0])
+        return [words[0]]
+
+    return output_words
+
+
 def _dct_apply(inputs: list[np.ndarray],
                params: dict) -> list[np.ndarray]:
+    _check_blocks("dct8x8", len(inputs[0]))
     pixels = unpack16(inputs[0]) - _OFFSET
-    if len(pixels) % 64:
-        raise ValueError("dct8x8 input must be whole 8x8 blocks")
     blocks = pixels.reshape(-1, 8, 8)
     coefficients = scipy.fft.dctn(blocks, axes=(1, 2), norm="ortho")
     clipped = np.clip(np.round(coefficients), -_OFFSET, _OFFSET - 1)
@@ -82,6 +95,7 @@ DCT8X8 = KernelSpec(
     name="dct8x8",
     graph=build_dct_graph(),
     apply_fn=_dct_apply,
+    output_words=_blockwise_words("dct8x8"),
     description="2D DCT of 16-bit 8x8 pixel macroblocks",
 )
 
@@ -104,6 +118,7 @@ IDCT8X8 = KernelSpec(
     name="idct8x8",
     graph=build_dct_graph("idct8x8"),
     apply_fn=_idct_apply,
+    output_words=_blockwise_words("idct8x8"),
     description="inverse 2D DCT (MPEG reconstruction)",
 )
 
@@ -159,5 +174,6 @@ QUANTZIG = KernelSpec(
     name="quantzig",
     graph=build_quantzig_graph(),
     apply_fn=_quantzig_apply,
+    output_words=_blockwise_words("quantzig"),
     description="quantization + zig-zag scan (MPEG)",
 )

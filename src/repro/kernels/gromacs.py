@@ -72,11 +72,17 @@ def build_gromacs_graph() -> KernelGraph:
     return builder.build()
 
 
+def _gromacs_words(words: list[int], params: dict) -> list[int]:
+    """Nine force words per 18-word molecule pair."""
+    if words[0] % 18:
+        raise ValueError("gromacs input must be 18-word molecule pairs")
+    return [words[0] // 2]
+
+
 def _gromacs_apply(inputs: list[np.ndarray],
                    params: dict) -> list[np.ndarray]:
     words = inputs[0]
-    if len(words) % 18:
-        raise ValueError("gromacs input must be 18-word molecule pairs")
+    _gromacs_words([len(words)], params)
     pairs = words.reshape(-1, 18)
     mol_a = pairs[:, :9].reshape(-1, 3, 3)
     mol_b = pairs[:, 9:].reshape(-1, 3, 3)
@@ -101,6 +107,7 @@ GROMACS = KernelSpec(
     name="gromacs",
     graph=build_gromacs_graph(),
     apply_fn=_gromacs_apply,
+    output_words=_gromacs_words,
     output_record_words=(9, 1),
     description="force computation between water molecules (float)",
 )

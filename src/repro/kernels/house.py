@@ -93,6 +93,8 @@ HOUSE = KernelSpec(
     name="house",
     graph=build_house_graph(),
     apply_fn=_house_apply,
+    # The reflector, and four aux words: beta, 0, Re r, Im r.
+    output_words=lambda words, params: [words[0], 4],
     output_record_words=(2, 1),
     description="compute the Householder matrix (float)",
 )

@@ -16,7 +16,7 @@ import numpy as np
 from repro.isa.kernel_ir import KernelBuilder, KernelGraph
 from repro.isa.vliw import CompiledKernel
 from repro.kernels.pixelmath import clamp_u16, pack16, pad_edge, unpack16
-from repro.streamc.program import KernelSpec
+from repro.streamc.program import KernelSpec, same_words
 
 
 def build_blocksad_graph() -> KernelGraph:
@@ -64,6 +64,7 @@ BLOCKSAD = KernelSpec(
     name="blocksad",
     graph=build_blocksad_graph(),
     apply_fn=_blocksad_apply,
+    output_words=same_words,
     description="compute SAD of two images (16 bit)",
 )
 
@@ -89,6 +90,7 @@ VSUM7 = KernelSpec(
     name="vsum7",
     graph=build_vsum_graph(7),
     apply_fn=_vsum_apply,
+    output_words=same_words,
     description="7-row vertical sum for the stereo SAD window",
 )
 
@@ -116,6 +118,12 @@ def build_sadmin_graph(taps: int = 7) -> KernelGraph:
     return builder.build()
 
 
+def _score_and_disparity_words(words: list[int],
+                               params: dict) -> list[int]:
+    """New best score and disparity, each as long as the row."""
+    return [words[0], words[0]]
+
+
 def _sadmin_apply(inputs: list[np.ndarray],
                   params: dict) -> list[np.ndarray]:
     taps = 7
@@ -140,6 +148,7 @@ SADMIN = KernelSpec(
     graph=build_sadmin_graph(),
     apply_fn=_sadmin_apply,
     output_record_words=(1, 1),
+    output_words=_score_and_disparity_words,
     description="horizontal SAD window + best-disparity update",
 )
 
@@ -235,6 +244,7 @@ def make_sad7x7() -> KernelSpec:
         graph=build_sad7x7_graph(taps) if shared is None else shared[0],
         apply_fn=apply,
         output_record_words=(1, 1),
+        output_words=_score_and_disparity_words,
         description="7x7 SAD with rolling window (DEPTH)",
         _compiled=None if shared is None else shared[1],
     )

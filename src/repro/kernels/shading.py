@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.isa.kernel_ir import KernelBuilder, KernelGraph
-from repro.streamc.program import KernelSpec
+from repro.streamc.program import KernelSpec, same_words
 
 #: Words per vertex record: x y z w nx ny nz pad.
 VERTEX_WORDS = 8
@@ -55,6 +55,7 @@ XFORM = KernelSpec(
     name="xform",
     graph=build_xform_graph(),
     apply_fn=_xform_apply,
+    output_words=same_words,
     output_record_words=(VERTEX_WORDS,),
     description="vertex transform (RTSL)",
 )
@@ -92,6 +93,7 @@ SHADE = KernelSpec(
     name="shade",
     graph=build_shade_graph(),
     apply_fn=_shade_apply,
+    output_words=same_words,
     output_record_words=(VERTEX_WORDS,),
     description="vertex lighting (RTSL)",
 )
@@ -214,6 +216,8 @@ FRAGSHADE = KernelSpec(
     name="fragshade",
     graph=build_fragshade_graph(),
     apply_fn=_fragshade_apply,
+    # An address and a color per fragment record.
+    output_words=lambda words, params: [words[0] // FRAGMENT_WORDS] * 2,
     output_record_words=(1, 1),
     description="fragment shading (RTSL)",
 )

@@ -40,11 +40,16 @@ def build_sort_graph() -> KernelGraph:
     return builder.build()
 
 
+def _sort_words(words: list[int], params: dict) -> list[int]:
+    if words[0] % 32:
+        raise ValueError("sort32 input must be whole 32-element chunks")
+    return [words[0]]
+
+
 def _sort_apply(inputs: list[np.ndarray],
                 params: dict) -> list[np.ndarray]:
     values = inputs[0]
-    if len(values) % 32:
-        raise ValueError("sort32 input must be whole 32-element chunks")
+    _sort_words([len(values)], params)
     return [np.sort(values.reshape(-1, 32), axis=1).reshape(-1)]
 
 
@@ -52,5 +57,6 @@ SORT32 = KernelSpec(
     name="sort32",
     graph=build_sort_graph(),
     apply_fn=_sort_apply,
+    output_words=_sort_words,
     description="bitonic 32-sort (inter-cluster comm stress)",
 )

@@ -55,14 +55,24 @@ def build_update2_graph() -> KernelGraph:
     return builder.build()
 
 
+def _columns(elements: int, params: dict) -> int:
+    columns = int(params["columns"])
+    if columns <= 0 or elements % columns:
+        raise ValueError("update2: block does not divide into columns")
+    return columns
+
+
+def _update2_words(words: list[int], params: dict) -> list[int]:
+    _columns((words[1] + 1) // 2, params)
+    return [words[1]]
+
+
 def _update2_apply(inputs: list[np.ndarray],
                    params: dict) -> list[np.ndarray]:
     v = deinterleave(inputs[0])
     block = deinterleave(inputs[1])
     beta = float(params["beta"])
-    columns = int(params["columns"])
-    if columns <= 0 or len(block) % columns:
-        raise ValueError("update2: block does not divide into columns")
+    columns = _columns(len(block), params)
     matrix = block.reshape(columns, -1).T  # (n, columns)
     matrix = matrix - np.outer(v, beta * (v.conj() @ matrix))
     return [interleave(matrix.T.reshape(-1))]
@@ -72,6 +82,7 @@ UPDATE2 = KernelSpec(
     name="update2",
     graph=build_update2_graph(),
     apply_fn=_update2_apply,
+    output_words=_update2_words,
     output_record_words=(2,),
     description="matrix-matrix multiplication (float)",
 )

@@ -45,9 +45,11 @@ class ArtifactStore:
 
     def __init__(self, root: str | pathlib.Path,
                  on_written: Callable[[pathlib.Path], None]
-                 | None = None) -> None:
+                 | None = None,
+                 on_evict: Callable[[int], None] | None = None) -> None:
         self.root = pathlib.Path(root)
-        self._cache = ResultCache(self.root)
+        #: ``on_evict`` counts the entries an envelope write prunes.
+        self._cache = ResultCache(self.root, on_evict=on_evict)
         #: Post-write hook; the chaos harness uses it to corrupt or
         #: truncate freshly written entries.
         self.on_written = on_written

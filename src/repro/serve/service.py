@@ -176,9 +176,10 @@ class ExperimentService:
         self.cache_dir = cache_dir
         self.journal = JobJournal(self.data_dir / "journal.jsonl",
                                   fsync=self.config.journal_fsync)
-        self.artifacts = ArtifactStore(
-            cache_dir, on_written=self.chaos.artifact_written)
         self._init_metrics(metrics)
+        self.artifacts = ArtifactStore(
+            cache_dir, on_written=self.chaos.artifact_written,
+            on_evict=self._m_evictions.inc)
         self.breaker = CircuitBreaker(self.config.breaker_threshold,
                                       self.config.breaker_cooldown_s,
                                       on_transition=self._on_breaker)
@@ -236,6 +237,11 @@ class ExperimentService:
         self._m_recovered = m.counter(
             "serve_jobs_recovered_total",
             "jobs recovered from the journal at startup")
+        # Envelope writes prune the engine cache too; their evictions
+        # count with the sessions' own.
+        self._m_evictions = m.counter(
+            "engine_cache_evictions_total",
+            "cache entries evicted by the LRU pruner")
         self._m_artifact_hits = m.counter(
             "serve_artifact_hits_total",
             "submissions answered from the verified artifact store")

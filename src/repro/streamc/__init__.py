@@ -9,9 +9,10 @@ over-length streams into kernel+restart sequences, and load hoisting
 (the software pipelining of memory operations against kernel
 execution the paper credits for hiding memory latency).
 
-Kernel calls are evaluated functionally at build time with each
-kernel's numpy reference model, so programs compute real outputs while
-the emitted instruction stream carries only timing-relevant facts.
+Kernel calls are evaluated functionally with each kernel's numpy
+reference model when their data is read, so programs compute real
+outputs while the emitted instruction stream carries only
+timing-relevant facts.
 """
 
 from repro.streamc.compiler import StreamProgramImage

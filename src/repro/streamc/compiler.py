@@ -2,12 +2,13 @@
 
 The output of the stream compiler: the ordered stream-instruction
 sequence with encoded dependencies, the compiled kernels it references,
-the functional outputs computed at build time, and the descriptor-file
-statistics Table 4 reports.
+the program's functional outputs (computed when first read), and the
+descriptor-file statistics Table 4 reports.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,12 +71,17 @@ class StreamProgramImage:
     name: str
     instructions: list[StreamInstruction]
     kernels: dict[str, CompiledKernel]
-    outputs: dict[str, np.ndarray] = field(default_factory=dict)
+    #: Memory array name -> contents after the program ran.  A built
+    #: image computes them on the first read; the engine never reads
+    #: them.
+    outputs: Mapping[str, np.ndarray] = field(default_factory=dict)
     sdr_writes: int = 0
     sdr_references: int = 0
     mar_writes: int = 0
     mar_references: int = 0
     ucr_writes: int = 0
+    #: Data-independent control flow: nothing read data while the
+    #: program was written, so it can be recorded and played back.
     playback: bool = True
     #: Static metadata for the verifier (``repro.analysis``): memory
     #: array bounds and the compiler's SRF placement decisions.

@@ -16,15 +16,27 @@ dependencies are encoded per instruction, so the scoreboard lets loads
 run ahead of and underneath kernel execution exactly as on the real
 machine.
 
-Kernel calls are also evaluated *functionally* at build time through
-each kernel's numpy reference model, so a program computes real
-output data alongside its instruction stream.
+The builder records calls; stream *data* is computed only when
+something reads it.  The instruction stream needs stream lengths
+alone, and a kernel declares its output lengths from its input
+lengths (``KernelSpec.output_words``).  Data is computed by each
+kernel's numpy reference model when a stream's or array's ``data``, a
+runtime scalar or the image's ``outputs`` is read, or when a kernel
+without a length declaration is called (its output lengths depend on
+its input data).  Every call not yet evaluated is then evaluated in
+program order, so each read sees what eager execution would have
+computed.  A program whose construction never needed data has
+data-independent control flow: its image is a ``playback`` program,
+one StreamC could record once and replay.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,6 +70,11 @@ class KernelSpec:
 
     ``apply_fn(inputs, params) -> outputs`` receives one 1-D word
     array per input stream and returns one per output stream.
+    ``output_words(input_words, params) -> list[int]`` declares the
+    output streams' lengths from the input streams' lengths, so a call
+    needs no data; it raises ``ValueError`` on a shape the model
+    rejects, so a malformed call still fails at the call.  Kernels
+    whose output lengths depend on data leave it ``None``.
     ``unroll`` is passed to the kernel compiler.
     """
 
@@ -67,6 +84,7 @@ class KernelSpec:
     unroll: int = 1
     output_record_words: tuple[int, ...] = (1,)
     description: str = ""
+    output_words: Callable[[list[int], dict], list[int]] | None = None
     _compiled: CompiledKernel | None = field(default=None, repr=False)
 
     def compiled(self) -> CompiledKernel:
@@ -76,35 +94,10 @@ class KernelSpec:
         return self._compiled
 
 
-@dataclass
-class MemArray:
-    """A named region of Imagine DRAM."""
-
-    name: str
-    data: np.ndarray
-    base: int
-
-    @property
-    def words(self) -> int:
-        return len(self.data)
-
-
-@dataclass
-class StreamRef:
-    """A stream living in the SRF."""
-
-    ident: int
-    name: str
-    data: np.ndarray
-    record_words: int = 1
-
-    @property
-    def words(self) -> int:
-        return len(self.data)
-
-    @property
-    def elements(self) -> int:
-        return self.words // self.record_words
+def same_words(words: list[int], params: dict) -> list[int]:
+    """``output_words`` of a kernel whose one output stream is as
+    long as its first input stream."""
+    return [words[0]]
 
 
 @dataclass
@@ -113,25 +106,132 @@ class _Call:
     payload: dict
 
 
+class _Pending:
+    """Recorded calls whose data is not computed yet, in program order.
+
+    The program and its images hold it; streams and arrays reach it
+    through a weak reference, so the calls never cycle back to it and
+    an unread image is freed by reference counting, like any other.
+    """
+
+    def __init__(self) -> None:
+        self.calls: deque[_Call] = deque()
+        #: Whether anything has asked for data (see ``build``).
+        self.forced = False
+        self.ref = weakref.ref(self)
+
+    def evaluate(self) -> None:
+        self.forced = True
+        while self.calls:
+            _evaluate(self.calls[0])
+            self.calls.popleft()
+
+
+def _evaluate_pending(pending: weakref.ref[_Pending], name: str) -> None:
+    live = pending()
+    if live is None:
+        raise StreamProgramError(
+            f"{name!r}: its program and images are gone, so its data "
+            f"can no longer be computed")
+    live.evaluate()
+
+
+@dataclass(eq=False)
+class MemArray:
+    """A named region of Imagine DRAM."""
+
+    name: str
+    _data: np.ndarray = field(repr=False)
+    base: int
+    _pending: weakref.ref[_Pending] = field(repr=False)
+
+    @property
+    def words(self) -> int:
+        return len(self._data)
+
+    @property
+    def data(self) -> np.ndarray:
+        """Contents after every call recorded so far."""
+        _evaluate_pending(self._pending, self.name)
+        return self._data
+
+
+@dataclass(eq=False)
+class StreamRef:
+    """A stream living in the SRF; ``data`` is computed on first read."""
+
+    ident: int
+    name: str
+    words: int
+    record_words: int
+    _pending: weakref.ref[_Pending] = field(repr=False)
+    _data: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            _evaluate_pending(self._pending, self.name)
+        return self._data
+
+    @property
+    def elements(self) -> int:
+        return self.words // self.record_words
+
+
+@dataclass(frozen=True, eq=False)
+class StreamScalar:
+    """Word ``index`` of a stream, passed to kernels as a parameter.
+
+    A runtime value: the stream compiler never sees it, so two scalars
+    compare by identity (``eq=False``) and only reusing the same scalar
+    elides a UCR write.  Kernel models receive its float value.
+    """
+
+    stream: StreamRef
+    index: int
+
+    def __float__(self) -> float:
+        return float(self.stream.data[self.index])
+
+
+class _Outputs(Mapping):
+    """``image.outputs``: array name -> contents after the whole
+    program, evaluating pending calls on the first read."""
+
+    def __init__(self, arrays: dict[str, MemArray],
+                 pending: _Pending) -> None:
+        self._arrays = arrays
+        self._pending = pending
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        array = self._arrays[name]
+        self._pending.evaluate()
+        return array._data
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._arrays)
+
+    def __len__(self) -> int:
+        return len(self._arrays)
+
+
 class StreamProgram:
     """Builder + stream compiler for one application run."""
 
     def __init__(self, name: str, machine: MachineConfig | None = None,
                  max_batch_elements: int = DEFAULT_MAX_BATCH_ELEMENTS,
-                 playback: bool = True,
                  srf_rotation_depth: int = 4) -> None:
         self.name = name
         self.machine = machine or MachineConfig()
         self.max_batch_elements = max_batch_elements
-        self.playback = playback
         #: SRF buffer-rotation policy knob (see StreamRegisterFile);
         #: exposed for the double-buffering ablation study.
         self.srf_rotation_depth = srf_rotation_depth
         self._arrays: dict[str, MemArray] = {}
         self._next_base = 0
         self._calls: list[_Call] = []
-        self._streams: list[StreamRef] = []
-        self._kernels: dict[str, KernelSpec] = {}
+        self._pending = _Pending()
+        self._stream_count = 0
 
     # ------------------------------------------------------------------
     # Data declaration.
@@ -141,7 +241,7 @@ class StreamProgram:
         if name in self._arrays:
             raise StreamProgramError(f"array {name!r} already declared")
         words = np.asarray(data, dtype=np.float64).reshape(-1).copy()
-        array = MemArray(name, words, self._next_base)
+        array = MemArray(name, words, self._next_base, self._pending.ref)
         span = max(1, len(words))
         self._next_base += (
             (span + _ARRAY_ALIGN_WORDS - 1)
@@ -164,10 +264,10 @@ class StreamProgram:
             if words is None:
                 words = array.words - start
             pattern = unit_stride(words, start=array.base + start)
-        data = _gather(array, pattern)
+        _check_bounds(array, pattern, "load from")
         stream = self._new_stream(name or f"{array.name}@{start}",
-                                  data, record_words)
-        self._calls.append(_Call("load", dict(
+                                  pattern.words, record_words)
+        self._record(_Call("load", dict(
             array=array, pattern=pattern, stream=stream)))
         return stream
 
@@ -180,8 +280,8 @@ class StreamProgram:
             raise StreamProgramError(
                 f"store of {stream.name!r}: pattern covers "
                 f"{pattern.words} words, stream has {stream.words}")
-        _scatter(array, pattern, stream.data)
-        self._calls.append(_Call("store", dict(
+        _check_bounds(array, pattern, "store to")
+        self._record(_Call("store", dict(
             array=array, pattern=pattern, stream=stream)))
 
     def kernel(self, spec: KernelSpec, inputs: list[StreamRef],
@@ -189,23 +289,30 @@ class StreamProgram:
                name: str | None = None) -> list[StreamRef]:
         """Run a kernel over SRF streams; returns its output streams."""
         params = dict(params or {})
-        self._kernels.setdefault(spec.name, spec)
-        raw_outputs = spec.apply_fn([s.data for s in inputs], params)
-        if not isinstance(raw_outputs, (list, tuple)):
-            raw_outputs = [raw_outputs]
-        records = spec.output_record_words
-        if len(records) < len(raw_outputs):
-            records = records + (1,) * (len(raw_outputs) - len(records))
+        if spec.output_words is None:
+            # The output lengths depend on the data: compute it now.
+            self._pending.evaluate()
+            data = _apply(spec, inputs, params)
+            words = [len(out) for out in data]
+        else:
+            data = None
+            words = spec.output_words([s.words for s in inputs], params)
+        records = spec.output_record_words + (1,) * (
+            len(words) - len(spec.output_record_words))
         outputs = [
-            self._new_stream(
-                name or f"{spec.name}.out{i}",
-                np.asarray(out, dtype=np.float64).reshape(-1),
-                records[i])
-            for i, out in enumerate(raw_outputs)
+            self._new_stream(name or f"{spec.name}.out{i}", count,
+                             records[i])
+            for i, count in enumerate(words)
         ]
-        self._calls.append(_Call("kernel", dict(
+        call = _Call("kernel", dict(
             spec=spec, inputs=list(inputs), outputs=outputs,
-            params=params)))
+            params=params))
+        if data is None:
+            self._record(call)
+        else:
+            self._calls.append(call)
+            for stream, out in zip(outputs, data):
+                stream._data = out
         return outputs
 
     def kernel1(self, spec: KernelSpec, inputs: list[StreamRef],
@@ -218,9 +325,17 @@ class StreamProgram:
                 f"{spec.name} produced {len(outputs)} outputs")
         return outputs[0]
 
+    def scalar(self, stream: StreamRef, index: int = 0) -> StreamScalar:
+        """Word ``index`` of ``stream`` as a runtime kernel parameter."""
+        if not 0 <= index < stream.words:
+            raise StreamProgramError(
+                f"scalar {index} of {stream.name!r} out of range "
+                f"(stream has {stream.words} words)")
+        return StreamScalar(stream, index)
+
     def host_read(self, tag: str = "") -> None:
         """Host reads a scalar result; serializes the host."""
-        self._calls.append(_Call("host_read", dict(tag=tag)))
+        self._record(_Call("host_read", dict(tag=tag)))
 
     # ------------------------------------------------------------------
     # The stream compiler.
@@ -235,12 +350,15 @@ class StreamProgram:
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
-    def _new_stream(self, name: str, data: np.ndarray,
+    def _record(self, call: _Call) -> None:
+        self._calls.append(call)
+        self._pending.calls.append(call)
+
+    def _new_stream(self, name: str, words: int,
                     record_words: int) -> StreamRef:
-        stream = StreamRef(len(self._streams), name,
-                           np.asarray(data, dtype=np.float64).reshape(-1),
-                           record_words)
-        self._streams.append(stream)
+        stream = StreamRef(self._stream_count, name, int(words),
+                           record_words, self._pending.ref)
+        self._stream_count += 1
         return stream
 
     def _analyze_lifetimes(self) -> dict[int, int]:
@@ -258,6 +376,42 @@ class StreamProgram:
                 stream = call.payload["stream"]
                 last_use.setdefault(stream.ident, position)
         return last_use
+
+
+def _apply(spec: KernelSpec, inputs: list[StreamRef],
+           params: dict) -> list[np.ndarray]:
+    """Run ``spec``'s model; runtime scalars reach it as floats."""
+    values = {key: float(value) if isinstance(value, StreamScalar)
+              else value for key, value in params.items()}
+    outputs = spec.apply_fn([s.data for s in inputs], values)
+    if not isinstance(outputs, (list, tuple)):
+        outputs = [outputs]
+    return [np.asarray(out, dtype=np.float64).reshape(-1)
+            for out in outputs]
+
+
+def _evaluate(call: _Call) -> None:
+    """Compute one recorded call's data (its inputs already exist)."""
+    payload = call.payload
+    if call.kind == "load":
+        array = payload["array"]
+        payload["stream"]._data = array._data[
+            _positions(array, payload["pattern"])]
+    elif call.kind == "store":
+        array, words = payload["array"], payload["stream"].data
+        positions = _positions(array, payload["pattern"])
+        array._data[positions] = words[:len(positions)]
+    elif call.kind == "kernel":
+        spec, outputs = payload["spec"], payload["outputs"]
+        data = _apply(spec, payload["inputs"], payload["params"])
+        declared = [s.words for s in outputs]
+        if [len(out) for out in data] != declared:
+            raise StreamProgramError(
+                f"{spec.name}: model produced "
+                f"{[len(out) for out in data]} output words, "
+                f"its declaration {declared}")
+        for stream, out in zip(outputs, data):
+            stream._data = out
 
 
 class _Emitter:
@@ -358,6 +512,8 @@ class _Emitter:
         previous = self.last_params.get(spec.name)
         self.last_params[spec.name] = params
         deps = []
+        # A StreamScalar compares by identity: its value is unknown
+        # here, so only the same scalar again elides the write.
         changed = (params.keys() if previous is None else
                    [k for k, v in params.items()
                     if previous.get(k) != v])
@@ -463,19 +619,17 @@ class _Emitter:
     # -- wrap-up -----------------------------------------------------------
     def finish(self) -> StreamProgramImage:
         program = self.program
-        outputs = {name: array.data for name, array in
-                   program._arrays.items()}
         return StreamProgramImage(
             name=program.name,
             instructions=self.instructions,
             kernels=dict(self.kernels_used),
-            outputs=outputs,
+            outputs=_Outputs(dict(program._arrays), program._pending),
             sdr_writes=self.sdrs.writes,
             sdr_references=self.sdrs.references,
             mar_writes=self.mars.writes,
             mar_references=self.mars.references,
             ucr_writes=self.ucr_writes,
-            playback=program.playback,
+            playback=not program._pending.forced,
             arrays=[ArrayExtent(name, array.base, array.words)
                     for name, array in sorted(program._arrays.items())],
             srf_allocations=[SrfAllocationRecord(*row)
@@ -493,27 +647,31 @@ def _pattern_range(pattern: AccessPattern) -> tuple[int, int]:
                                               pattern.words)
 
 
-def _gather(array: MemArray, pattern: AccessPattern) -> np.ndarray:
-    positions = expand_pattern(pattern) - array.base
-    if positions.min(initial=0) < 0 or (
-            len(positions) and positions.max() >= array.words):
-        if pattern.kind == "indexed":
-            positions = positions % array.words
-        else:
-            raise StreamProgramError(
-                f"load from {array.name!r} out of bounds "
-                f"(array has {array.words} words)")
-    return array.data[positions]
+def _check_bounds(array: MemArray, pattern: AccessPattern,
+                  verb: str) -> None:
+    """A strided pattern must fall inside ``array`` (an indexed one
+    wraps around it).  Computed from the pattern's first and last
+    records, without expanding its addresses."""
+    if pattern.kind == "indexed":
+        return
+    records, stride = pattern.records, pattern.stride
+    last = pattern.start + (records - 1) * stride
+    lo = min(pattern.start, last)
+    # The last record may be short; every earlier one is whole.
+    hi = last + pattern.words - (records - 1) * pattern.record_words
+    if records > 1:
+        hi = max(hi, max(pattern.start, last - stride)
+                 + pattern.record_words)
+    if lo < array.base or hi > array.base + array.words:
+        raise StreamProgramError(
+            f"{verb} {array.name!r} out of bounds "
+            f"(array has {array.words} words)")
 
 
-def _scatter(array: MemArray, pattern: AccessPattern,
-             words: np.ndarray) -> None:
+def _positions(array: MemArray, pattern: AccessPattern) -> np.ndarray:
+    """Word offsets ``pattern`` touches in ``array``; an indexed
+    pattern wraps around the array."""
     positions = expand_pattern(pattern) - array.base
     if pattern.kind == "indexed":
-        positions = positions % array.words
-    elif positions.min(initial=0) < 0 or (
-            len(positions) and positions.max() >= array.words):
-        raise StreamProgramError(
-            f"store to {array.name!r} out of bounds "
-            f"(array has {array.words} words)")
-    array.data[positions] = words[:len(positions)]
+        return positions % array.words
+    return positions

@@ -8,6 +8,9 @@ of a compiled program's instruction stream (instructions, deps,
 access patterns, descriptor stats) that round-trips exactly, so a
 program can be compiled once and replayed on any simulator instance.
 
+Only playback images can be recorded: a program that read data while
+it was written (MPEG's RLE lengths, RTSL's fragments) has control flow
+a record cannot replay, and :func:`save_record` refuses it.
 Functional outputs are not part of the record -- the record is the
 host-side artifact, and data lives in Imagine memory.
 """

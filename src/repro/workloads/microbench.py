@@ -30,7 +30,7 @@ from repro.isa.kernel_ir import KernelBuilder
 from repro.kernels.copy import SRFCOPY
 from repro.kernels.sort import SORT32
 from repro.memsys.patterns import indexed
-from repro.streamc.program import KernelSpec, StreamProgram
+from repro.streamc.program import KernelSpec, StreamProgram, same_words
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ def _peak_kernel(name: str, float_ops: bool) -> KernelSpec:
     for i in range(32):
         last = builder.op(mul_op, last, operand, name=f"m{i}")
     builder.stream_output("out", last)
-    return KernelSpec(name, builder.build(), _identity_apply)
+    return KernelSpec(name, builder.build(), _identity_apply,
+                      output_words=same_words)
 
 
 def _run_kernel_bench(spec: KernelSpec, stream_words: int,

@@ -25,7 +25,7 @@ from repro.isa.kernel_ir import KernelBuilder
 from repro.isa.stream_ops import StreamInstruction, StreamOpType
 from repro.isa.vliw import CompiledKernel
 from repro.memsys.patterns import AccessPattern, indexed, strided, unit_stride
-from repro.streamc.program import KernelSpec, StreamProgram
+from repro.streamc.program import KernelSpec, StreamProgram, same_words
 
 
 def synthetic_kernel(name: str, main_loop_cycles: int,
@@ -60,7 +60,8 @@ def synthetic_kernel(name: str, main_loop_cycles: int,
         lrf_reads_per_iteration=6 * main_loop_cycles,
         lrf_writes_per_iteration=3 * main_loop_cycles,
     )
-    spec = KernelSpec(name, graph, lambda ins, p: [ins[0].copy()])
+    spec = KernelSpec(name, graph, lambda ins, p: [ins[0].copy()],
+                      output_words=same_words)
     spec._compiled = compiled
     return spec
 

@@ -14,7 +14,7 @@ from repro.apps.mpeg import (
     from_macroblock_order,
     motion_vector_accuracy,
 )
-from repro.apps.qrd import factorization_error
+from repro.apps.qrd import factorization_error, final_matrix, r_factor
 from repro.apps.rtsl import coverage, framebuffer_matches_reference
 from repro.core import BoardConfig
 from repro.core.metrics import CycleCategory
@@ -123,11 +123,11 @@ class TestQrd:
         assert unitarity < 1e-10
 
     def test_r_upper_triangular(self, qrd_bundle):
-        r = qrd_bundle.oracle["R"]
+        r = r_factor(qrd_bundle)
         assert np.allclose(np.tril(r, -1), 0)
 
     def test_final_subdiagonal_annihilated(self, qrd_bundle):
-        final = qrd_bundle.oracle["final"]
+        final = final_matrix(qrd_bundle)
         cols = final.shape[1]
         strict_lower = final[:cols, :][np.tril_indices(cols, -1)]
         below = final[cols:, :]

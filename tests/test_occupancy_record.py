@@ -14,7 +14,7 @@ from repro.isa.kernel_ir import FuClass, KernelBuilder
 from repro.kernels import KERNEL_LIBRARY
 from repro.kernels.library import TABLE2_KERNELS
 from repro.streamc import StreamProgram
-from repro.streamc.program import KernelSpec
+from repro.streamc.program import KernelSpec, same_words
 from repro.streamc.record import RecordError, load_record, save_record
 
 
@@ -59,7 +59,8 @@ def build_image():
     x = b.stream_input("x")
     b.stream_output("o", b.op("fadd", x, x))
     spec = KernelSpec("double", b.build(),
-                      lambda ins, p: [2 * ins[0]])
+                      lambda ins, p: [2 * ins[0]],
+                      output_words=same_words)
     program = StreamProgram("recme")
     data = program.array("d", np.arange(512, dtype=float))
     out = program.alloc_array("o", 512)

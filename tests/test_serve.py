@@ -1135,6 +1135,39 @@ class TestCacheEviction:
         assert stats["over_budget"] is False
         assert stats["entries"] == (0 if budget == 1000 else 1)
 
+    def test_envelope_evictions_are_counted(self, tmp_path, monkeypatch):
+        """``engine_cache_evictions_total`` counts every entry a prune
+        removes, including the prunes that envelope writes run."""
+        from repro.engine.cache import ResultCache
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "12000")
+        removed = []
+        prune = ResultCache.prune
+
+        def counting_prune(cache, *args, **kwargs):
+            report = prune(cache, *args, **kwargs)
+            removed.append(report["evicted"])
+            return report
+
+        monkeypatch.setattr(ResultCache, "prune", counting_prune)
+
+        async def scenario():
+            service = ExperimentService(service_config(tmp_path))
+            await service.start()
+            try:
+                for payload in (DEPTH, DEPTH2):
+                    job, _ = service.submit(payload)
+                    await service.wait(job.id, timeout_s=120)
+                    assert service.status(job.id).state == "completed"
+                return _counter_total(service,
+                                      "engine_cache_evictions_total")
+            finally:
+                await service.stop()
+
+        counted = run(scenario())
+        assert sum(removed) >= 1
+        assert counted == sum(removed)
+
     def test_oversized_half_is_never_written(self, tmp_path,
                                              monkeypatch):
         """A half larger than the whole budget is skipped, not written

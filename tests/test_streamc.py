@@ -13,7 +13,8 @@ from repro.streamc import (
     StreamDispatcher,
     StreamProgram,
 )
-from repro.streamc.program import KernelSpec, StreamProgramError
+from repro.streamc.program import (KernelSpec, StreamProgramError,
+                                   same_words)
 
 
 def scale_spec(name="scale"):
@@ -22,7 +23,8 @@ def scale_spec(name="scale"):
     c = b.param("c")
     b.stream_output("out", b.op("fmul", x, c))
     return KernelSpec(name, b.build(),
-                      lambda ins, p: [p.get("c", 1.0) * ins[0]])
+                      lambda ins, p: [p.get("c", 1.0) * ins[0]],
+                      output_words=same_words)
 
 
 class TestDescriptorFile:
