@@ -15,14 +15,24 @@ catalog ``source`` (name + build sizes), which marks them as
 cache their results content-addressed.  Bundles built by calling an
 app module's ``build()`` directly carry no source and always run
 in-process, uncached.
+
+The engine builds through :func:`bundle_for`, which builds a playback
+program once per shape and process (see "Build once per shape" in
+``docs/engine.md``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+import dataclasses
+import threading
+from collections import OrderedDict
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.common import AppBundle
+    from repro.engine.request import RunRequest
+    from repro.streamc.compiler import StreamProgramImage
 
 
 class CatalogError(KeyError):
@@ -68,10 +78,156 @@ def build_app(name: str, **sizes: Any) -> "AppBundle":
     return bundle
 
 
+#: Bytes of built images :func:`bundle_for` holds per process, least
+#: recently used dropped first; an image larger than this is never
+#: held.  A held image takes 0.1-0.4 MB at perfbench's reduced shapes
+#: and 0.6 MB (DEPTH) / 1 MB (QRD) at default size.
+HELD_BYTES_BUDGET = 4 << 20
+
+
+class _Withheld(Mapping):
+    """``outputs`` of a held image: the image serves every data seed
+    of its shape, so it keeps no data and reading any raises."""
+
+    def __init__(self, names: Iterable[str]) -> None:
+        self._names = tuple(names)
+
+    def __getitem__(self, name: str) -> Any:
+        from repro.streamc.program import StreamProgramError
+
+        raise StreamProgramError(
+            f"{name!r}: this image is shared by every data seed of its "
+            f"shape, so it holds no outputs; build it with build_app to "
+            f"read them")
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+#: What a held image keeps alive per instruction and per SRF
+#: allocation or array record: fitted to tracemalloc at the DEPTH and
+#: QRD shapes of perfbench and the defaults (0-10% above it; neither
+#: app carries explicit gather indices).  The compiled kernels are not
+#: charged: their specs hold them for every build anyway.
+_INSTRUCTION_BYTES, _RECORD_BYTES = 360, 224
+
+
+def _footprint(image: "StreamProgramImage") -> int:
+    """Bytes a held image is charged against the budget."""
+    records = len(image.srf_allocations) + len(image.arrays)
+    return (_INSTRUCTION_BYTES * len(image.instructions)
+            + _RECORD_BYTES * records)
+
+
+class ShapeMemo:
+    """Built bundles by shape, bounded by ``budget`` bytes (LRU).
+
+    Thread-safe: ``repro serve`` runs one session per worker thread,
+    and they share the process's memo.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.held_bytes = 0
+        self._held: OrderedDict[tuple, tuple["AppBundle", int]] = \
+            OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def get(self, key: tuple) -> "AppBundle | None":
+        with self._lock:
+            entry = self._held.get(key)
+            if entry is None:
+                return None
+            self._held.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: tuple, bundle: "AppBundle",
+            size: int) -> "AppBundle":
+        """Hold ``bundle`` unless it alone exceeds the budget; returns
+        the bundle now held for ``key`` (another thread's, when it
+        built the same shape first)."""
+        with self._lock:
+            entry = self._held.get(key)
+            if entry is not None:
+                self._held.move_to_end(key)
+                return entry[0]
+            if size > self.budget:
+                return bundle
+            self._held[key] = (bundle, size)
+            self.held_bytes += size
+            while self.held_bytes > self.budget:
+                _, (_, dropped) = self._held.popitem(last=False)
+                self.held_bytes -= dropped
+            return bundle
+
+
+_memo = ShapeMemo(HELD_BYTES_BUDGET)
+
+
+def _shape_key(request: "RunRequest") -> tuple | None:
+    """What a build reads besides the data seed: the app and its other
+    sizes.  ``None`` when the seed is not a non-negative int (the
+    builders' random generators reject anything else), so the build
+    runs and raises as it always did.
+
+    The request's machine is not in the key because no build receives
+    it: every image is compiled for the default machine's SRF and
+    microcode store.  A build that is passed the machine must add it
+    here.
+    """
+    shape = []
+    for name, value in request.sizes:
+        if name != "seed":
+            shape.append((name, value))
+        elif type(value) is not int or value < 0:
+            return None
+    return canonical_name(request.app), tuple(shape)
+
+
+def bundle_for(request: "RunRequest") -> "AppBundle":
+    """The engine's one build path: ``request``'s bundle, built once
+    per shape and process when it is a playback program.
+
+    A playback program's control flow reads no data (DEPTH and QRD),
+    so its image is the same for every data seed: the memo holds it,
+    with its outputs withheld and its oracle dropped, and a request at
+    another seed skips input generation, call recording and the stream
+    compiler.  Other programs (MPEG and RTSL) build on every request.
+    A served playback image's ``outputs`` raise
+    :class:`~repro.streamc.program.StreamProgramError`; build with
+    :func:`build_app` to read them.
+    """
+    key = _shape_key(request)
+    held = None if key is None else _memo.get(key)
+    if held is None:
+        bundle = build_app(request.app, **dict(request.sizes))
+        if key is None or not bundle.image.playback:
+            return bundle
+        image = bundle.image
+        held = dataclasses.replace(
+            bundle, oracle={}, source=None,
+            image=dataclasses.replace(image,
+                                      outputs=_Withheld(image.outputs)))
+        held = _memo.put(key, held, _footprint(held.image))
+    return dataclasses.replace(held, source=(key[0], request.sizes))
+
+
 __all__ = [
     "APP_NAMES",
     "CatalogError",
+    "HELD_BYTES_BUDGET",
+    "ShapeMemo",
     "app_builders",
     "build_app",
+    "bundle_for",
     "canonical_name",
 ]

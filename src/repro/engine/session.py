@@ -280,7 +280,7 @@ def _execute_request(request: RunRequest, backend: str,
                      derive: bool = False) -> RunOutcome:
     """Worker entry point: rebuild the bundle from the catalog, run,
     and derive the reports when the outcome feeds the cache."""
-    bundle = catalog.build_app(request.app, **dict(request.sizes))
+    bundle = catalog.bundle_for(request)
     outcome = _capture(bundle, request, backend, preflight=preflight)
     return _derive(outcome) if derive else outcome
 
@@ -494,7 +494,7 @@ class Session:
             # Traced runs stay in-process (tracers do not cross
             # process boundaries) and bypass the cache.
             bundle = prebuilt if prebuilt is not None else \
-                catalog.build_app(request.app, **dict(request.sizes))
+                catalog.bundle_for(request)
             return self._run_uncached(request, bundle, tracer, backend)
 
         digest = request.digest(salt=self._salt)
@@ -529,7 +529,7 @@ class Session:
             handle._attempts = 1
         else:
             bundle = prebuilt if prebuilt is not None else \
-                catalog.build_app(request.app, **dict(request.sizes))
+                catalog.bundle_for(request)
             self._complete(handle, _capture(
                 bundle, request, backend, preflight=self.preflight))
         return handle

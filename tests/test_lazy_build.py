@@ -4,19 +4,29 @@ A program records its calls; kernel models run when a stream's data,
 a runtime scalar or the image's outputs is read, or when a kernel
 without a length declaration is called.  These tests pin what that
 must not change (the compiled image, every value read) and what it
-buys (an engine run of DEPTH or QRD runs no kernel model).
+buys (an engine run of DEPTH or QRD runs no kernel model).  The
+engine builds a playback program once per shape and process; the
+tests at the end pin that a held image serves every data seed and
+keeps none of their data.
 """
 
+import contextlib
 import gc
 import json
 import random
+import sys
+import threading
+import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.streamc.program as program_module
-from repro.engine import RunRequest, Session, SessionConfig
+from repro.engine import RunRequest, Session, SessionConfig, catalog
 from repro.engine.catalog import APP_NAMES, build_app
 from repro.isa.kernel_ir import KernelBuilder
 from repro.kernels.conv import CONV7X7
@@ -253,3 +263,241 @@ def test_bounds_check_matches_the_expanded_addresses():
             assert not inside, pattern
         else:
             assert inside, pattern
+
+
+# ----------------------------------------------------------------------
+# Build once per shape: the engine reuses a playback image across seeds.
+# ----------------------------------------------------------------------
+def _fresh_memo(budget=catalog.HELD_BYTES_BUDGET):
+    """Run the enclosed code against an empty memo of ``budget``."""
+    return mock.patch.object(catalog, "_memo", catalog.ShapeMemo(budget))
+
+
+@contextlib.contextmanager
+def _counting_builds():
+    """Yield the list of sizes the memo's builds are called with."""
+    builds = []
+    build = catalog.build_app
+
+    def counting_build(name, **sizes):
+        builds.append(sizes)
+        return build(name, **sizes)
+
+    with mock.patch.object(catalog, "build_app", counting_build):
+        yield builds
+
+
+#: Shapes within each builder's limits, kept small (DEPTH needs a few
+#: rows beyond its 7x7 window, and even widths; QRD needs cols <= rows).
+_SHAPE_STRATEGIES = {
+    "depth": st.fixed_dictionaries({
+        "height": st.integers(12, 32),
+        "width": st.integers(16, 80).map(lambda half: 2 * half),
+        "disparities": st.integers(1, 8)}),
+    "qrd": st.integers(8, 64).flatmap(lambda rows: st.fixed_dictionaries({
+        "rows": st.just(rows),
+        "cols": st.integers(2, rows),
+        "block_columns": st.integers(1, 12)})),
+    "mpeg": st.fixed_dictionaries({
+        "frames": st.integers(1, 2),
+        "height": st.sampled_from([16, 32]),
+        "width": st.sampled_from([32, 64, 96])}),
+    "rtsl": st.fixed_dictionaries({
+        "triangles": st.integers(8, 64)}),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(app=st.sampled_from(APP_NAMES), data=st.data(),
+       seeds=st.lists(st.integers(0, 2**32), min_size=2, max_size=2,
+                      unique=True))
+def test_memo_serves_every_seed_of_a_shape(app, data, seeds):
+    """A builder's seed chooses only data placed in arrays: a memo
+    hit at another seed is the image a fresh build compiles there,
+    and simulates to the same metrics.  Data-dependent programs are
+    never held, so each of their requests still builds."""
+    shape = data.draw(_SHAPE_STRATEGIES[app], label="shape")
+    first, second = (RunRequest(app=app, sizes={**shape, "seed": seed})
+                     for seed in seeds)
+    with _fresh_memo(), _counting_builds() as builds, \
+            Session(config=SessionConfig(cache=False)) as session:
+        held = catalog.bundle_for(first)
+        served = catalog.bundle_for(second)
+        fresh = build_app(app, **shape, seed=seeds[1])
+        if not fresh.image.playback:
+            assert len(catalog._memo) == 0
+            assert len(builds) == 2
+            return
+        assert len(catalog._memo) == 1 and len(builds) == 1
+        assert served.image is held.image
+        assert served.source == (app, second.sizes)
+        assert _canonical(served.image) == _canonical(fresh.image)
+        from_memo = session.run(second)
+        from_fresh = session.run_bundle(fresh)
+        assert repr(from_memo.metrics) == repr(from_fresh.metrics)
+
+
+def test_served_outputs_raise_and_say_why():
+    with _fresh_memo():
+        bundle = catalog.bundle_for(
+            RunRequest(app="depth", sizes={"height": 16, "width": 64}))
+    assert bundle.oracle == {}
+    assert "depth" in bundle.image.outputs
+    assert sorted(bundle.image.outputs) == sorted(
+        build_app("depth", height=16, width=64).image.outputs)
+    with pytest.raises(StreamProgramError,
+                       match="shared by every data seed"):
+        bundle.image.outputs["depth"]
+
+
+def test_the_first_build_is_freed_once_its_caller_drops_it(monkeypatch):
+    """The memo keeps instructions only: the first build's pending
+    calls and its arrays go with the caller's last reference."""
+    kept = []
+    build = catalog.build_app
+
+    def keeping_build(name, **sizes):
+        bundle = build(name, **sizes)
+        kept.append(weakref.ref(bundle.image.outputs._pending))
+        kept.extend(weakref.ref(array)
+                    for array in bundle.image.outputs._arrays.values())
+        return bundle
+
+    monkeypatch.setattr(catalog, "build_app", keeping_build)
+    gc.collect()
+    gc.disable()
+    try:
+        with _fresh_memo():
+            served = catalog.bundle_for(RunRequest(
+                app="qrd", sizes={"rows": 32, "cols": 16, "seed": 4}))
+            assert len(catalog._memo) == 1
+            assert len(kept) > 1
+            assert [ref() for ref in kept] == [None] * len(kept)
+            assert served.image.instructions
+    finally:
+        gc.enable()
+
+
+def test_held_bytes_stay_within_the_budget():
+    rng = random.Random(0)
+    memo = catalog.ShapeMemo(budget=1000)
+    charged = {}
+    for step in range(300):
+        key = ("app", rng.randrange(12))
+        if memo.get(key) is not None:
+            continue
+        size = rng.randrange(1, 1200)
+        held = memo.put(key, object(), size)
+        if size <= memo.budget:
+            charged[key] = size
+            assert memo.get(key) is held
+        else:
+            assert memo.get(key) is None
+        live = {k: v for k, v in charged.items() if memo.get(k)}
+        assert memo.held_bytes == sum(live.values()) <= memo.budget
+    assert 1 < len(memo) < 12
+
+
+def test_the_least_recently_used_goes_first():
+    memo = catalog.ShapeMemo(budget=30)
+    for key in "abc":
+        memo.put(key, key, 10)
+    memo.get("a")
+    memo.put("d", "d", 10)
+    assert [memo.get(key) for key in "abcd"] == ["a", None, "c", "d"]
+
+
+def test_an_oversized_image_is_never_held():
+    with _fresh_memo(budget=1000), _counting_builds() as builds:
+        for seed in (1, 2):
+            bundle = catalog.bundle_for(RunRequest(
+                app="depth", sizes={"height": 16, "width": 64,
+                                    "seed": seed}))
+            assert len(catalog._memo) == 0
+            assert catalog._memo.held_bytes == 0
+    assert len(builds) == 2
+    with pytest.raises(StreamProgramError):
+        bundle.image.outputs["depth"]
+
+
+def test_a_seed_the_builders_reject_still_raises():
+    with _fresh_memo():
+        catalog.bundle_for(RunRequest(app="depth",
+                                      sizes={"height": 16, "width": 64}))
+        with pytest.raises(ValueError):
+            catalog.bundle_for(RunRequest(
+                app="depth", sizes={"height": 16, "width": 64,
+                                    "seed": -1}))
+
+
+def test_memo_accounting_survives_contention():
+    """Four threads (more than this suite's CI cores) race puts and
+    gets with a short switch interval; a lost update would leave the
+    held bytes off the sum of what is held."""
+    memo = catalog.ShapeMemo(budget=5000)
+    barrier = threading.Barrier(4)
+
+    def hammer(seed):
+        rng = random.Random(seed)
+        barrier.wait(timeout=60)
+        for _ in range(2000):
+            key = rng.randrange(40)
+            if memo.get(key) is None:
+                memo.put(key, key, rng.randrange(100, 900))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for future in [pool.submit(hammer, seed) for seed in range(4)]:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    held = list(memo._held.items())
+    assert memo.held_bytes == sum(size for _, (_, size) in held)
+    assert memo.held_bytes <= memo.budget
+    assert all(bundle == key for key, (bundle, _) in held)
+
+
+def test_concurrent_submits_of_one_shape_agree(tmp_path):
+    """Sessions on a few threads (as ``repro serve`` runs them) share
+    the memo: equal results, one held image, consistent accounting."""
+    threads = 4
+    barrier = threading.Barrier(threads)
+
+    def submit(seed):
+        config = SessionConfig(cache_dir=str(tmp_path / str(seed)))
+        with Session(config=config) as session:
+            barrier.wait(timeout=60)
+            return session.run(RunRequest(
+                app="qrd", sizes={"rows": 48, "cols": 24, "seed": seed}))
+
+    with _fresh_memo(), ThreadPoolExecutor(threads) as pool:
+        results = list(pool.map(submit, range(threads)))
+        (bundle, size), = catalog._memo._held.values()
+        assert catalog._memo.held_bytes == size == catalog._footprint(
+            bundle.image)
+    assert len({repr(result.metrics) for result in results}) == 1
+
+
+@pytest.mark.parametrize("app,sizes", [
+    ("depth", {"height": 24, "width": 96}),
+    ("qrd", {"rows": 64, "cols": 32}),
+])
+def test_the_charge_covers_what_a_held_image_keeps(app, sizes):
+    """The per-instruction charge is fitted to tracemalloc; it may
+    run a little over what a held image keeps alive, never under."""
+    request = RunRequest(app=app, sizes=sizes)
+    with _fresh_memo():
+        catalog.bundle_for(request)    # compile the kernels first
+    with _fresh_memo():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            catalog.bundle_for(request)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= catalog._memo.held_bytes <= 1.3 * kept
