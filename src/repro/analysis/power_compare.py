@@ -37,20 +37,22 @@ class EfficiencyRow:
 
 
 def imagine_pj_per_flop(machine: MachineConfig | None = None,
-                        board: BoardConfig | None = None) -> float:
+                        board: BoardConfig | None = None,
+                        backend: str = "auto") -> float:
     """Measured pJ/FLOP on the peak-GFLOPS micro-benchmark."""
     machine = machine or MachineConfig()
     board = board or BoardConfig.hardware()
-    result = bench_cluster_flops(machine, board)
+    result = bench_cluster_flops(machine, board, backend)
     gflops_per_watt = result.achieved / result.power_watts
     return 1e3 / gflops_per_watt  # W / GFLOPS -> pJ/FLOP
 
 
 def power_efficiency_comparison(machine: MachineConfig | None = None,
-                                board: BoardConfig | None = None
+                                board: BoardConfig | None = None,
+                                backend: str = "auto"
                                 ) -> list[EfficiencyRow]:
     """The Section-5.5 table: Imagine (raw + normalized) vs. others."""
-    raw = imagine_pj_per_flop(machine, board)
+    raw = imagine_pj_per_flop(machine, board, backend)
     normalized = normalize_pj_per_flop(raw)
     rows = [
         EfficiencyRow("Imagine (measured)", raw, "0.18um 1.8V"),

@@ -43,11 +43,6 @@ ENGINE = "src/repro/engine"
 #: Grandfathered files (repo-relative, sorted).  Everything here
 #: predates the engine; new simulation code must use Session.
 ALLOWED = frozenset({
-    # Component microbenchmarks and stream-length sweeps drive the
-    # processor with per-run machine variations the catalog does not
-    # (and should not) expose.
-    "src/repro/workloads/microbench.py",
-    "src/repro/workloads/streamlen.py",
     # Core unit tests exercise the processor itself.
     "tests/test_failure_injection.py",
     "tests/test_faults.py",

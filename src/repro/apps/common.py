@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.config import MachineConfig
 from repro.streamc.compiler import StreamProgramImage
 
 
@@ -25,6 +26,10 @@ class AppBundle:
     #: :func:`repro.engine.catalog.build_app`; ``None`` for hand-built
     #: bundles, which the engine then runs in-process and uncached.
     source: tuple[str, tuple[tuple[str, Any], ...]] | None = None
+    #: The machine ``build_app`` compiled the image for; the engine
+    #: runs a catalog bundle as given only on that machine and
+    #: rebuilds it for any other.
+    machine: MachineConfig | None = None
 
     @property
     def kernels(self):

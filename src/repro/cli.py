@@ -3,7 +3,8 @@
 Mirrors the paper's evaluation flow from a shell:
 
 * ``microbench`` -- Table 1 component peaks;
-* ``kernels``    -- Table 2 kernel rates and the Figure 6 breakdown;
+* ``kernels``    -- Table 2 kernel rates, the Figure 6 breakdown and
+  functional-unit occupancy;
 * ``app NAME``   -- run DEPTH / MPEG / QRD / RTSL and print the
   Table-3 summary, Figure-11 breakdown and per-kernel profile;
 * ``trace NAME`` -- run one application with the cross-layer tracer
@@ -11,8 +12,11 @@ Mirrors the paper's evaluation flow from a shell:
 * ``faults NAME`` -- run a degraded-mode resilience campaign under a
   seeded fault plan and emit the resilience report
   (see ``docs/robustness.md``);
-* ``memory``     -- Figure 9/10 pattern sweep;
+* ``memory``     -- Figure 9 (``--ags 1``) or 10 (``--ags 2``) pattern
+  sweep;
 * ``power``      -- the Section 5.5 efficiency comparison;
+* ``evaluate``   -- the paper's whole evaluation, one section per
+  table or figure (``--list`` names them);
 * ``lint``       -- statically verify every catalog app/kernel and
   cross-check the static model against the simulator
   (``docs/analysis.md``);
@@ -37,9 +41,11 @@ Mirrors the paper's evaluation flow from a shell:
 * ``cache``      -- inspect or LRU-prune the content-addressed
   result cache.
 
-``microbench``, ``kernels``, ``app`` and ``evaluate`` accept
-``--json`` for machine-readable reports (see
-``docs/observability.md``).
+``microbench``, ``kernels``, ``memory``, ``power`` and ``evaluate``
+print the paper's tables as :mod:`repro.evaluation` renders them, the
+text committed under ``benchmarks/results/``.  ``microbench``,
+``kernels``, ``app`` and ``evaluate`` accept ``--json`` for
+machine-readable reports (see ``docs/observability.md``).
 
 Simulation-backed commands (``app``, ``trace``, ``faults``,
 ``evaluate``, ``profile``, ``perf``) run through the
@@ -118,12 +124,20 @@ def _write_out(path: str, text: str, what: str) -> bool:
     return True
 
 
-def _cmd_microbench(args) -> int:
-    from repro.analysis.report import render_table
-    from repro.workloads.microbench import run_all_microbenchmarks
+def _print_sections(args, *names: str) -> None:
+    """Print paper sections as :mod:`repro.evaluation` renders them
+    on the command's board: the text the repository commits."""
+    from repro.evaluation import run_full_evaluation
 
-    results = run_all_microbenchmarks(board=_board(args))
+    texts = run_full_evaluation(board=_board(args), sections=list(names))
+    print("\n\n".join(texts.values()))
+
+
+def _cmd_microbench(args) -> int:
     if args.json:
+        from repro.workloads.microbench import run_all_microbenchmarks
+
+        results = run_all_microbenchmarks(board=_board(args))
         print(json.dumps({
             "schema": "repro.microbench-report/1",
             "rows": [{"component": r.component,
@@ -135,24 +149,19 @@ def _cmd_microbench(args) -> int:
                      for r in results],
         }, indent=2))
         return 0
-    rows = [[r.component, r.achieved, r.theoretical, r.unit,
-             r.power_watts, f"{r.efficiency * 100:.1f}%"]
-            for r in results]
-    print(render_table("Table 1: component peaks",
-                       ["component", "achieved", "theoretical",
-                        "unit", "W", "efficiency"], rows))
+    _print_sections(args, "table1")
     return 0
 
 
 def _cmd_kernels(args) -> int:
-    from repro.analysis import kernel_breakdown, measure_kernel
-    from repro.analysis.report import render_breakdown, render_table
     from repro.kernels import KERNEL_LIBRARY
     from repro.kernels.library import TABLE2_KERNELS
 
-    measured = {name: measure_kernel(KERNEL_LIBRARY[name])
-                for name in TABLE2_KERNELS}
     if args.json:
+        from repro.analysis import kernel_breakdown, measure_kernel
+
+        measured = {name: measure_kernel(KERNEL_LIBRARY[name])
+                    for name in TABLE2_KERNELS}
         print(json.dumps({
             "schema": "repro.kernels-report/1",
             "rows": [{"kernel": name,
@@ -167,22 +176,10 @@ def _cmd_kernels(args) -> int:
                      for name, row in measured.items()],
         }, indent=2))
         return 0
-    rows = []
-    for name, row in measured.items():
-        rows.append([name, f"{row.rate:.2f} {row.rate_unit}",
-                     row.lrf_gbytes, row.srf_gbytes,
-                     f"{row.ipc:.1f}", row.power_watts])
-    print(render_table("Table 2: kernels",
-                       ["kernel", "ALU", "LRF GB/s", "SRF GB/s",
-                        "IPC", "W"], rows))
-    print()
-    print(render_breakdown(
-        "Figure 6: kernel run-time breakdown",
-        {name: kernel_breakdown(KERNEL_LIBRARY[name])
-         for name in TABLE2_KERNELS}))
-    print()
     from repro.analysis.occupancy import render_occupancy
 
+    _print_sections(args, "table2", "figure6")
+    print()
     print(render_occupancy(
         [KERNEL_LIBRARY[name].compiled() for name in TABLE2_KERNELS]))
     return 0
@@ -298,22 +295,7 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_memory(args) -> int:
-    from repro.analysis.report import render_table
-    from repro.workloads.streamlen import (
-        MEMORY_PATTERNS,
-        memory_length_sweep,
-    )
-
-    lengths = [64, 512, 4096]
-    points = memory_length_sweep(lengths, args.ags,
-                                 board=_board(args))
-    table = {name: [] for name in MEMORY_PATTERNS}
-    for point in points:
-        table[point.pattern].append(point.gbytes_per_sec)
-    print(render_table(
-        f"Memory bandwidth (GB/s), {args.ags} AG(s)",
-        ["pattern"] + [str(n) for n in lengths],
-        [[name] + values for name, values in table.items()]))
+    _print_sections(args, f"figure{8 + args.ags}")
     return 0
 
 
@@ -344,6 +326,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     from repro.evaluation import (
+        ARTIFACTS,
         SECTIONS,
         evaluation_report,
         run_full_evaluation,
@@ -352,7 +335,9 @@ def _cmd_evaluate(args) -> int:
     sections = args.sections or None
     if args.list:
         for name in SECTIONS:
-            print(name)
+            committed = (f"benchmarks/results/{ARTIFACTS[name]}.txt"
+                         if name in ARTIFACTS else "-")
+            print(f"{name:9s} {committed}")
         return 0
     unknown = set(sections or []) - set(SECTIONS)
     if unknown:
@@ -405,14 +390,7 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    from repro.analysis import power_efficiency_comparison
-    from repro.analysis.report import render_table
-
-    rows = [[r.processor, r.pj_per_flop, r.technology]
-            for r in power_efficiency_comparison(board=_board(args))]
-    print(render_table("Power efficiency", ["processor", "pJ/FLOP",
-                                            "technology"], rows,
-                       floatfmt="{:.1f}"))
+    _print_sections(args, "power")
     return 0
 
 
@@ -982,7 +960,8 @@ def main(argv: list[str] | None = None) -> int:
     evaluate.add_argument("sections", nargs="*",
                           help="subset of sections (default: all)")
     evaluate.add_argument("--list", action="store_true",
-                          help="list available sections")
+                          help="list the sections, each with the "
+                               "committed file it reproduces")
     evaluate.add_argument("--json", action="store_true",
                           help="emit the deterministic JSON report "
                                "instead of text")

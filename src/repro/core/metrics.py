@@ -162,11 +162,6 @@ class Metrics:
         return self.machine.gbytes_per_sec(self.mem_words, self.total_cycles)
 
     @property
-    def sp_gbytes(self) -> float:
-        return self.machine.gbytes_per_sec(self.sp_accesses,
-                                           self.total_cycles)
-
-    @property
     def host_mips(self) -> float:
         return self.host_instructions / max(self.seconds, 1e-30) / 1e6
 

@@ -85,6 +85,3 @@ class Microcontroller:
                              words=words,
                              store_words=self.resident_words())
         return duration
-
-    def write_ucr(self, index: int, value: float) -> None:
-        self.ucr[index] = value

@@ -29,6 +29,8 @@ from collections import OrderedDict
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
+from repro.core.config import MachineConfig
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.common import AppBundle
     from repro.engine.request import RunRequest
@@ -65,16 +67,23 @@ def canonical_name(name: str) -> str:
     return key
 
 
-def build_app(name: str, **sizes: Any) -> "AppBundle":
+def build_app(name: str, machine: MachineConfig | None = None,
+              **sizes: Any) -> "AppBundle":
     """Build an application bundle and stamp its catalog source.
 
     ``sizes`` are forwarded to the app module's ``build()`` (e.g.
     ``image_height=64``); they become part of the bundle's declarative
-    identity and therefore of its cache digest.
+    identity and therefore of its cache digest.  ``machine`` is the
+    machine the stream program is compiled for (SRF allocation,
+    descriptor files, microcode store; default machine when ``None``).
+    It is stamped on ``bundle.machine``, not on the source: a request
+    carries its machine separately, and the engine rebuilds a bundle
+    submitted for another machine.
     """
     key = canonical_name(name)
-    bundle = app_builders()[key](**sizes)
+    bundle = app_builders()[key](machine=machine, **sizes)
     bundle.source = (key, tuple(sorted(sizes.items())))
+    bundle.machine = machine if machine is not None else MachineConfig()
     return bundle
 
 
@@ -174,15 +183,12 @@ _memo = ShapeMemo(HELD_BYTES_BUDGET)
 
 
 def _shape_key(request: "RunRequest") -> tuple | None:
-    """What a build reads besides the data seed: the app and its other
-    sizes.  ``None`` when the seed is not a non-negative int (the
-    builders' random generators reject anything else), so the build
-    runs and raises as it always did.
-
-    The request's machine is not in the key because no build receives
-    it: every image is compiled for the default machine's SRF and
-    microcode store.  A build that is passed the machine must add it
-    here.
+    """What a build reads besides the data seed: the app, its other
+    sizes and the request's machine, which the stream compiler
+    allocates the SRF, descriptors and microcode store for.  ``None``
+    when the seed is not a non-negative int (the builders' random
+    generators reject anything else), so the build runs and raises as
+    it always did.
     """
     shape = []
     for name, value in request.sizes:
@@ -190,12 +196,14 @@ def _shape_key(request: "RunRequest") -> tuple | None:
             shape.append((name, value))
         elif type(value) is not int or value < 0:
             return None
-    return canonical_name(request.app), tuple(shape)
+    return (canonical_name(request.app), tuple(shape),
+            request.effective_machine())
 
 
 def bundle_for(request: "RunRequest") -> "AppBundle":
-    """The engine's one build path: ``request``'s bundle, built once
-    per shape and process when it is a playback program.
+    """The engine's one build path: ``request``'s bundle, compiled for
+    the request's machine and built once per shape and process when it
+    is a playback program.
 
     A playback program's control flow reads no data (DEPTH and QRD),
     so its image is the same for every data seed: the memo holds it,
@@ -209,7 +217,9 @@ def bundle_for(request: "RunRequest") -> "AppBundle":
     key = _shape_key(request)
     held = None if key is None else _memo.get(key)
     if held is None:
-        bundle = build_app(request.app, **dict(request.sizes))
+        bundle = build_app(request.app,
+                           machine=request.effective_machine(),
+                           **dict(request.sizes))
         if key is None or not bundle.image.playback:
             return bundle
         image = bundle.image

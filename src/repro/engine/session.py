@@ -45,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.common import AppBundle
     from repro.core.processor import RunResult
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.registry import ProbeRegistry
     from repro.obs.tracer import Tracer
 
 #: Cache statuses a delivered result can carry in its manifest.
@@ -191,28 +190,34 @@ def engine_counts(metrics: "MetricsRegistry") -> dict:
 # ----------------------------------------------------------------------
 # Execution primitives (module-level: picklable for worker processes).
 # ----------------------------------------------------------------------
-def _backend_for(mode: str, request: RunRequest,
-                 tracer: "Tracer | None") -> str:
+def backend_for(mode: str, tracer: "Tracer | None" = None,
+                faults: Any = None) -> str:
     """The one backend rule: under ``mode="auto"`` the vector backend
     runs unless the run has a tracer or a fault plan; everything else
-    runs on the event backend."""
+    runs on the event backend.  ``mode`` is
+    :attr:`SessionConfig.backend`; programs run outside a session (the
+    Table 1 and Figure 7-10 sweeps) take it as their ``backend``."""
     return ("vector" if mode == "auto" and tracer is None
-            and request.faults is None else "event")
+            and faults is None else "event")
+
+
+def processor_class(backend: str) -> type:
+    """The simulator class of ``backend`` (``"event"`` or
+    ``"vector"``)."""
+    if backend == "vector":
+        from repro.core.vector import VectorProcessor
+
+        return VectorProcessor
+    from repro.core.processor import ImagineProcessor
+
+    return ImagineProcessor
 
 
 def _simulate(bundle: "AppBundle", request: RunRequest, backend: str,
               tracer: "Tracer | None" = None) -> "RunResult":
     """Run ``bundle`` under ``request``'s configuration on ``backend``
     (``"event"`` or ``"vector"``); raises on simulation failure."""
-    if backend == "vector":
-        from repro.core.vector import VectorProcessor
-
-        processor_cls = VectorProcessor
-    else:
-        from repro.core.processor import ImagineProcessor
-
-        processor_cls = ImagineProcessor
-    processor = processor_cls(
+    processor = processor_class(backend)(
         machine=request.effective_machine(),
         board=request.effective_board(),
         kernels=bundle.kernels,
@@ -273,6 +278,18 @@ def _derive(outcome: RunOutcome) -> RunOutcome:
         except CritpathError:
             pass
     return outcome
+
+
+def _bundle(request: RunRequest,
+            prebuilt: "AppBundle | None") -> "AppBundle":
+    """What an in-process run of ``request`` executes: ``prebuilt``
+    when it was compiled for the request's machine, else the catalog's
+    build, which is what a pool worker runs, so a digest's result does
+    not depend on the job count."""
+    if prebuilt is not None and \
+            prebuilt.machine == request.effective_machine():
+        return prebuilt
+    return catalog.bundle_for(request)
 
 
 def _execute_request(request: RunRequest, backend: str,
@@ -475,7 +492,8 @@ class Session:
     def _backend(self, request: RunRequest,
                  tracer: "Tracer | None") -> str:
         """The backend this submission runs on, counted."""
-        backend = _backend_for(self.config.backend, request, tracer)
+        backend = backend_for(self.config.backend, tracer,
+                              request.faults)
         self._m_backend.labels(backend=backend).inc()
         return backend
 
@@ -493,9 +511,8 @@ class Session:
         if tracer is not None:
             # Traced runs stay in-process (tracers do not cross
             # process boundaries) and bypass the cache.
-            bundle = prebuilt if prebuilt is not None else \
-                catalog.bundle_for(request)
-            return self._run_uncached(request, bundle, tracer, backend)
+            return self._run_uncached(
+                request, _bundle(request, prebuilt), tracer, backend)
 
         digest = request.digest(salt=self._salt)
         if self._cache is not None:
@@ -528,10 +545,9 @@ class Session:
                 self._cache is not None)
             handle._attempts = 1
         else:
-            bundle = prebuilt if prebuilt is not None else \
-                catalog.bundle_for(request)
             self._complete(handle, _capture(
-                bundle, request, backend, preflight=self.preflight))
+                _bundle(request, prebuilt), request, backend,
+                preflight=self.preflight))
         return handle
 
     def submit_bundle(self, bundle: "AppBundle", *,
@@ -649,8 +665,8 @@ class Session:
                     self._executor = None
                 handle._future = self._pool().submit(
                     _execute_request, handle.request,
-                    _backend_for(self.config.backend, handle.request,
-                                 None),
+                    backend_for(self.config.backend,
+                                faults=handle.request.faults),
                     self.preflight, self._cache is not None)
         self._complete(handle, outcome)
 
@@ -767,38 +783,6 @@ class Session:
                 f"uncached={stats['uncached']} "
                 f"hit_rate={stats['hit_rate'] * 100:.1f}%")
 
-    def probes(self) -> "ProbeRegistry":
-        """Engine counters as a PR 1 probe registry."""
-        from repro.obs.registry import ProbeRegistry
-
-        registry = ProbeRegistry()
-        stats = engine_counts(self.metrics)
-        registry.add("engine.jobs", self.jobs, "processes",
-                     "worker processes available to this session")
-        registry.add("engine.runs", stats["runs"], "runs",
-                     "runs delivered by this session")
-        registry.add("engine.cache.hits", stats["hits"], "runs",
-                     "runs served from the content-addressed cache")
-        registry.add("engine.cache.misses", stats["misses"], "runs",
-                     "cache-keyed runs that had to execute")
-        registry.add("engine.cache.hit_rate", stats["hit_rate"],
-                     "fraction", "hits / (hits + misses)")
-        registry.add("engine.runs.uncached", stats["uncached"], "runs",
-                     "runs executed outside the cache")
-        registry.add("engine.runs.executed", stats["executed"], "runs",
-                     "simulations actually executed")
-        registry.add("engine.runs.failed", stats["failed"], "runs",
-                     "typed simulation failures captured as outcomes")
-        registry.add("engine.runs.timeouts", stats["timeouts"], "runs",
-                     "runs abandoned at the wall-clock timeout")
-        # Live metric families (engine_* counters, plus whatever else
-        # shares this session's registry) ride along, so one probe
-        # snapshot carries both vocabularies.
-        from repro.obs.metrics import probes_from_metrics
-
-        probes_from_metrics(self.metrics, add=registry.add)
-        return registry
-
 
 # ----------------------------------------------------------------------
 # Default session (one-off convenience runs without a context
@@ -823,6 +807,8 @@ __all__ = [
     "RunOutcome",
     "Session",
     "SessionConfig",
+    "backend_for",
     "engine_counts",
     "get_default_session",
+    "processor_class",
 ]

@@ -66,12 +66,6 @@ class FaultInjector:
         if self.tracer.enabled:
             self.tracer.instant(TRACK_FAULTS, kind.value, ts=at, **detail)
 
-    def events_by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
-        return counts
-
     # ------------------------------------------------------------------
     # Structural faults (applied before the run; recorded at t=0).
     # ------------------------------------------------------------------

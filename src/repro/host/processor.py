@@ -83,11 +83,6 @@ class HostModel:
                 return limit
         return DEFAULT_MAX_RETRIES
 
-    def peek(self) -> StreamInstruction | None:
-        if self.done:
-            return None
-        return self.program[self.next_index]
-
     def can_issue(self, now: float) -> bool:
         return (not self.done and self.blocked_on is None
                 and now + 1e-9 >= self.ready_at)

@@ -54,10 +54,6 @@ class AddressGenerator:
     def track(self) -> str:
         return ag_track(self.ident)
 
-    def generation_cycles(self, words: int) -> float:
-        """Core cycles the AG itself needs to emit ``words`` addresses."""
-        return words / self.peak_words_per_cycle
-
     def trace_stream(self, name: str, start: float, end: float,
                      **args) -> None:
         """Record one stream this AG walked, as a span on its track."""

@@ -100,12 +100,6 @@ class DramStats:
     #: service time is their max since channels run in parallel.
     per_channel_cycles: tuple[int, ...] = ()
 
-    @property
-    def words_per_mem_cycle(self) -> float:
-        if self.mem_cycles == 0:
-            return 0.0
-        return self.words / self.mem_cycles
-
 
 class DramModel:
     """Services in-order word-address sequences, channel by channel."""

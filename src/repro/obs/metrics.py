@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = [
     "CONTENT_TYPE",
@@ -652,37 +652,30 @@ def counter_totals(families: Mapping[str, dict]) -> dict[str, float]:
 # ----------------------------------------------------------------------
 # Bridge into the PR 1 probe registry.
 # ----------------------------------------------------------------------
-def probes_from_metrics(metrics: MetricsRegistry,
-                        add: Callable[..., None] | None = None,
-                        prefix: str = "") -> Any:
-    """Export a metrics registry as PR 1 probes.
+def probes_from_metrics(metrics: MetricsRegistry) -> Any:
+    """Export a metrics registry as a :class:`ProbeRegistry`.
 
     Each counter/gauge child becomes one probe named
-    ``<prefix><metric>{label=value,...}`` with the metric's unit
-    (drawn from the shared ``COUNTER_UNITS`` vocabulary at
-    registration time); histograms export their ``_count`` and
-    ``_sum``.  Pass ``add`` to append into an existing registry
-    builder; otherwise a fresh :class:`ProbeRegistry` is returned.
+    ``<metric>{label=value,...}`` with the metric's unit (drawn from
+    the shared ``COUNTER_UNITS`` vocabulary at registration time);
+    histograms export their ``_count`` and ``_sum``.
     """
     from repro.obs.registry import ProbeRegistry
 
-    registry = None
-    if add is None:
-        registry = ProbeRegistry()
-        add = registry.add
+    registry = ProbeRegistry()
     for metric in metrics.collect():
         for key, child in metric.children():
             labels = ",".join(
                 f"{name}={value}"
                 for name, value in zip(metric.label_names, key))
             suffix = f"{{{labels}}}" if labels else ""
-            base = f"{prefix}{metric.name}{suffix}"
+            base = f"{metric.name}{suffix}"
             if metric.kind == "histogram":
-                add(f"{base}.count", float(child.count),
-                    "observations", metric.help)
-                add(f"{base}.sum", float(child.sum), metric.unit,
-                    metric.help)
+                registry.add(f"{base}.count", float(child.count),
+                             "observations", metric.help)
+                registry.add(f"{base}.sum", float(child.sum),
+                             metric.unit, metric.help)
             else:
-                add(base, float(child.value), metric.unit,
-                    metric.help)
+                registry.add(base, float(child.value), metric.unit,
+                             metric.help)
     return registry

@@ -393,8 +393,10 @@ def kernel_catalog_profile(machine: "MachineConfig | None" = None
     A ``kind: "kernel-catalog"`` sibling of :func:`build_profile` for
     the compiled-schedule view (no simulation): each kernel's
     :func:`~repro.analysis.breakdown.kernel_breakdown` fractions at
-    its application-typical stream length.  The benchmark Figure-6
-    writer renders from this single artifact.
+    its application-typical stream length.
+    :meth:`repro.evaluation.Evaluation.figure6`, the section that
+    ``repro evaluate``, ``repro kernels`` and the paper-artifact
+    benchmark print, renders from this single artifact.
     """
     from repro.analysis.breakdown import kernel_breakdown
     from repro.kernels import KERNEL_LIBRARY

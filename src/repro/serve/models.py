@@ -74,12 +74,6 @@ class ServiceConfig:
     default_deadline_s: float = 60.0
     #: Hard ceiling on client-requested deadlines.
     max_deadline_s: float = 600.0
-    #: Engine-level wall-clock timeout per run (layered *under* the
-    #: service deadline; applies to pooled engine execution).
-    engine_timeout_s: float | None = 120.0
-    #: Worker processes inside each engine session (1 = in worker
-    #: thread; the service's own thread pool provides concurrency).
-    engine_jobs: int = 1
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Consecutive infrastructure failures before the breaker opens.
     breaker_threshold: int = 3

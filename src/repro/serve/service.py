@@ -207,11 +207,11 @@ class ExperimentService:
     def _init_metrics(self, metrics: "MetricsRegistry | None") -> None:
         """Register the service's live-metric families.
 
-        The registry is the only counter source: ``/v1/stats`` and
-        the probes read it back (:func:`serve_counts`).  It is shared
-        with every worker-thread engine session, so one ``/metrics``
-        scrape carries the ``serve_*`` and ``engine_*`` vocabularies
-        together.
+        The registry is the only counter source: ``/v1/stats`` reads
+        it back (:func:`serve_counts`) and the probes export it.  It
+        is shared with every worker-thread engine session, so one
+        ``/metrics`` scrape carries the ``serve_*`` and ``engine_*``
+        vocabularies together.
         """
         from repro.obs.metrics import MetricsRegistry
 
@@ -537,10 +537,7 @@ class ExperimentService:
             from repro.engine import Session, SessionConfig
 
             session = Session(config=SessionConfig(
-                jobs=self.config.engine_jobs,
-                cache=True, cache_dir=self.cache_dir,
-                timeout=self.config.engine_timeout_s),
-                metrics=self.metrics)
+                cache_dir=self.cache_dir), metrics=self.metrics)
             self._local.session = session
             with self._sessions_lock:
                 self._thread_sessions.append(session)
@@ -811,31 +808,12 @@ class ExperimentService:
         return render_prometheus(self.metrics)
 
     def probes(self) -> "ProbeRegistry":
-        """Service + engine counters as a PR 1 probe registry; the
-        engine rows read the ``engine_*`` families every worker
-        session registers into the shared registry."""
-        from repro.engine.session import engine_counts
-        from repro.obs.registry import ProbeRegistry
-
-        registry = ProbeRegistry()
-        for name, value in sorted(serve_counts(self.metrics).items()):
-            registry.add(f"serve.{name}", value, "jobs",
-                         f"service counter: {name}")
-        registry.add("serve.pending", self._pending, "jobs",
-                     "queued + running jobs")
-        registry.add("serve.breaker.trips", breaker_trips(self.metrics),
-                     "trips", "times the circuit breaker opened")
-        for name, value in sorted(engine_counts(self.metrics).items()):
-            unit = "fraction" if name == "hit_rate" else "runs"
-            registry.add(f"serve.engine.{name}", value, unit,
-                         "aggregated engine counter over worker "
-                         "sessions")
-        # The live metric families (serve_* and, via the shared
-        # registry, engine_*) ride along under their exposition names.
+        """The live metric families (``serve_*`` and, through the
+        shared registry, every worker session's ``engine_*``) as a
+        probe registry, under their exposition names."""
         from repro.obs.metrics import probes_from_metrics
 
-        probes_from_metrics(self.metrics, add=registry.add)
-        return registry
+        return probes_from_metrics(self.metrics)
 
     def health(self) -> dict[str, Any]:
         """Liveness: the event loop is running and workers exist."""

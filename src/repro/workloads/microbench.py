@@ -16,7 +16,9 @@ Six tests, one per row of Table 1:
 
 Each runs as a real stream program on the full simulator, so achieved
 numbers include prologue, stream-setup and host effects, exactly like
-the lab measurements (e.g. 7.96 of 8.13 GFLOPS).
+the lab measurements (e.g. 7.96 of 8.13 GFLOPS).  ``backend`` is a
+session's backend mode (:attr:`repro.engine.SessionConfig.backend`);
+the engine's rule picks the simulator.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import BoardConfig, ImagineProcessor, MachineConfig
+from repro.core import BoardConfig, MachineConfig
+from repro.engine.session import backend_for, processor_class
 from repro.isa.kernel_ir import KernelBuilder
 from repro.kernels.copy import SRFCOPY
 from repro.kernels.sort import SORT32
@@ -82,7 +85,7 @@ def _peak_kernel(name: str, float_ops: bool) -> KernelSpec:
 def _run_kernel_bench(spec: KernelSpec, stream_words: int,
                       invocations: int,
                       machine: MachineConfig,
-                      board: BoardConfig):
+                      board: BoardConfig, backend: str):
     program = StreamProgram(f"bench_{spec.name}", machine=machine)
     data = program.array("data", np.arange(stream_words, dtype=float))
     stream = program.load(data)
@@ -90,32 +93,35 @@ def _run_kernel_bench(spec: KernelSpec, stream_words: int,
         stream = program.kernel(spec, [stream],
                                 params={"c": 1.0})[0]
     image = program.build()
-    processor = ImagineProcessor(machine=machine, board=board,
-                                 kernels=image.kernels)
+    processor = processor_class(backend_for(backend))(
+        machine=machine, board=board, kernels=image.kernels)
     return processor.run(image)
 
 
 def bench_cluster_ops(machine: MachineConfig,
-                      board: BoardConfig) -> MicrobenchResult:
+                      board: BoardConfig,
+                      backend: str = "auto") -> MicrobenchResult:
     spec = _peak_kernel("ipeak", float_ops=False)
-    result = _run_kernel_bench(spec, 8192, 48, machine, board)
+    result = _run_kernel_bench(spec, 8192, 48, machine, board, backend)
     return MicrobenchResult(
         "Cluster (OPS)", result.metrics.gops, machine.peak_gops,
         "GOPS", result.power.watts)
 
 
 def bench_cluster_flops(machine: MachineConfig,
-                        board: BoardConfig) -> MicrobenchResult:
+                        board: BoardConfig,
+                        backend: str = "auto") -> MicrobenchResult:
     spec = _peak_kernel("fpeak", float_ops=True)
-    result = _run_kernel_bench(spec, 8192, 48, machine, board)
+    result = _run_kernel_bench(spec, 8192, 48, machine, board, backend)
     return MicrobenchResult(
         "Cluster (FLOPS)", result.metrics.gflops, machine.peak_gflops,
         "GFLOPS", result.power.watts)
 
 
 def bench_inter_cluster(machine: MachineConfig,
-                        board: BoardConfig) -> MicrobenchResult:
-    result = _run_kernel_bench(SORT32, 8192, 48, machine, board)
+                        board: BoardConfig,
+                        backend: str = "auto") -> MicrobenchResult:
+    result = _run_kernel_bench(SORT32, 8192, 48, machine, board, backend)
     comm_rate = (result.metrics.comm_ops
                  / max(result.metrics.total_cycles, 1e-9))
     return MicrobenchResult(
@@ -125,7 +131,8 @@ def bench_inter_cluster(machine: MachineConfig,
 
 
 def bench_srf(machine: MachineConfig,
-              board: BoardConfig) -> MicrobenchResult:
+              board: BoardConfig,
+              backend: str = "auto") -> MicrobenchResult:
     program = StreamProgram("bench_srf", machine=machine)
     data = program.array("data", np.arange(12288, dtype=float))
     a = program.load(data, words=6144)
@@ -133,8 +140,8 @@ def bench_srf(machine: MachineConfig,
     for _ in range(64):
         a, b = program.kernel(SRFCOPY, [a, b])
     image = program.build()
-    processor = ImagineProcessor(machine=machine, board=board,
-                                 kernels=image.kernels)
+    processor = processor_class(backend_for(backend))(
+        machine=machine, board=board, kernels=image.kernels)
     result = processor.run(image)
     return MicrobenchResult(
         "SRF", result.metrics.srf_gbytes, machine.srf_peak_gbytes,
@@ -142,15 +149,16 @@ def bench_srf(machine: MachineConfig,
 
 
 def bench_memory(machine: MachineConfig,
-                 board: BoardConfig) -> MicrobenchResult:
+                 board: BoardConfig,
+                 backend: str = "auto") -> MicrobenchResult:
     program = StreamProgram("bench_mem", machine=machine)
     data = program.array("data", np.zeros(4096))
     for i in range(20):
         pattern = indexed(8192, 16, seed=i)
         program.load(data, pattern=pattern, name=f"idx{i}")
     image = program.build()
-    processor = ImagineProcessor(machine=machine, board=board,
-                                 kernels=image.kernels)
+    processor = processor_class(backend_for(backend))(
+        machine=machine, board=board, kernels=image.kernels)
     result = processor.run(image)
     return MicrobenchResult(
         "MEM", result.metrics.mem_gbytes, machine.mem_peak_gbytes,
@@ -158,7 +166,8 @@ def bench_memory(machine: MachineConfig,
 
 
 def bench_host(machine: MachineConfig,
-               board: BoardConfig) -> MicrobenchResult:
+               board: BoardConfig,
+               backend: str = "auto") -> MicrobenchResult:
     from repro.isa.stream_ops import StreamInstruction, StreamOpType
 
     instructions = [
@@ -166,7 +175,8 @@ def bench_host(machine: MachineConfig,
                           tag="hostbench")
         for i in range(512)
     ]
-    processor = ImagineProcessor(machine=machine, board=board)
+    processor = processor_class(backend_for(backend))(
+        machine=machine, board=board)
     result = processor.run(instructions, name="bench_host")
     return MicrobenchResult(
         "Host interface", result.metrics.host_mips,
@@ -174,16 +184,17 @@ def bench_host(machine: MachineConfig,
 
 
 def run_all_microbenchmarks(machine: MachineConfig | None = None,
-                            board: BoardConfig | None = None
+                            board: BoardConfig | None = None,
+                            backend: str = "auto"
                             ) -> list[MicrobenchResult]:
     """All six Table-1 rows, in the paper's order."""
     machine = machine or MachineConfig()
     board = board or BoardConfig.hardware()
     return [
-        bench_cluster_ops(machine, board),
-        bench_cluster_flops(machine, board),
-        bench_inter_cluster(machine, board),
-        bench_srf(machine, board),
-        bench_memory(machine, board),
-        bench_host(machine, board),
+        bench_cluster_ops(machine, board, backend),
+        bench_cluster_flops(machine, board, backend),
+        bench_inter_cluster(machine, board, backend),
+        bench_srf(machine, board, backend),
+        bench_memory(machine, board, backend),
+        bench_host(machine, board, backend),
     ]

@@ -12,6 +12,10 @@ Two families:
 * :func:`memory_length_sweep` -- stream loads of the paper's six
   access patterns with one AG (Fig. 9, loads serialized) or two
   (Fig. 10, loads concurrent), bandwidth vs. stream length.
+
+``backend`` is a session's backend mode
+(:attr:`repro.engine.SessionConfig.backend`); the engine's rule picks
+the simulator.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import BoardConfig, ImagineProcessor, MachineConfig
+from repro.core import BoardConfig, MachineConfig
+from repro.engine.session import backend_for, processor_class
 from repro.isa.kernel_ir import KernelBuilder
 from repro.isa.stream_ops import StreamInstruction, StreamOpType
 from repro.isa.vliw import CompiledKernel
@@ -78,7 +83,8 @@ def kernel_length_sweep(main_loop_cycles: int, prologue_cycles: int,
                         stream_lengths: list[int],
                         invocations: int = 32,
                         machine: MachineConfig | None = None,
-                        board: BoardConfig | None = None
+                        board: BoardConfig | None = None,
+                        backend: str = "auto"
                         ) -> list[KernelSweepPoint]:
     """Average kernel GOPS vs. stream length for one configuration."""
     machine = machine or MachineConfig()
@@ -99,8 +105,8 @@ def kernel_length_sweep(main_loop_cycles: int, prologue_cycles: int,
                            params={"c": float(i), "c2": i, "c3": -i,
                                    "c4": i + 1})
         image = program.build()
-        processor = ImagineProcessor(machine=machine, board=board,
-                                     kernels=image.kernels)
+        processor = processor_class(backend_for(backend))(
+            machine=machine, board=board, kernels=image.kernels)
         result = processor.run(image)
         points.append(KernelSweepPoint(
             main_loop_cycles, prologue_cycles, length,
@@ -139,7 +145,8 @@ class MemorySweepPoint:
 def memory_length_sweep(stream_lengths: list[int], address_generators: int,
                         loads_per_point: int = 12,
                         machine: MachineConfig | None = None,
-                        board: BoardConfig | None = None
+                        board: BoardConfig | None = None,
+                        backend: str = "auto"
                         ) -> list[MemorySweepPoint]:
     """Figures 9 (one AG) and 10 (two AGs)."""
     if address_generators not in (1, 2):
@@ -169,7 +176,8 @@ def memory_length_sweep(stream_lengths: list[int], address_generators: int,
                     index=len(instructions), tag=name)
                 instructions.append(load)
                 previous = load.index
-            processor = ImagineProcessor(machine=machine, board=board)
+            processor = processor_class(backend_for(backend))(
+                machine=machine, board=board)
             result = processor.run(instructions, name=f"mem_{length}")
             points.append(MemorySweepPoint(
                 name, length, result.metrics.mem_gbytes))

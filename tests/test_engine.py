@@ -503,15 +503,17 @@ class TestSessionApi:
         assert engine_counts(session.metrics)["timeouts"] == 1
 
     def test_probes_export_cache_counters(self, tmp_path):
+        from repro.obs.metrics import probes_from_metrics
+
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
             session.run(small_request())
             session.run(small_request())
-            registry = session.probes()
-        assert registry.get("engine.cache.hits").value == 1
-        assert registry.get("engine.cache.misses").value == 1
-        assert registry.get("engine.cache.hit_rate").value == \
-            pytest.approx(0.5)
-        assert registry.get("engine.runs.executed").value == 1
+            registry = probes_from_metrics(session.metrics)
+        assert registry.get(
+            "engine_cache_requests_total{result=hit}").value == 1
+        assert registry.get(
+            "engine_cache_requests_total{result=miss}").value == 1
+        assert registry.get("engine_runs_executed_total").value == 1
 
     def test_run_app_shim_is_gone(self):
         # Removed after its deprecation cycle; EP002 (and this test)

@@ -1,13 +1,14 @@
 """Tests for the full-evaluation driver and DRAM page policies."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DramConfig, MachineConfig
-from repro.evaluation import SECTIONS, run_full_evaluation
+from repro.evaluation import ARTIFACTS, SECTIONS, run_full_evaluation
 from repro.memsys import MemorySystem, indexed, unit_stride
 from repro.memsys.dram import DramModel
 from repro.streamc.descriptors import DescriptorFile
@@ -45,12 +46,33 @@ class TestPagePolicy:
         assert closed_rate > open_rate
 
 
+#: The committed tables every artifact section must reproduce.
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+
 class TestEvaluationDriver:
     def test_section_registry_complete(self):
-        expected = {"table1", "table2", "figure6", "figures7_8",
-                    "figures9_10", "table3", "figure11", "tables4_5",
-                    "table6", "power", "targets"}
-        assert set(SECTIONS) == expected
+        """One section per paper artifact, each committed once, plus
+        the paper-target table."""
+        expected = {"table1", "table2", "table3", "table4", "table5",
+                    "table6", "figure6", "figure7", "figure8",
+                    "figure9", "figure10", "figure11", "figure12",
+                    "figure13", "figure14", "power"}
+        assert set(ARTIFACTS) == expected
+        assert list(SECTIONS) == [*ARTIFACTS, "targets"]
+        assert len(set(ARTIFACTS.values())) == len(ARTIFACTS)
+        for stem in ARTIFACTS.values():
+            assert (RESULTS_DIR / f"{stem}.txt").is_file(), stem
+
+    def test_sections_print_the_committed_tables(self):
+        """The sections without a length sweep, byte for byte against
+        ``benchmarks/results`` (the benchmark suite checks the rest)."""
+        cheap = ["table2", "table3", "table4", "table5", "table6",
+                 "figure6", "figure11", "figure12", "figure13", "power"]
+        texts = run_full_evaluation(sections=cheap)
+        for name in cheap:
+            committed = RESULTS_DIR / f"{ARTIFACTS[name]}.txt"
+            assert texts[name] + "\n" == committed.read_text(), name
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="unknown sections"):

@@ -501,3 +501,76 @@ def test_the_charge_covers_what_a_held_image_keeps(app, sizes):
         finally:
             tracemalloc.stop()
         assert kept <= catalog._memo.held_bytes <= 1.3 * kept
+
+
+# ----------------------------------------------------------------------
+# The request's machine reaches the stream compiler.
+# ----------------------------------------------------------------------
+def _qrd_request(srf_kbytes):
+    from dataclasses import replace
+
+    from repro.core import MachineConfig
+
+    machine = replace(MachineConfig(), srf_kbytes=srf_kbytes)
+    return machine, RunRequest.for_app(
+        "qrd", sizes={"rows": 96, "cols": 48}, machine=machine)
+
+
+def test_a_request_too_big_for_its_srf_fails_to_build():
+    """A 16 KB SRF cannot hold QRD's streams at 96x48: the request
+    raises what building for that machine raises, where it once
+    reported the default machine's cycles."""
+    from repro.apps import qrd
+    from repro.core.srf import SrfAllocationError
+
+    machine, request = _qrd_request(16)
+    with pytest.raises(SrfAllocationError, match="SRF full") as direct:
+        qrd.build(rows=96, cols=48, machine=machine)
+    with _fresh_memo(), Session(config=SessionConfig(cache=False)) \
+            as session, pytest.raises(SrfAllocationError) as served:
+        session.run(request)
+    assert str(served.value) == str(direct.value)
+
+
+def test_a_request_runs_the_image_compiled_for_its_machine():
+    """A 256 KB SRF places QRD's streams differently; the engine's
+    result is a direct build for that machine, run on the same
+    backend, and the memo holds one image per machine."""
+    from repro.apps import qrd
+
+    machine, request = _qrd_request(256)
+    default = qrd.build(rows=96, cols=48)
+    direct = qrd.build(rows=96, cols=48, machine=machine)
+    assert (direct.image.srf_allocations
+            != default.image.srf_allocations)
+    with _fresh_memo(), _counting_builds() as builds, \
+            Session(config=SessionConfig(cache=False)) as session:
+        served = session.run(request)
+        session.run(RunRequest.for_app(
+            "qrd", sizes={"rows": 96, "cols": 48}))
+        assert len(catalog._memo) == 2 and len(builds) == 2
+        expected = session.run_bundle(direct, machine=machine)
+        assert served.cycles != session.run_bundle(default).cycles
+    assert repr(served.metrics) == repr(expected.metrics)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_catalog_bundle_runs_on_the_machine_it_is_submitted_for(jobs):
+    """A catalog bundle submitted for another machine than it was
+    compiled for runs the request's image in-process as in a pool
+    worker, so a digest has one result whichever path stores it."""
+    machine, request = _qrd_request(256)
+    default = RunRequest.for_app("qrd", sizes={"rows": 96, "cols": 48})
+    with _fresh_memo(), Session(config=SessionConfig(cache=False)) \
+            as session:
+        expected = session.run(request)
+        expected_default = session.run(default)
+    with _fresh_memo(), Session(config=SessionConfig(
+            jobs=jobs, cache=False)) as session:
+        served = session.run_bundle(build_app("qrd", rows=96, cols=48),
+                                    machine=machine)
+        served_default = session.run_bundle(
+            build_app("qrd", machine=machine, rows=96, cols=48))
+    assert served.cycles != served_default.cycles
+    assert repr(served.metrics) == repr(expected.metrics)
+    assert repr(served_default.metrics) == repr(expected_default.metrics)

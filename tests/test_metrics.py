@@ -193,12 +193,8 @@ class TestExposition:
         assert "serve_job_latency_ms_count 2" in text
 
     def test_probes_bridge_reuses_units(self):
-        rows = []
-        probes_from_metrics(
-            self.build(),
-            add=lambda name, value, unit, help, **kw: rows.append(
-                (name, value, unit)))
-        table = {name: (value, unit) for name, value, unit in rows}
+        table = {probe.name: (probe.value, probe.unit)
+                 for probe in probes_from_metrics(self.build())}
         assert table['serve_jobs_terminal_total{state=completed}'] \
             == (7.0, COUNTER_UNITS["serve_jobs_terminal_total"])
         assert table["serve_queue_depth"] == (

@@ -134,3 +134,24 @@ class TestMemoryLengthSweep:
         assert host_interface_bandwidth_limit(64) < 0.25
         assert (host_interface_bandwidth_limit(128)
                 == pytest.approx(2 * host_interface_bandwidth_limit(64)))
+
+
+def test_sweeps_run_on_the_sessions_backend(monkeypatch):
+    """A sweep takes a session's backend mode and the engine's rule
+    picks the simulator: ``"auto"`` runs the vector backend, the
+    reference mode the event model, with bit-identical figures."""
+    import repro.workloads.streamlen as streamlen
+    from repro.engine.session import processor_class
+
+    picked = []
+
+    def spy(backend):
+        picked.append(backend)
+        return processor_class(backend)
+
+    monkeypatch.setattr(streamlen, "processor_class", spy)
+    auto = kernel_length_sweep(32, 8, [64], invocations=4)
+    event = kernel_length_sweep(32, 8, [64], invocations=4,
+                                backend="event")
+    assert picked == ["vector", "event"]
+    assert auto == event
