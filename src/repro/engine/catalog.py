@@ -17,13 +17,16 @@ app module's ``build()`` directly carry no source and always run
 in-process, uncached.
 
 The engine builds through :func:`bundle_for`, which builds a playback
-program once per shape and process (see "Build once per shape" in
+program once per shape and process, and reuses the derived result of
+its vector run across data seeds through :func:`held_result` (see
+"Build once per shape" and "Simulate once per image" in
 ``docs/engine.md``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import threading
 from collections import OrderedDict
 from collections.abc import Mapping
@@ -33,6 +36,7 @@ from repro.core.config import MachineConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.common import AppBundle
+    from repro.core.processor import RunResult
     from repro.engine.request import RunRequest
     from repro.streamc.compiler import StreamProgramImage
 
@@ -87,10 +91,12 @@ def build_app(name: str, machine: MachineConfig | None = None,
     return bundle
 
 
-#: Bytes of built images :func:`bundle_for` holds per process, least
-#: recently used dropped first; an image larger than this is never
+#: Bytes of built images (:func:`bundle_for`) and pickled derived
+#: results (:func:`hold_result`) held per process, in one budget, least
+#: recently used dropped first; an entry larger than this is never
 #: held.  A held image takes 0.1-0.4 MB at perfbench's reduced shapes
-#: and 0.6 MB (DEPTH) / 1 MB (QRD) at default size.
+#: and 0.6 MB (DEPTH) / 1 MB (QRD) at default size; a held result
+#: 75-229 KB at the reduced shapes.
 HELD_BYTES_BUDGET = 4 << 20
 
 
@@ -135,7 +141,9 @@ def _footprint(image: "StreamProgramImage") -> int:
 
 
 class ShapeMemo:
-    """Built bundles by shape, bounded by ``budget`` bytes (LRU).
+    """Built bundles by shape and pickled results by the shape, board
+    and strictness they ran at, bounded together by ``budget`` bytes
+    (LRU).
 
     Thread-safe: ``repro serve`` runs one session per worker thread,
     and they share the process's memo.
@@ -151,7 +159,7 @@ class ShapeMemo:
     def __len__(self) -> int:
         return len(self._held)
 
-    def get(self, key: tuple) -> "AppBundle | None":
+    def get(self, key: tuple) -> Any:
         with self._lock:
             entry = self._held.get(key)
             if entry is None:
@@ -159,24 +167,23 @@ class ShapeMemo:
             self._held.move_to_end(key)
             return entry[0]
 
-    def put(self, key: tuple, bundle: "AppBundle",
-            size: int) -> "AppBundle":
-        """Hold ``bundle`` unless it alone exceeds the budget; returns
-        the bundle now held for ``key`` (another thread's, when it
-        built the same shape first)."""
+    def put(self, key: tuple, value: Any, size: int) -> Any:
+        """Hold ``value`` unless it alone exceeds the budget; returns
+        the value now held for ``key`` (another thread's, when it
+        held the same key first)."""
         with self._lock:
             entry = self._held.get(key)
             if entry is not None:
                 self._held.move_to_end(key)
                 return entry[0]
             if size > self.budget:
-                return bundle
-            self._held[key] = (bundle, size)
+                return value
+            self._held[key] = (value, size)
             self.held_bytes += size
             while self.held_bytes > self.budget:
                 _, (_, dropped) = self._held.popitem(last=False)
                 self.held_bytes -= dropped
-            return bundle
+            return value
 
 
 _memo = ShapeMemo(HELD_BYTES_BUDGET)
@@ -231,6 +238,32 @@ def bundle_for(request: "RunRequest") -> "AppBundle":
     return dataclasses.replace(held, source=(key[0], request.sizes))
 
 
+def result_key(request: "RunRequest") -> tuple | None:
+    """What a fault-free, untraced vector run of a playback image
+    reads: the image's shape key, the board and ``strict``.  ``None``
+    when the request has no shape key."""
+    shape = _shape_key(request)
+    if shape is None:
+        return None
+    return (shape, request.effective_board(), request.strict)
+
+
+def held_result(key: tuple | None) -> "RunResult | None":
+    """A fresh copy of the result held for ``key``, or ``None``.  Its
+    manifest is the held run's; the caller restamps the fields that
+    describe the delivery."""
+    blob = None if key is None else _memo.get(key)
+    return None if blob is None else pickle.loads(blob)
+
+
+def hold_result(key: tuple, result: "RunResult") -> None:
+    """Hold ``result``, a derived run of a playback image at ``key``,
+    pickled: every later reader unpickles its own copy, and the bytes
+    take about half the memory of the live result."""
+    blob = pickle.dumps(result)
+    _memo.put(key, blob, len(blob))
+
+
 __all__ = [
     "APP_NAMES",
     "CatalogError",
@@ -240,4 +273,7 @@ __all__ = [
     "build_app",
     "bundle_for",
     "canonical_name",
+    "held_result",
+    "hold_result",
+    "result_key",
 ]

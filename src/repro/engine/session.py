@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import time
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
@@ -40,6 +41,7 @@ from repro.engine import catalog
 from repro.engine.cache import ResultCache
 from repro.engine.request import RunRequest, code_salt
 from repro.host.processor import HostError
+from repro.obs.manifest import timestamp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.common import AppBundle
@@ -267,8 +269,7 @@ def _derive(outcome: RunOutcome) -> RunOutcome:
     it ran, so its cache entry stores them
     (:func:`repro.obs.profile.derive`).  A graph the walk rejects
     leaves the run underived: it is stored and returned all the same,
-    and its readers derive, and raise, when asked.  An outcome that
-    crossed from a worker arrives derived already."""
+    and its readers derive, and raise, when asked."""
     if outcome.completed and outcome.result.derived is None:
         from repro.obs.critpath import CritpathError
         from repro.obs.profile import derive
@@ -293,13 +294,37 @@ def _bundle(request: RunRequest,
 
 
 def _execute_request(request: RunRequest, backend: str,
-                     preflight: bool = False,
-                     derive: bool = False) -> RunOutcome:
-    """Worker entry point: rebuild the bundle from the catalog, run,
-    and derive the reports when the outcome feeds the cache."""
-    bundle = catalog.bundle_for(request)
+                     preflight: bool = False, derive: bool = False,
+                     prebuilt: "AppBundle | None" = None
+                     ) -> tuple[RunOutcome, bool]:
+    """Run ``request`` (in process, or as the pool worker's entry
+    point) and derive the reports when the outcome feeds the cache.
+    Returns the outcome and whether it was served from a held result
+    instead of simulated.
+
+    A derived vector run of a playback image is held, and a later
+    request of its shape at another data seed is served a copy
+    ("Simulate once per image" in ``docs/engine.md``).  A run that
+    preflights neither reads nor holds one.
+    """
+    start = time.perf_counter()
+    key = (catalog.result_key(request)
+           if derive and backend == "vector"
+           and not (preflight and request.strict) else None)
+    served = catalog.held_result(key)
+    if served is not None:
+        served.manifest = dataclasses.replace(
+            served.manifest, wall_time_s=time.perf_counter() - start,
+            created_at=timestamp())
+        return RunOutcome(status="completed", result=served), True
+    bundle = _bundle(request, prebuilt)
     outcome = _capture(bundle, request, backend, preflight=preflight)
-    return _derive(outcome) if derive else outcome
+    if derive:
+        outcome = _derive(outcome)
+    if (key is not None and bundle.image.playback and outcome.completed
+            and outcome.result.derived is not None):
+        catalog.hold_result(key, outcome.result)
+    return outcome, False
 
 
 def _stamp(outcome: RunOutcome, digest: str | None,
@@ -458,6 +483,9 @@ class Session:
         self._m_executed = m.counter(
             "engine_runs_executed_total",
             "simulations actually executed")
+        self._m_reused = m.counter(
+            "engine_runs_reused_total",
+            "runs served from a held result instead of simulated")
         self._m_failed = m.counter(
             "engine_runs_failed_total",
             "typed simulation failures captured as outcomes")
@@ -545,9 +573,9 @@ class Session:
                 self._cache is not None)
             handle._attempts = 1
         else:
-            self._complete(handle, _capture(
-                _bundle(request, prebuilt), request, backend,
-                preflight=self.preflight))
+            self._complete(handle, *_execute_request(
+                request, backend, self.preflight, self._cache is not None,
+                prebuilt))
         return handle
 
     def submit_bundle(self, bundle: "AppBundle", *,
@@ -636,9 +664,11 @@ class Session:
             return
         if handle._future is None:
             raise EngineError("handle has neither outcome nor future")
+        reused = False
         while True:
             try:
-                outcome = handle._future.result(timeout=self.timeout)
+                outcome, reused = handle._future.result(
+                    timeout=self.timeout)
                 break
             except concurrent.futures.TimeoutError:
                 self._m_timeouts.inc()
@@ -668,16 +698,17 @@ class Session:
                     backend_for(self.config.backend,
                                 faults=handle.request.faults),
                     self.preflight, self._cache is not None)
-        self._complete(handle, outcome)
+        self._complete(handle, outcome, reused)
 
-    def _complete(self, handle: RunHandle, outcome: RunOutcome) -> None:
-        self._m_executed.inc()
+    def _complete(self, handle: RunHandle, outcome: RunOutcome,
+                  reused: bool) -> None:
+        (self._m_reused if reused else self._m_executed).inc()
         if not outcome.completed:
             self._m_failed.inc()
         if handle.digest is not None and self._cache is not None:
             self._m_cache.labels(result="miss").inc()
             handle.cache_status = "miss"
-            outcome = _stamp(_derive(outcome), handle.digest, "miss")
+            outcome = _stamp(outcome, handle.digest, "miss")
             if outcome.cacheable:
                 self._cache.store(handle.digest, outcome)
         else:

@@ -87,6 +87,11 @@ def machine_summary(machine: MachineConfig) -> dict:
     }
 
 
+def timestamp() -> str:
+    """The current local time, as a manifest's ``created_at``."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S%z")
+
+
 def build_manifest(program: str, machine: MachineConfig,
                    board: BoardConfig, wall_time_s: float,
                    seed: int | None = None,
@@ -104,6 +109,6 @@ def build_manifest(program: str, machine: MachineConfig,
         python_version=sys.version.split()[0],
         platform=platform.platform(),
         wall_time_s=wall_time_s,
-        created_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        created_at=timestamp(),
         backend=backend,
     )

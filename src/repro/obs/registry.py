@@ -152,6 +152,7 @@ COUNTER_UNITS: dict[str, str] = {
     "engine_worker_retries_total": "retries",
     "engine_backend_selected_total": "runs",
     "engine_runs_executed_total": "runs",
+    "engine_runs_reused_total": "runs",
     "engine_runs_failed_total": "runs",
 }
 

@@ -26,6 +26,7 @@ from repro.serve import (
 )
 from repro.obs.metrics import counter_totals, parse_prometheus
 from repro.serve.chaos import ChaosSpec
+from tests.test_lazy_build import _fresh_memo
 
 SIZES = {"height": 24, "width": 64, "disparities": 4}
 DEPTH = {"app": "depth", "sizes": {"width": 32, "height": 24}}
@@ -58,13 +59,16 @@ def test_engine_sequence_pins_line_and_history(tmp_path, capsys):
     from repro.obs.history import read_history
     from repro.obs.tracer import Tracer
 
-    def request(seed):
-        return RunRequest.for_app("depth", sizes=SIZES, seed=seed)
+    def request(seed, **sizes):
+        return RunRequest.for_app("depth", sizes={**SIZES, **sizes},
+                                  seed=seed)
 
     cache_dir = tmp_path / "cache"
     history = tmp_path / "history.jsonl"
-    # Warm request 2 in a separate session: its counts are its own.
-    with Session(config=SessionConfig(cache_dir=cache_dir)) as warm:
+    # Warm request 2 in a separate session and memo: its counts are
+    # its own, and the pool workers forked below hold no result of it.
+    with _fresh_memo(), \
+            Session(config=SessionConfig(cache_dir=cache_dir)) as warm:
         warm.run(request(2))
 
     with Session(config=SessionConfig(
@@ -79,9 +83,10 @@ def test_engine_sequence_pins_line_and_history(tmp_path, capsys):
         assert hit.cache_status == "hit"
         traced = session.submit(request(1), tracer=Tracer())
         assert traced.cache_status == "uncached"
-        # A wall-clock budget no pooled run can meet.
+        # A wall-clock budget no pooled run can meet, at a shape no
+        # worker holds a result for.
         session.timeout = 0.001
-        timed_out = session.submit(request(3)).outcome()
+        timed_out = session.submit(request(3, width=96)).outcome()
         assert timed_out.error_type == "RunTimeout"
         capsys.readouterr()
         _print_engine_stats(session)

@@ -23,6 +23,7 @@ from repro.obs import critpath, profile
 from repro.obs.critpath import CritpathError, build_critpath, critpath_summary
 from repro.obs.history import history_entry
 from repro.obs.profile import build_profile
+from tests.test_lazy_build import _fresh_memo
 
 SMALL_SIZES = {
     "depth": {"height": 24, "width": 64, "disparities": 4},
@@ -122,6 +123,8 @@ def test_entry_bytes_do_not_depend_on_where_the_run_derived(
         tmp_path, monkeypatch):
     """A ``jobs=2`` miss derives in the pool worker, a ``jobs=1`` miss
     in process; both store the same derivations and the same entry.
+    Each job count runs against an empty memo, so neither is served
+    the other's held result.
 
     The manifest's wall-clock fields are pinned (pool workers fork
     after the patch).  The derivations are compared as stored; whole
@@ -142,7 +145,7 @@ def test_entry_bytes_do_not_depend_on_where_the_run_derived(
     outcomes = []
     for jobs in (1, 2):
         root = tmp_path / f"jobs{jobs}"
-        with Session(config=SessionConfig(
+        with _fresh_memo(), Session(config=SessionConfig(
                 jobs=jobs, cache_dir=root)) as session:
             handle = session.submit(request)
             assert handle.result().derived is not None

@@ -5,34 +5,47 @@ a runtime scalar or the image's outputs is read, or when a kernel
 without a length declaration is called.  These tests pin what that
 must not change (the compiled image, every value read) and what it
 buys (an engine run of DEPTH or QRD runs no kernel model).  The
-engine builds a playback program once per shape and process; the
-tests at the end pin that a held image serves every data seed and
-keeps none of their data.
+engine builds a playback program once per shape and process, and
+simulates it once per board and strictness; the tests at the end pin
+that a held image, and a held result, serve every data seed and keep
+none of their data.
 """
 
 import contextlib
 import gc
 import json
+import pickle
 import random
 import sys
+import tempfile
 import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.engine.session as session_module
 import repro.streamc.program as program_module
-from repro.engine import RunRequest, Session, SessionConfig, catalog
+from repro.core import BoardConfig
+from repro.engine import (RunRequest, Session, SessionConfig, catalog,
+                          engine_counts)
+from repro.engine.cache import ResultCache
 from repro.engine.catalog import APP_NAMES, build_app
+from repro.faults import BUILTIN_PLANS
 from repro.isa.kernel_ir import KernelBuilder
 from repro.kernels.conv import CONV7X7
 from repro.kernels.update2 import UPDATE2
 from repro.memsys.address_gen import expand_pattern
 from repro.memsys.patterns import strided, unit_stride
+from repro.obs import Tracer, critpath
+from repro.obs.critpath import CritpathError, build_critpath
+from repro.obs.metrics import counter_count
+from repro.obs.profile import build_profile
 from repro.streamc.program import (KernelSpec, StreamProgram,
                                    StreamProgramError, same_words)
 from repro.streamc.record import RecordError, save_record
@@ -307,6 +320,18 @@ _SHAPE_STRATEGIES = {
 }
 
 
+BOARDS = {"hardware": BoardConfig.hardware, "isim": BoardConfig.isim}
+
+
+def _reports(result) -> tuple[str, str]:
+    """The profile and critical-path JSON of ``result``, without the
+    request digest."""
+    documents = (build_profile(result), build_critpath(result))
+    for document in documents:
+        document.pop("request_digest")
+    return tuple(json.dumps(document) for document in documents)
+
+
 @settings(max_examples=12, deadline=None)
 @given(app=st.sampled_from(APP_NAMES), data=st.data(),
        seeds=st.lists(st.integers(0, 2**32), min_size=2, max_size=2,
@@ -314,27 +339,38 @@ _SHAPE_STRATEGIES = {
 def test_memo_serves_every_seed_of_a_shape(app, data, seeds):
     """A builder's seed chooses only data placed in arrays: a memo
     hit at another seed is the image a fresh build compiles there,
-    and simulates to the same metrics.  Data-dependent programs are
-    never held, so each of their requests still builds."""
+    and the result held for the first seed is what an uncached
+    event-backend run of that fresh build reports.  Data-dependent
+    programs are never held, so each of their requests still builds
+    and simulates."""
     shape = data.draw(_SHAPE_STRATEGIES[app], label="shape")
-    first, second = (RunRequest(app=app, sizes={**shape, "seed": seed})
+    board = BOARDS[data.draw(st.sampled_from(sorted(BOARDS)),
+                             label="board")]()
+    first, second = (RunRequest(app=app, sizes={**shape, "seed": seed},
+                                board=board)
                      for seed in seeds)
     with _fresh_memo(), _counting_builds() as builds, \
-            Session(config=SessionConfig(cache=False)) as session:
+            tempfile.TemporaryDirectory() as root, \
+            Session(config=SessionConfig(cache_dir=root)) as session:
         held = catalog.bundle_for(first)
         served = catalog.bundle_for(second)
         fresh = build_app(app, **shape, seed=seeds[1])
+        session.run(first)
+        from_memo = session.run(second)
+        reused = counter_count(session.metrics, "engine_runs_reused_total")
         if not fresh.image.playback:
             assert len(catalog._memo) == 0
-            assert len(builds) == 2
+            assert len(builds) == 4 and reused == 0
             return
-        assert len(catalog._memo) == 1 and len(builds) == 1
+        assert len(builds) == 1 and reused == 1
         assert served.image is held.image
         assert served.source == (app, second.sizes)
         assert _canonical(served.image) == _canonical(fresh.image)
-        from_memo = session.run(second)
-        from_fresh = session.run_bundle(fresh)
-        assert repr(from_memo.metrics) == repr(from_fresh.metrics)
+    with Session(config=SessionConfig(backend="event",
+                                      cache=False)) as reference:
+        from_fresh = reference.run_bundle(fresh, board=board)
+    assert repr(from_memo.metrics) == repr(from_fresh.metrics)
+    assert _reports(from_memo) == _reports(from_fresh)
 
 
 def test_served_outputs_raise_and_say_why():
@@ -461,7 +497,8 @@ def test_memo_accounting_survives_contention():
 
 def test_concurrent_submits_of_one_shape_agree(tmp_path):
     """Sessions on a few threads (as ``repro serve`` runs them) share
-    the memo: equal results, one held image, consistent accounting."""
+    the memo: equal results, one held image and one held result,
+    consistent accounting."""
     threads = 4
     barrier = threading.Barrier(threads)
 
@@ -474,9 +511,12 @@ def test_concurrent_submits_of_one_shape_agree(tmp_path):
 
     with _fresh_memo(), ThreadPoolExecutor(threads) as pool:
         results = list(pool.map(submit, range(threads)))
-        (bundle, size), = catalog._memo._held.values()
-        assert catalog._memo.held_bytes == size == catalog._footprint(
-            bundle.image)
+        (bundle, size), (blob, blob_size) = sorted(
+            catalog._memo._held.values(),
+            key=lambda entry: isinstance(entry[0], bytes))
+        assert size == catalog._footprint(bundle.image)
+        assert blob_size == len(blob)
+        assert catalog._memo.held_bytes == size + blob_size
     assert len({repr(result.metrics) for result in results}) == 1
 
 
@@ -501,6 +541,194 @@ def test_the_charge_covers_what_a_held_image_keeps(app, sizes):
         finally:
             tracemalloc.stop()
         assert kept <= catalog._memo.held_bytes <= 1.3 * kept
+
+
+# ----------------------------------------------------------------------
+# Simulate once per image: a held result serves every later seed.
+# ----------------------------------------------------------------------
+def _seeded(seed, app="depth", **overrides):
+    sizes = ({"height": 16, "width": 64} if app == "depth"
+             else {"rows": 32, "cols": 16})
+    return RunRequest.for_app(app, sizes={**sizes, "seed": seed},
+                              **overrides)
+
+
+@contextlib.contextmanager
+def _counting_simulations():
+    """Yield the list of backends the engine simulates on, in order."""
+    runs = []
+    simulate = session_module._simulate
+
+    def counting_simulate(bundle, request, backend, tracer=None):
+        runs.append(backend)
+        return simulate(bundle, request, backend, tracer=tracer)
+
+    with mock.patch.object(session_module, "_simulate", counting_simulate):
+        yield runs
+
+
+def _held_kinds():
+    return sorted(type(value).__name__
+                  for value, _ in catalog._memo._held.values())
+
+
+def test_a_held_result_serves_later_seeds_as_misses(tmp_path):
+    config = SessionConfig(cache_dir=tmp_path)
+    with _counting_simulations() as runs, Session(config=config) as session:
+        first = session.run(_seeded(1))
+        handle = session.submit(_seeded(2))
+        served = handle.result()
+        counts = engine_counts(session.metrics)
+        reused = counter_count(session.metrics, "engine_runs_reused_total")
+    assert runs == ["vector"]
+    assert _held_kinds() == ["AppBundle", "bytes"]
+    assert (counts["executed"], reused, counts["misses"]) == (1, 1, 2)
+    assert served.manifest.cache == handle.cache_status == "miss"
+    assert served.manifest.request_digest == handle.digest
+    assert served.manifest.backend == "vector"
+    assert 0 < served.manifest.wall_time_s < first.manifest.wall_time_s
+    assert served.derived is not None
+    assert _reports(served) == _reports(first)
+    with Session(config=config) as session:
+        assert session.run(_seeded(2)).manifest.cache == "hit"
+
+
+def test_a_mutated_delivery_does_not_leak_into_the_next_seed(tmp_path):
+    with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
+        first = session.run(_seeded(1))
+        expected = _reports(first), repr(first.metrics)
+        machine = dict(first.manifest.machine)
+        for result in (first, session.run(_seeded(2))):
+            result.metrics.total_cycles = -1.0
+            graph = result.event_graph
+            graph.add_edge(graph.end.ident,
+                           graph.add_node("end", -1, graph.end.t + 5.0),
+                           "retire", 0.0)
+            result.manifest.machine.clear()
+        again = session.run(_seeded(3))
+        assert counter_count(session.metrics,
+                             "engine_runs_reused_total") == 2
+    assert (_reports(again), repr(again.metrics)) == expected
+    assert again.manifest.machine == machine
+
+
+def test_held_bytes_stay_within_the_budget_after_every_insert(tmp_path):
+    """Images and results share one budget: after each insert of
+    either kind the held bytes are what is held, and within it."""
+    kinds = []
+    put = catalog.ShapeMemo.put
+
+    def checked_put(self, key, value, size):
+        held = put(self, key, value, size)
+        kinds.append(type(value).__name__)
+        assert self.held_bytes == sum(
+            charged for _, charged in self._held.values())
+        assert self.held_bytes <= self.budget
+        return held
+
+    with _fresh_memo(budget=400_000), \
+            mock.patch.object(catalog.ShapeMemo, "put", checked_put), \
+            Session(config=SessionConfig(cache_dir=tmp_path)) as session:
+        for app in ("depth", "qrd"):
+            for board in BOARDS.values():
+                for seed in (1, 2):
+                    session.run(_seeded(seed, app, board=board()))
+        held = len(catalog._memo)
+    assert kinds.count("AppBundle") == 2 and kinds.count("bytes") == 4
+    assert held < len(kinds)
+
+
+def test_a_result_larger_than_the_budget_is_never_held(tmp_path):
+    with _fresh_memo(budget=50_000), _counting_simulations() as runs, \
+            Session(config=SessionConfig(cache_dir=tmp_path)) as session:
+        first = session.run(_seeded(1))
+        session.run(_seeded(2))
+        catalog.hold_result(catalog.result_key(_seeded(1)), first)
+        assert len(pickle.dumps(first)) > catalog._memo.budget
+        assert len(catalog._memo) == 0 and catalog._memo.held_bytes == 0
+    assert runs == ["vector", "vector"]
+
+
+def test_event_traced_faulted_and_preflighting_runs_simulate(
+        tmp_path, monkeypatch):
+    """Only a fault-free, untraced vector run uses a held result, and
+    a preflighting session still preflights a request whose result
+    another session holds."""
+    from repro.analysis import lint
+
+    preflights = []
+    preflight_image = lint.preflight_image
+    monkeypatch.setattr(lint, "preflight_image", lambda *args: (
+        preflights.append(args), preflight_image(*args))[1])
+
+    def config(name, **knobs):
+        return SessionConfig(cache_dir=tmp_path / name, **knobs)
+
+    with _counting_simulations() as runs:
+        with Session(config=config("held")) as session:
+            session.run(_seeded(1))
+            session.run(_seeded(1, strict=True))
+            session.run(_seeded(2), tracer=Tracer())
+            session.run(_seeded(3, faults=BUILTIN_PLANS["board"]))
+        with Session(config=config("event", backend="event")) as session:
+            session.run(_seeded(4))
+        with Session(config=config("preflight", preflight=True)) as session:
+            session.run(_seeded(5, strict=True))
+            assert counter_count(session.metrics,
+                                 "engine_runs_reused_total") == 0
+        assert runs == ["vector", "vector", "event", "event", "event",
+                        "vector"]
+        assert len(preflights) == 1
+        with Session(config=config("served")) as session:
+            session.run(_seeded(6))
+            session.run(_seeded(6, strict=True))
+            assert counter_count(session.metrics,
+                                 "engine_runs_reused_total") == 2
+        assert len(runs) == 6
+
+
+def test_an_underived_run_is_not_held(tmp_path, monkeypatch):
+    def reject(graph):
+        raise CritpathError("the DAG is disconnected")
+
+    monkeypatch.setattr(critpath, "_walk", reject)
+    with _counting_simulations() as runs, \
+            Session(config=SessionConfig(cache_dir=tmp_path)) as session:
+        results = [session.run(_seeded(seed)) for seed in (1, 2)]
+    assert [result.derived for result in results] == [None, None]
+    assert runs == ["vector", "vector"]
+    assert _held_kinds() == ["AppBundle"]
+
+
+def test_a_served_entry_does_not_depend_on_the_job_count(
+        tmp_path, monkeypatch):
+    """A result served in process and one served (or simulated) in a
+    pool worker store the same entry.  The manifest's clocks are
+    pinned; entries compare after one pickle round trip, since
+    unpickling interns attribute names (see test_derived)."""
+    from repro.core import vector
+    from repro.obs import manifest
+
+    monkeypatch.setattr(manifest, "time", SimpleNamespace(
+        strftime=lambda fmt: "2026-01-01T00:00:00+0000"))
+    for module in (vector, session_module):
+        monkeypatch.setattr(module, "time", SimpleNamespace(
+            perf_counter=lambda: 0.0))
+    entries = []
+    for jobs in (1, 2):
+        root = tmp_path / f"jobs{jobs}"
+        with Session(config=SessionConfig(
+                jobs=jobs, cache_dir=root)) as session:
+            if jobs == 1:
+                session.run(_seeded(1, "qrd"))
+            handle = session.submit(_seeded(2, "qrd"))
+            assert handle.result().derived is not None
+            if jobs == 1:
+                assert counter_count(session.metrics,
+                                     "engine_runs_reused_total") == 1
+        entry = ResultCache(root)._object_path(handle.digest).read_bytes()
+        entries.append(pickle.loads(entry.partition(b"\n")[2]))
+    assert pickle.dumps(entries[0]) == pickle.dumps(entries[1])
 
 
 # ----------------------------------------------------------------------
