@@ -3,7 +3,7 @@
 Layout (under ``~/.cache/repro`` by default, or ``REPRO_CACHE_DIR``,
 or the ``SessionConfig(cache_dir=...)`` override)::
 
-    <root>/objects/<d0d1>/<digest>.pkl    # header + pickled RunOutcome
+    <root>/objects/<d0d1>/<digest>.pkl    # header, head and body
     <root>/objects/<d0d1>/<digest>.json   # served artifact envelope
 
 The two files are the two halves of one entry.  The engine writes the
@@ -22,19 +22,34 @@ halves at once, until the cache fits.  A half larger than the whole
 budget is not written at all.  An entry's last use is the newer mtime
 of its halves, and a verified load of either half refreshes it.
 Writes are atomic (temp file + ``os.replace``), as is the
-``index.json`` summary the eviction pass maintains.  A completed
-run's result carries the profile and critical-path walk the engine
-derived when it ran (:class:`repro.obs.profile.Derived`), so a hit
-reads its reports without deriving them again.  A ``.pkl``'s
-one-line header names the cache format and the sha256 of the pickled
-outcome that follows it; the checksum is verified before anything is
-unpickled, and unreadable, corrupt or other-format entries are
-treated as misses and removed, both halves.  ``repro cache
---stats/--prune`` exposes the same machinery from the command line.
+``index.json`` summary the eviction pass maintains.
+
+A ``.pkl`` holds one outcome in two parts, after a one-line
+header::
+
+    repro-cache/5 head=<head bytes>:<head sha256> body=<body sha256>
+    <head: pickled (RunOutcome without its result, the result's manifest)>
+    <body: PackedResult.body, the pickled RunResult without its manifest>
+
+The body is what a run computed (metrics, power, histogram, trace,
+event graph and the derived profile and critical-path walk,
+:class:`repro.obs.profile.Derived`, so a hit reads its reports
+without deriving them again); for a playback image it is the same
+for every data seed.  It is pickled once where the run happened
+(:class:`PackedResult`), and the store writes those bytes and their
+checksum unchanged.  The head is what belongs to this digest: the
+outcome's status and error fields and the manifest.  A failed
+outcome has an empty body.  Both checksums are verified before
+anything is unpickled, and unreadable, corrupt or other-format
+entries are treated as misses and removed, both halves.  ``repro
+cache --stats/--prune`` exposes the same machinery from the command
+line.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -44,13 +59,16 @@ import tempfile
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.processor import RunResult
     from repro.engine.session import RunOutcome
+    from repro.obs.manifest import RunManifest
 
 #: Version tag stored with every cache object; bump on layout changes
 #: (2: the event graph is stored as columns; 3: so is the instruction
 #: trace, and entries carry a checksum; 4: results carry their derived
-#: profile and critical-path walk).
-CACHE_FORMAT = 4
+#: profile and critical-path walk; 5: the result's body and the
+#: per-digest head are pickled apart, each with its own checksum).
+CACHE_FORMAT = 5
 
 #: Environment override for the size budget (bytes; unset/0 = unbounded).
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
@@ -69,11 +87,70 @@ def configured_max_bytes() -> int | None:
     return value if value > 0 else None
 
 
-def _header(payload: bytes) -> bytes:
-    """An entry's first line: format and sha256 of the pickled outcome
-    that follows it."""
-    return (f"repro-cache/{CACHE_FORMAT} sha256="
-            f"{hashlib.sha256(payload).hexdigest()}").encode()
+def _own(manifest: "RunManifest | None") -> "RunManifest | None":
+    """A copy of ``manifest`` that shares no mutable field with it."""
+    if manifest is None:
+        return None
+    return dataclasses.replace(manifest, machine=dict(manifest.machine))
+
+
+@dataclasses.dataclass(frozen=True)
+class PackedResult:
+    """A completed run's result, pickled once where the run happened.
+
+    ``body`` is ``pickle.dumps`` of the :class:`RunResult` without its
+    manifest, ``sha256`` its checksum, computed with it, and
+    ``manifest`` the manifest to deliver it with.  The memo holds one
+    (:func:`repro.engine.catalog.hold_result`), a pool worker returns
+    one, and the cache writes its body and checksum unchanged; every
+    :meth:`unpack` is a fresh copy, so mutating one delivery never
+    reaches another.
+    """
+
+    body: bytes
+    sha256: str
+    manifest: "RunManifest | None"
+
+    @classmethod
+    def of(cls, result: "RunResult") -> "PackedResult":
+        bare = copy.copy(result)
+        bare.manifest = None
+        body = pickle.dumps(bare)
+        return cls(body, hashlib.sha256(body).hexdigest(),
+                   _own(result.manifest))
+
+    def unpack(self) -> "RunResult":
+        result = pickle.loads(self.body)
+        result.manifest = _own(self.manifest)
+        return result
+
+
+#: The body checksum of an outcome without a result.
+_NO_BODY = hashlib.sha256(b"").hexdigest()
+
+
+def _header(head: bytes | memoryview, body_sha256: str) -> bytes:
+    """An entry's first line: format, the head's length and sha256,
+    and the body's sha256."""
+    return (f"repro-cache/{CACHE_FORMAT} head={len(head)}:"
+            f"{hashlib.sha256(head).hexdigest()} "
+            f"body={body_sha256}").encode()
+
+
+def _parts(data: bytes) -> tuple[memoryview, memoryview] | None:
+    """An entry's head and body, or ``None`` unless the header names
+    this format and both checksums hold."""
+    header, _, rest = data.partition(b"\n")
+    try:
+        size = int(header.split(b" head=", 1)[1].split(b":", 1)[0])
+    except (IndexError, ValueError):
+        return None
+    view = memoryview(rest)
+    head, body = view[:size], view[size:]
+    if size < 0 or header != _header(
+            head, hashlib.sha256(body).hexdigest()):
+        return None
+    return head, body
 
 
 def entry_path(root: pathlib.Path | str, digest: str,
@@ -153,13 +230,17 @@ class ResultCache:
             return None
         except OSError:
             data = b""
-        header, _, payload = data.partition(b"\n")
+        parts = _parts(data)
         outcome = None
-        if header == _header(payload):
+        if parts is not None:
+            head, body = parts
             try:
-                outcome = pickle.loads(payload)
+                outcome, manifest = pickle.loads(head)
+                if body:
+                    outcome.result = pickle.loads(body)
+                    outcome.result.manifest = manifest
             except Exception:
-                # The checksum held, so the bytes are what this cache
+                # The checksums held, so the bytes are what this cache
                 # wrote; an incompatible build wrote them.
                 outcome = None
         if outcome is None:
@@ -169,10 +250,21 @@ class ResultCache:
         return outcome
 
     def store(self, digest: str, outcome: "RunOutcome") -> None:
-        """Persist ``outcome`` under ``digest`` (best-effort, atomic)."""
-        payload = pickle.dumps(outcome)
+        """Persist ``outcome`` under ``digest`` (best-effort, atomic):
+        its packed result's body as it is (an outcome without one is
+        packed here), after a head pickled from the rest."""
+        result = outcome.result
+        packed = outcome.packed
+        if packed is None and result is not None:
+            packed = PackedResult.of(result)
+        head = pickle.dumps((
+            dataclasses.replace(outcome, result=None, packed=None),
+            None if result is None else result.manifest))
+        body, body_sha256 = ((packed.body, packed.sha256)
+                             if packed is not None else (b"", _NO_BODY))
         try:
-            self.write(digest, ".pkl", _header(payload) + b"\n" + payload)
+            self.write(digest, ".pkl", b"".join(
+                (_header(head, body_sha256), b"\n", head, body)))
         except OSError:
             # A read-only or full cache dir must never fail the run.
             pass
@@ -271,6 +363,6 @@ class ResultCache:
                 pass
 
 
-__all__ = ["CACHE_FORMAT", "MAX_BYTES_ENV", "ResultCache",
+__all__ = ["CACHE_FORMAT", "MAX_BYTES_ENV", "PackedResult", "ResultCache",
            "atomic_write", "configured_max_bytes", "default_cache_dir",
            "entry_path", "touch"]

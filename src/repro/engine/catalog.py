@@ -26,7 +26,6 @@ its vector run across data seeds through :func:`held_result` (see
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import threading
 from collections import OrderedDict
 from collections.abc import Mapping
@@ -36,7 +35,7 @@ from repro.core.config import MachineConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.common import AppBundle
-    from repro.core.processor import RunResult
+    from repro.engine.cache import PackedResult
     from repro.engine.request import RunRequest
     from repro.streamc.compiler import StreamProgramImage
 
@@ -91,12 +90,13 @@ def build_app(name: str, machine: MachineConfig | None = None,
     return bundle
 
 
-#: Bytes of built images (:func:`bundle_for`) and pickled derived
+#: Bytes of built images (:func:`bundle_for`) and packed derived
 #: results (:func:`hold_result`) held per process, in one budget, least
 #: recently used dropped first; an entry larger than this is never
 #: held.  A held image takes 0.1-0.4 MB at perfbench's reduced shapes
-#: and 0.6 MB (DEPTH) / 1 MB (QRD) at default size; a held result
-#: 75-229 KB at the reduced shapes.
+#: and 0.6 MB (DEPTH) / 1 MB (QRD) at default size; a held result is
+#: charged its body, the bytes the result cache stores for every seed
+#: of its shape: 75-229 KB at the reduced shapes.
 HELD_BYTES_BUDGET = 4 << 20
 
 
@@ -141,7 +141,7 @@ def _footprint(image: "StreamProgramImage") -> int:
 
 
 class ShapeMemo:
-    """Built bundles by shape and pickled results by the shape, board
+    """Built bundles by shape and packed results by the shape, board
     and strictness they ran at, bounded together by ``budget`` bytes
     (LRU).
 
@@ -248,20 +248,19 @@ def result_key(request: "RunRequest") -> tuple | None:
     return (shape, request.effective_board(), request.strict)
 
 
-def held_result(key: tuple | None) -> "RunResult | None":
-    """A fresh copy of the result held for ``key``, or ``None``.  Its
-    manifest is the held run's; the caller restamps the fields that
-    describe the delivery."""
-    blob = None if key is None else _memo.get(key)
-    return None if blob is None else pickle.loads(blob)
+def held_result(key: tuple | None) -> "PackedResult | None":
+    """The packed result held for ``key``, or ``None``.  Its manifest
+    is the held run's; the caller restamps the fields that describe
+    the delivery."""
+    return None if key is None else _memo.get(key)
 
 
-def hold_result(key: tuple, result: "RunResult") -> None:
-    """Hold ``result``, a derived run of a playback image at ``key``,
-    pickled: every later reader unpickles its own copy, and the bytes
-    take about half the memory of the live result."""
-    blob = pickle.dumps(result)
-    _memo.put(key, blob, len(blob))
+def hold_result(key: tuple, packed: "PackedResult") -> None:
+    """Hold ``packed``, a derived run of a playback image at ``key``:
+    every later reader unpacks its own copy, the cache stores its body
+    as it is, and the bytes take about half the memory of the live
+    result."""
+    _memo.put(key, packed, len(packed.body))
 
 
 __all__ = [

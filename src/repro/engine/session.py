@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.core import SimulationError
 from repro.core.config import BoardConfig, MachineConfig
 from repro.engine import catalog
-from repro.engine.cache import ResultCache
+from repro.engine.cache import PackedResult, ResultCache
 from repro.engine.request import RunRequest, code_salt
 from repro.host.processor import HostError
 from repro.obs.manifest import timestamp
@@ -139,6 +139,12 @@ class RunOutcome:
     #: pickled or cached, so cross-process failures re-raise as
     #: :class:`RunFailure` instead.
     exception: BaseException | None = field(
+        default=None, repr=False, compare=False)
+    #: The result pickled once where it ran (a held playback run, or
+    #: any run a pool worker returns), until the session stores it; a
+    #: served or pool-returned outcome carries only this until the
+    #: session unpacks it.
+    packed: PackedResult | None = field(
         default=None, repr=False, compare=False)
 
     @property
@@ -297,34 +303,53 @@ def _execute_request(request: RunRequest, backend: str,
                      preflight: bool = False, derive: bool = False,
                      prebuilt: "AppBundle | None" = None
                      ) -> tuple[RunOutcome, bool]:
-    """Run ``request`` (in process, or as the pool worker's entry
-    point) and derive the reports when the outcome feeds the cache.
-    Returns the outcome and whether it was served from a held result
-    instead of simulated.
+    """Run ``request`` in process and derive the reports when the
+    outcome feeds the cache.  Returns the outcome and whether it was
+    served from a held result instead of simulated.
 
-    A derived vector run of a playback image is held, and a later
-    request of its shape at another data seed is served a copy
-    ("Simulate once per image" in ``docs/engine.md``).  A run that
-    preflights neither reads nor holds one.
+    A derived vector run of a playback image is packed once, for the
+    memo and the store, and held; a later request of its shape at
+    another data seed is served the packed result, restamped, with no
+    live result yet ("Simulate once per image" in
+    ``docs/engine.md``).  A run that preflights neither reads nor
+    holds one.
     """
     start = time.perf_counter()
     key = (catalog.result_key(request)
            if derive and backend == "vector"
            and not (preflight and request.strict) else None)
-    served = catalog.held_result(key)
-    if served is not None:
-        served.manifest = dataclasses.replace(
-            served.manifest, wall_time_s=time.perf_counter() - start,
+    held = catalog.held_result(key)
+    if held is not None:
+        manifest = dataclasses.replace(
+            held.manifest, wall_time_s=time.perf_counter() - start,
             created_at=timestamp())
-        return RunOutcome(status="completed", result=served), True
+        return RunOutcome(status="completed", packed=dataclasses.replace(
+            held, manifest=manifest)), True
     bundle = _bundle(request, prebuilt)
     outcome = _capture(bundle, request, backend, preflight=preflight)
     if derive:
         outcome = _derive(outcome)
     if (key is not None and bundle.image.playback and outcome.completed
             and outcome.result.derived is not None):
-        catalog.hold_result(key, outcome.result)
+        outcome.packed = PackedResult.of(outcome.result)
+        catalog.hold_result(key, outcome.packed)
     return outcome, False
+
+
+def _execute_in_worker(request: RunRequest, backend: str,
+                       preflight: bool, derive: bool
+                       ) -> tuple[RunOutcome, bool]:
+    """The pool worker's entry point: :func:`_execute_request`, with a
+    result that feeds the cache packed and sent without its live
+    copy, so it crosses back as the body the cache stores and the
+    main process unpickles it once."""
+    outcome, reused = _execute_request(request, backend, preflight,
+                                       derive)
+    if derive and outcome.completed:
+        if outcome.packed is None:
+            outcome.packed = PackedResult.of(outcome.result)
+        outcome.result = None
+    return outcome, reused
 
 
 def _stamp(outcome: RunOutcome, digest: str | None,
@@ -569,7 +594,7 @@ class Session:
 
         if self.jobs > 1:
             handle._future = self._pool().submit(
-                _execute_request, request, backend, self.preflight,
+                _execute_in_worker, request, backend, self.preflight,
                 self._cache is not None)
             handle._attempts = 1
         else:
@@ -694,7 +719,7 @@ class Session:
                                             cancel_futures=True)
                     self._executor = None
                 handle._future = self._pool().submit(
-                    _execute_request, handle.request,
+                    _execute_in_worker, handle.request,
                     backend_for(self.config.backend,
                                 faults=handle.request.faults),
                     self.preflight, self._cache is not None)
@@ -702,6 +727,8 @@ class Session:
 
     def _complete(self, handle: RunHandle, outcome: RunOutcome,
                   reused: bool) -> None:
+        if outcome.result is None and outcome.packed is not None:
+            outcome.result = outcome.packed.unpack()
         (self._m_reused if reused else self._m_executed).inc()
         if not outcome.completed:
             self._m_failed.inc()
@@ -715,6 +742,9 @@ class Session:
             self._m_cache.labels(result="uncached").inc()
             handle.cache_status = "uncached"
             outcome = _stamp(outcome, handle.digest, "uncached")
+        # The memo, if anything, keeps the bytes; a settled handle
+        # keeps only the live result.
+        outcome.packed = None
         handle._outcome = outcome
         if (handle.digest is not None
                 and self._running.get(handle.digest) is handle):

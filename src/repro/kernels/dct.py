@@ -15,7 +15,6 @@ the packed representation).
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from repro.isa.kernel_ir import KernelBuilder, KernelGraph
 from repro.kernels.pixelmath import pack16, unpack16
@@ -78,6 +77,8 @@ def _blockwise_words(name: str):
 
 def _dct_apply(inputs: list[np.ndarray],
                params: dict) -> list[np.ndarray]:
+    import scipy.fft   # 0.5 s to import; only MPEG's models run it
+
     _check_blocks("dct8x8", len(inputs[0]))
     pixels = unpack16(inputs[0]) - _OFFSET
     blocks = pixels.reshape(-1, 8, 8)
@@ -103,6 +104,8 @@ DCT8X8 = KernelSpec(
 def _idct_apply(inputs: list[np.ndarray],
                 params: dict) -> list[np.ndarray]:
     """Dequantize (optional) + inverse 2-D DCT."""
+    import scipy.fft
+
     step = float(params.get("qstep", 1.0))
     coefficients = (unpack16(inputs[0]) - _OFFSET) * step
     if params.get("zigzagged"):

@@ -122,17 +122,11 @@ def test_each_read_is_a_fresh_copy(tmp_path):
 def test_entry_bytes_do_not_depend_on_where_the_run_derived(
         tmp_path, monkeypatch):
     """A ``jobs=2`` miss derives in the pool worker, a ``jobs=1`` miss
-    in process; both store the same derivations and the same entry.
-    Each job count runs against an empty memo, so neither is served
-    the other's held result.
-
-    The manifest's wall-clock fields are pinned (pool workers fork
-    after the patch).  The derivations are compared as stored; whole
-    entries after one pickle round trip.  Unpickling interns
-    instance-attribute names, which splits strings a fresh run
-    shares, so an outcome that crossed from a worker has never
-    pickled to the same bytes as the in-process one (at the parent
-    commit too); one round trip brings both to that form.
+    in process; both store the same entry, byte for byte: the worker
+    returns the body it pickled and the main process stores it as it
+    is.  Each job count runs against an empty memo, so neither is
+    served the other's held result.  The manifest's wall-clock fields
+    are pinned (pool workers fork after the patch).
     """
     from repro.core import vector
     from repro.obs import manifest
@@ -142,7 +136,7 @@ def test_entry_bytes_do_not_depend_on_where_the_run_derived(
     monkeypatch.setattr(vector, "time", SimpleNamespace(
         perf_counter=lambda: 0.0))
     request = RunRequest.for_app("qrd", sizes=SMALL_SIZES["qrd"])
-    outcomes = []
+    entries = []
     for jobs in (1, 2):
         root = tmp_path / f"jobs{jobs}"
         with _fresh_memo(), Session(config=SessionConfig(
@@ -150,11 +144,9 @@ def test_entry_bytes_do_not_depend_on_where_the_run_derived(
             handle = session.submit(request)
             assert handle.result().derived is not None
             assert handle.cache_status == "miss"
-        entry = ResultCache(root)._object_path(handle.digest).read_bytes()
-        outcomes.append(pickle.loads(entry.partition(b"\n")[2]))
-    one, two = (outcome.result.derived for outcome in outcomes)
-    assert one.__getstate__() == two.__getstate__()
-    assert pickle.dumps(outcomes[0]) == pickle.dumps(outcomes[1])
+        entries.append(
+            ResultCache(root)._object_path(handle.digest).read_bytes())
+    assert entries[0] == entries[1]
 
 
 def test_a_graph_the_walk_rejects_is_stored_underived(tmp_path,

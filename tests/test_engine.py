@@ -203,6 +203,21 @@ class TestDigest:
             salt="s")
 
 
+def test_report_modules_import_no_scipy():
+    """Only the DCT models use scipy (0.5 s to import), and only MPEG
+    runs them: the CLI, the analysis package, the critical path and
+    the engine leave it out."""
+    script = ("import sys\n"
+              "import repro.cli, repro.analysis, repro.obs.critpath, "
+              "repro.engine\n"
+              "print(sorted(name for name in sys.modules\n"
+              "             if name.partition('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestCache:
     def test_miss_then_hit_across_sessions(self, tmp_path):
         request = small_request()
@@ -257,9 +272,10 @@ class TestCache:
         only the entry format stops an old pickle from reaching the
         reports: a format-1 entry (one object per graph node and edge),
         a format-2 entry (one ``TraceEvent`` per instruction, no
-        checksum) and a format-3 entry (checksummed, but a result
-        without its derived profile and walk) are each a miss, and the
-        rerun is stored as format 4."""
+        checksum), a format-3 entry (checksummed, but a result without
+        its derived profile and walk) and a format-4 entry (one
+        checksummed pickle of the whole outcome) are each a miss, and
+        the rerun is stored as format 5."""
         monkeypatch.setenv("REPRO_CACHE_SALT", "pinned")
         request = small_request()
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
@@ -267,15 +283,18 @@ class TestCache:
             session.run(request)
         cache = ResultCache(tmp_path)
         path = cache._object_path(digest)
-        header, _, payload = path.read_bytes().partition(b"\n")
-        assert header.startswith(b"repro-cache/4 sha256=")
-        outcome = pickle.loads(payload)
-        result = outcome.result
-        result.derived = None
-        payload = pickle.dumps(outcome)
-        format_3 = (b"repro-cache/3 sha256="
+        assert path.read_bytes().startswith(b"repro-cache/5 head=")
+        outcome = cache.load(digest)
+
+        def checksummed(format, payload):
+            return (f"repro-cache/{format} sha256=".encode()
                     + hashlib.sha256(payload).hexdigest().encode()
                     + b"\n" + payload)
+
+        format_4 = checksummed(4, pickle.dumps(outcome))
+        result = outcome.result
+        result.derived = None
+        format_3 = checksummed(3, pickle.dumps(outcome))
         result.trace = list(result.trace)
         format_2 = pickle.dumps({"format": 2, "outcome": outcome})
         graph = result.event_graph
@@ -284,8 +303,8 @@ class TestCache:
         graph.__dict__.clear()
         graph.__dict__.update(state)
         format_1 = pickle.dumps({"format": 1, "outcome": outcome})
-        assert CACHE_FORMAT == 4
-        for old in (format_1, format_2, format_3):
+        assert CACHE_FORMAT == 5
+        for old in (format_1, format_2, format_3, format_4):
             path.write_bytes(old)
             path.with_suffix(".json").write_text("{}")
             assert cache.load(digest) is None
@@ -297,16 +316,17 @@ class TestCache:
                 assert handle.digest == digest
                 assert handle.cache_status == "miss"
             assert build_critpath(result)["checks"]["conservation"]["ok"]
-            assert path.read_bytes().startswith(b"repro-cache/4 sha256=")
+            assert path.read_bytes().startswith(b"repro-cache/5 head=")
             restored = cache.load(digest).result
             assert restored.event_graph == result.event_graph
             assert restored.trace == result.trace
 
     def test_corrupt_entries_are_misses_that_never_raise(self, tmp_path):
         """Truncations and single-byte flips anywhere in an entry's
-        pickle -- header or payload -- are misses that remove both
-        halves of the entry (pickle and served envelope); the intact
-        entry is a hit that reports what a fresh run reports."""
+        pickle -- header, head or body, including each end of both
+        parts -- are misses that remove both halves of the entry
+        (pickle and served envelope); the intact entry is a hit that
+        reports what a fresh run reports."""
         from repro.serve.artifacts import ArtifactStore
 
         request = RunRequest.for_app("rtsl", sizes={"triangles": 60})
@@ -322,7 +342,9 @@ class TestCache:
         corrupted = [intact[:end] for end in sorted(
             {0, 1, header - 1, header, header + 1, len(intact) // 2,
              len(intact) - 1, *rng.sample(range(len(intact)), 8)})]
-        flips = ([*range(header)]
+        body = header + int(intact.split(b" head=")[1].split(b":")[0])
+        flips = ([*range(header), header, body - 1, body,
+                  len(intact) - 1]
                  + rng.sample(range(header, len(intact)), 64))
         for offset in flips:
             data = bytearray(intact)

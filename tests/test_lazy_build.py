@@ -34,7 +34,7 @@ import repro.streamc.program as program_module
 from repro.core import BoardConfig
 from repro.engine import (RunRequest, Session, SessionConfig, catalog,
                           engine_counts)
-from repro.engine.cache import ResultCache
+from repro.engine.cache import PackedResult, ResultCache
 from repro.engine.catalog import APP_NAMES, build_app
 from repro.faults import BUILTIN_PLANS
 from repro.isa.kernel_ir import KernelBuilder
@@ -511,12 +511,12 @@ def test_concurrent_submits_of_one_shape_agree(tmp_path):
 
     with _fresh_memo(), ThreadPoolExecutor(threads) as pool:
         results = list(pool.map(submit, range(threads)))
-        (bundle, size), (blob, blob_size) = sorted(
+        (bundle, size), (packed, packed_size) = sorted(
             catalog._memo._held.values(),
-            key=lambda entry: isinstance(entry[0], bytes))
+            key=lambda entry: isinstance(entry[0], PackedResult))
         assert size == catalog._footprint(bundle.image)
-        assert blob_size == len(blob)
-        assert catalog._memo.held_bytes == size + blob_size
+        assert packed_size == len(packed.body)
+        assert catalog._memo.held_bytes == size + packed_size
     assert len({repr(result.metrics) for result in results}) == 1
 
 
@@ -581,7 +581,7 @@ def test_a_held_result_serves_later_seeds_as_misses(tmp_path):
         counts = engine_counts(session.metrics)
         reused = counter_count(session.metrics, "engine_runs_reused_total")
     assert runs == ["vector"]
-    assert _held_kinds() == ["AppBundle", "bytes"]
+    assert _held_kinds() == ["AppBundle", "PackedResult"]
     assert (counts["executed"], reused, counts["misses"]) == (1, 1, 2)
     assert served.manifest.cache == handle.cache_status == "miss"
     assert served.manifest.request_digest == handle.digest
@@ -634,7 +634,8 @@ def test_held_bytes_stay_within_the_budget_after_every_insert(tmp_path):
                 for seed in (1, 2):
                     session.run(_seeded(seed, app, board=board()))
         held = len(catalog._memo)
-    assert kinds.count("AppBundle") == 2 and kinds.count("bytes") == 4
+    assert kinds.count("AppBundle") == 2
+    assert kinds.count("PackedResult") == 4
     assert held < len(kinds)
 
 
@@ -643,8 +644,9 @@ def test_a_result_larger_than_the_budget_is_never_held(tmp_path):
             Session(config=SessionConfig(cache_dir=tmp_path)) as session:
         first = session.run(_seeded(1))
         session.run(_seeded(2))
-        catalog.hold_result(catalog.result_key(_seeded(1)), first)
-        assert len(pickle.dumps(first)) > catalog._memo.budget
+        packed = PackedResult.of(first)
+        catalog.hold_result(catalog.result_key(_seeded(1)), packed)
+        assert len(packed.body) > catalog._memo.budget
         assert len(catalog._memo) == 0 and catalog._memo.held_bytes == 0
     assert runs == ["vector", "vector"]
 
@@ -703,9 +705,8 @@ def test_an_underived_run_is_not_held(tmp_path, monkeypatch):
 def test_a_served_entry_does_not_depend_on_the_job_count(
         tmp_path, monkeypatch):
     """A result served in process and one served (or simulated) in a
-    pool worker store the same entry.  The manifest's clocks are
-    pinned; entries compare after one pickle round trip, since
-    unpickling interns attribute names (see test_derived)."""
+    pool worker store the same entry bytes.  The manifest's clocks are
+    pinned."""
     from repro.core import vector
     from repro.obs import manifest
 
@@ -726,9 +727,64 @@ def test_a_served_entry_does_not_depend_on_the_job_count(
             if jobs == 1:
                 assert counter_count(session.metrics,
                                      "engine_runs_reused_total") == 1
-        entry = ResultCache(root)._object_path(handle.digest).read_bytes()
-        entries.append(pickle.loads(entry.partition(b"\n")[2]))
-    assert pickle.dumps(entries[0]) == pickle.dumps(entries[1])
+        entries.append(
+            ResultCache(root)._object_path(handle.digest).read_bytes())
+    assert entries[0] == entries[1]
+
+
+@contextlib.contextmanager
+def _counting_result_pickles():
+    """Yield ``{"dumps": n, "loads": n}``: the ``RunResult``s, alone or
+    in an outcome, the engine modules pickle and unpickle in this
+    process."""
+    from repro.core.processor import RunResult
+
+    counts = {"dumps": 0, "loads": 0}
+
+    def carries_result(obj):
+        return isinstance(obj, RunResult) or isinstance(
+            getattr(obj, "result", None), RunResult)
+
+    def dumps(obj, *args, **kwargs):
+        counts["dumps"] += carries_result(obj)
+        return pickle.dumps(obj, *args, **kwargs)
+
+    def loads(data, *args, **kwargs):
+        obj = pickle.loads(data, *args, **kwargs)
+        counts["loads"] += carries_result(obj)
+        return obj
+
+    counting = SimpleNamespace(**{**vars(pickle), "dumps": dumps,
+                                  "loads": loads})
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("repro.engine")
+                    and getattr(module, "pickle", None) is pickle):
+                stack.enter_context(
+                    mock.patch.object(module, "pickle", counting))
+        yield counts
+
+
+@pytest.mark.parametrize("app", ["depth", "qrd"])
+def test_each_delivery_pickles_its_result_at_most_once(tmp_path, app):
+    """The work a request does on its result's bytes: a fresh miss
+    pickles the body once, for the memo and the store; a served miss
+    and a hit unpickle it once; a pool worker's miss is unpickled
+    once in the main process and pickled there not at all."""
+
+    def deliver(seed, **knobs):
+        with _counting_result_pickles() as counts, Session(
+                config=SessionConfig(cache_dir=tmp_path / app,
+                                     **knobs)) as session:
+            handle = session.submit(_seeded(seed, app))
+            handle.result()
+        return handle.cache_status, counts
+
+    assert deliver(1) == ("miss", {"dumps": 1, "loads": 0})
+    assert deliver(2) == ("miss", {"dumps": 0, "loads": 1})
+    assert deliver(2) == ("hit", {"dumps": 0, "loads": 1})
+    with _fresh_memo():
+        assert deliver(3, jobs=2) == ("miss", {"dumps": 0, "loads": 1})
 
 
 # ----------------------------------------------------------------------

@@ -1000,13 +1000,12 @@ class TestHistoryLocking:
 # ----------------------------------------------------------------------
 class TestCacheEviction:
     def _fill(self, cache, count):
-        import types
-
-        outcome = types.SimpleNamespace(status="completed",
-                                        result=None, error_type=None)
         import os
         import time as _time
 
+        from repro.engine.session import RunOutcome
+
+        outcome = RunOutcome(status="completed")
         for index in range(count):
             digest = f"{index:02d}" + "ab" * 7
             cache.store(digest, outcome)
@@ -1045,9 +1044,9 @@ class TestCacheEviction:
         newer entry nobody is reading."""
         import os
         import time as _time
-        import types
 
         from repro.engine.cache import ResultCache, entry_path
+        from repro.engine.session import RunOutcome
 
         async def scenario():
             service = ExperimentService(service_config(tmp_path))
@@ -1057,8 +1056,7 @@ class TestCacheEviction:
                 await service.wait(job.id, timeout_s=120)
                 cache = ResultCache(service.cache_dir)
                 unserved = "cd" * 8
-                cache.store(unserved, types.SimpleNamespace(
-                    status="completed", result=None, error_type=None))
+                cache.store(unserved, RunOutcome(status="completed"))
                 now = _time.time()
                 for digest, age in ((job.digest, 200), (unserved, 100)):
                     for suffix in (".pkl", ".json"):
@@ -1173,9 +1171,8 @@ class TestCacheEviction:
         """A half larger than the whole budget is skipped, not written
         and evicted again, and it evicts none of the entries that
         fit."""
-        import types
-
         from repro.engine.cache import ResultCache, entry_path
+        from repro.engine.session import RunOutcome
         from repro.serve.artifacts import ArtifactStore
 
         probe = ResultCache(tmp_path)
@@ -1188,8 +1185,9 @@ class TestCacheEviction:
                             on_evict=evicted.append)
         kept = self._fill(cache, 2)
         big = "ef" * 8
-        cache.store(big, types.SimpleNamespace(
-            status="completed", result=b"x" * budget, error_type=None))
+        cache.store(big, RunOutcome(
+            status="failed", error_type="SimulationError",
+            error_message="x" * budget))
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", str(budget))
         assert ArtifactStore(tmp_path).store(
             big, {"blob": "x" * budget}) is None
