@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import gc
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import replace
 from heapq import heappop, heappush
 
@@ -123,11 +123,14 @@ _K_KERNEL, _K_MEM, _K_MCL, _K_OTHER = 0, 1, 2, 3
 #: sample-capped access pattern) -- the *full* pattern, because the
 #: DRAM channel/bank/row walk depends on the start address and index
 #: seed, which :meth:`AccessPattern.signature` deliberately omits.
-#: Bounded; cleared when full (fuzzed corpora would otherwise grow
-#: them without limit).
+#: Bounded (fuzzed corpora would otherwise grow them without limit):
+#: the invocation table is cleared when full; the steady table is an
+#: LRU, because cold requests add patterns whose start moves with the
+#: data seed and that never recur, while the recurring ones are few.
 _INVOCATION_CACHE: dict = {}
-_STEADY_CACHE: dict = {}
+_STEADY_CACHE: OrderedDict = OrderedDict()
 _CACHE_LIMIT = 16384
+_STEADY_LIMIT = 1024
 
 
 class BackendUnsupported(SimulationError):
@@ -403,11 +406,12 @@ class VectorProcessor:
                 pattern, words=min(pattern.words, _SAMPLE_WORDS)))
             steady = _STEADY_CACHE.get(global_key)
             if steady is not None:
+                _STEADY_CACHE.move_to_end(global_key)
                 rate_cache[rate_key] = steady
         measurement = self.memory.measure(pattern)
         if global_key is not None and global_key not in _STEADY_CACHE:
-            if len(_STEADY_CACHE) > _CACHE_LIMIT:
-                _STEADY_CACHE.clear()
+            if len(_STEADY_CACHE) >= _STEADY_LIMIT:
+                _STEADY_CACHE.popitem(last=False)
             _STEADY_CACHE[global_key] = rate_cache[rate_key]
         self._measurements[key] = measurement
         return measurement

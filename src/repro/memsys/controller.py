@@ -14,7 +14,6 @@ Two jobs live here.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,21 +174,29 @@ class MemorySystem:
 
         Only indexed (gather/scatter) traffic is cached; sequential
         stream traffic bypasses the structure, as on the real chip.
+        The cache is LRU over ``controller_cache_words`` words, which
+        makes it exact by stack distance: an access hits iff its
+        address was accessed before and fewer than the capacity
+        *distinct* other addresses were accessed since.  One stable
+        argsort finds each access's previous occurrence; a gap shorter
+        than the capacity is a hit without counting, and only longer
+        gaps count their distinct addresses (accesses in the gap whose
+        own previous occurrence precedes it).
         """
         if pattern.kind != "indexed":
             return addresses
         capacity = self.machine.dram.controller_cache_words
-        cache: OrderedDict[int, None] = OrderedDict()
-        misses = []
-        for addr in addresses.tolist():
-            if addr in cache:
-                cache.move_to_end(addr)
-                continue
-            misses.append(addr)
-            cache[addr] = None
-            if len(cache) > capacity:
-                cache.popitem(last=False)
-        return np.asarray(misses, dtype=np.int64)
+        n = len(addresses)
+        order = np.argsort(addresses, kind="stable")
+        repeat = addresses[order[1:]] == addresses[order[:-1]]
+        prev = np.full(n, -1, dtype=np.int64)
+        prev[order[1:][repeat]] = order[:-1][repeat]
+        gap = np.arange(n) - prev - 1
+        hit = (prev >= 0) & (gap < capacity)
+        for i in np.flatnonzero((prev >= 0) & (gap >= capacity)).tolist():
+            p = prev[i]
+            hit[i] = np.count_nonzero(prev[p + 1:i] < p) < capacity
+        return addresses[~hit]
 
 
 @dataclass

@@ -15,6 +15,21 @@ bank, fired with ``probability`` (the hardware board behaves like
 ``probability=1.0`` at the calibrated interval; fault plans explore
 the wider family).  :class:`ChannelFault` degrades or disables
 individual channels, the knob behind bandwidth-degradation sweeps.
+
+The walk is array operations with a Python loop over row misses only.
+In the per-access recurrence a bank is never ready after the bus
+(``bank_ready[b] <= bus``: both become the same cycle at each access
+and the bus only moves on), so a row hit always advances the bus by
+exactly one cycle, and only a miss can add slack,
+``max(bank_ready + latency, bus)``.  :meth:`DramModel._walk_arrays`
+therefore reorders every channel with one lexsort, classifies hits,
+misses and forced precharges (the certain bug fires at every
+``interval``-th access of a bank's same-row streak; a closed page
+misses always) with array operations, and runs the slack recurrence
+over the misses alone.  Where a precharge fault fires with
+``probability < 1`` its random draws make the walk sequential, so
+:meth:`DramModel._walk_per_access` -- one Python step per access, and
+the reference the tests hold the array walk to -- services it.
 """
 
 from __future__ import annotations
@@ -145,14 +160,104 @@ class DramModel:
         """
         if len(addresses) == 0:
             return DramStats(0, 0, 0, 0, 0)
-        config = self.config
-        window = (config.reorder_window if reorder_window is None
+        window = (self.config.reorder_window if reorder_window is None
                   else reorder_window)
-        channel, bank, row_id = self.map_addresses(np.asarray(addresses))
-        total_cycles = 0
+        addresses = np.asarray(addresses)
+        fault = self.precharge
+        if fault is not None and fault.probability < 1.0:
+            walk = self._walk_per_access(addresses, window)
+        else:
+            walk = self._walk_arrays(addresses, window)
+        per_channel, hits, misses, forced = walk
+        if self.channel_fault is not None:
+            per_channel = [int(round(cycles / self.channel_fault.factor(ch)))
+                           for ch, cycles in enumerate(per_channel)]
+        return DramStats(len(addresses), max(per_channel), hits, misses,
+                         forced, tuple(per_channel))
+
+    def _walk_arrays(self, addresses: np.ndarray, window: int
+                     ) -> tuple[list[int], int, int, int]:
+        """Every channel's walk in one pass of array operations.
+
+        Returns (busy cycles per channel, hits, misses, forced
+        precharges) before any :class:`ChannelFault` scaling.  Exact
+        for a certain precharge fault or none; see the module
+        docstring for the miss-only recurrence.
+        """
+        config = self.config
+        nbanks = config.banks_per_channel
+        channel, bank, row = self.map_addresses(addresses)
+        n = len(channel)
+        counts = np.bincount(channel, minlength=config.channels)
+        starts = np.cumsum(counts) - counts
+        # Reorder: channel-major, then _reorder's key per channel.
+        order = np.argsort(channel, kind="stable")
+        if window > 1:
+            arrival = np.empty(n, dtype=np.int64)
+            arrival[order] = np.arange(n) - np.repeat(starts, counts)
+            order = np.lexsort((arrival, row, bank, arrival // window,
+                                channel))
+        channel, bank, row = channel[order], bank[order], row[order]
+        # Each access's predecessor on its bank (-1: the bank's first).
+        keys = channel * nbanks + bank
+        by_bank = np.argsort(keys, kind="stable")
+        follows = np.zeros(n, dtype=bool)
+        follows[1:] = keys[by_bank[1:]] == keys[by_bank[:-1]]
+        prev = np.full(n, -1, dtype=np.int64)
+        prev[by_bank[1:][follows[1:]]] = by_bank[:-1][follows[1:]]
+        # The row the bank holds open; -1 before its first access, as
+        # in the per-access walk.
+        open_row = np.where(prev >= 0, row[prev], -1)
+        forced_count = 0
+        if config.page_policy == "closed":
+            miss = np.ones(n, dtype=bool)
+            latency = np.full(n, config.t_rcd + config.t_cl)
+        else:
+            miss = open_row != row
+            latency = np.where(
+                open_row >= 0, config.t_rp + config.t_rcd + config.t_cl,
+                config.t_rcd + config.t_cl)
+            if self.precharge is not None:
+                # Position of each access in its bank's same-row streak;
+                # the bug fires at every interval-th one.
+                hit = ~miss[by_bank] & follows
+                step = np.arange(n)
+                streak = step - np.maximum.accumulate(
+                    np.where(hit, 0, step))
+                forced = np.zeros(n, dtype=bool)
+                forced[by_bank] = (streak > 0) & (
+                    streak % self.precharge.interval == 0)
+                forced_count = int(np.count_nonzero(forced))
+                miss |= forced
+        # Slack recurrence over the misses; ``slack`` is global, so
+        # each channel's walk is offset by the slack before it.
+        miss_at = np.flatnonzero(miss)
+        anchor = np.where(prev >= 0, prev, starts[channel] - 1)[miss_at]
+        gap = (anchor + 1 + latency[miss_at] - miss_at).tolist()
+        since = np.searchsorted(miss_at, anchor, side="right").tolist()
+        slack = 0
+        cumulative = [0]
+        for lead, before in zip(gap, since):
+            ready = lead + cumulative[before]
+            if ready > slack:
+                slack = ready
+            cumulative.append(slack)
+        cumulative = np.asarray(cumulative)
+        first = np.searchsorted(miss_at, starts - 1, side="right")
+        last = np.searchsorted(miss_at, starts + counts - 1, side="right")
+        per_channel = counts + cumulative[last] - cumulative[first]
+        misses = len(miss_at)
+        return per_channel.tolist(), n - misses, misses, forced_count
+
+    def _walk_per_access(self, addresses: np.ndarray, window: int
+                         ) -> tuple[list[int], int, int, int]:
+        """The reference walk: one Python step per access, channel by
+        channel.  Needed where a precharge fault draws random numbers
+        per access; tests compare :meth:`_walk_arrays` against it."""
+        channel, bank, row_id = self.map_addresses(addresses)
+        per_channel = [0] * self.config.channels
         hits = misses = forced = 0
-        per_channel = [0] * config.channels
-        for ch in range(config.channels):
+        for ch in range(self.config.channels):
             mask = channel == ch
             if not mask.any():
                 continue
@@ -160,17 +265,12 @@ class DramModel:
             rows = row_id[mask]
             if window > 1:
                 banks, rows = _reorder(banks, rows, window)
-            cycles, ch_hits, ch_misses, ch_forced = self._channel_cycles(
-                banks, rows, channel=ch)
-            if self.channel_fault is not None:
-                cycles = int(round(cycles / self.channel_fault.factor(ch)))
-            per_channel[ch] = cycles
-            total_cycles = max(total_cycles, cycles)
+            per_channel[ch], ch_hits, ch_misses, ch_forced = (
+                self._channel_cycles(banks, rows, channel=ch))
             hits += ch_hits
             misses += ch_misses
             forced += ch_forced
-        return DramStats(len(addresses), total_cycles, hits, misses,
-                         forced, tuple(per_channel))
+        return per_channel, hits, misses, forced
 
     def _channel_cycles(self, banks: np.ndarray, rows: np.ndarray,
                         channel: int = 0) -> tuple[int, int, int, int]:

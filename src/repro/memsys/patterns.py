@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class AccessPattern:
@@ -85,7 +87,7 @@ def indexed(words: int, index_range_words: int, record_words: int = 1,
     start offsets, relative to ``start``) is given.
     """
     if indices is not None:
-        indices = tuple(int(i) for i in indices)
+        indices = tuple(np.asarray(indices, dtype=np.int64).tolist())
     return AccessPattern(kind="indexed", words=words, start=start,
                          record_words=record_words,
                          index_range_words=index_range_words, seed=seed,

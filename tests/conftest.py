@@ -3,8 +3,15 @@
 from unittest import mock
 
 import pytest
+from hypothesis import settings
 
 from repro.engine import catalog
+
+#: ``--hypothesis-profile=ci``: a deep, reproducible run of the
+#: property tests it selects (CI runs the DRAM walk and cache filter
+#: differentials under it).
+settings.register_profile("ci", max_examples=2000, derandomize=True,
+                          deadline=None)
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,7 @@
 """Tests for the memory-system substrate: DRAM, AGs, controller."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from repro.memsys import (
     unit_stride,
 )
 from repro.memsys.controller import SharedMemoryServer
-from repro.memsys.dram import DramModel
+from repro.memsys.dram import ChannelFault, DramModel, PrechargeFault
 
 
 class TestPatterns:
@@ -110,6 +112,115 @@ class TestDramModel:
                                   minlength=self.config.channels))
         assert stats.mem_cycles >= busiest
         assert stats.row_hits + stats.row_misses == len(addresses)
+
+
+@st.composite
+def dram_models(draw):
+    """A DRAM model over the space the array walk must cover: 1-4
+    channels and banks, short to long rows, any timing, either page
+    policy, reorder windows 1/2/16, no fault or the certain precharge
+    bug, and an optional slow channel."""
+    config = DramConfig(
+        channels=draw(st.integers(1, 4)),
+        banks_per_channel=draw(st.integers(1, 4)),
+        row_words=draw(st.sampled_from((1, 2, 8, 64))),
+        t_rp=draw(st.integers(0, 8)),
+        t_rcd=draw(st.integers(0, 8)),
+        t_cl=draw(st.integers(0, 8)),
+        page_policy=draw(st.sampled_from(("open", "closed"))),
+        reorder_window=draw(st.sampled_from((1, 2, 16))),
+        precharge_bug_interval=draw(st.integers(1, 32)))
+    precharge = (PrechargeFault.from_config(config)
+                 if draw(st.booleans()) else None)
+    rates = draw(st.dictionaries(st.integers(0, config.channels - 1),
+                                 st.floats(0.05, 1.0), max_size=2))
+    return DramModel(config, precharge=precharge,
+                     channel_fault=ChannelFault(rates) if rates else None)
+
+
+@st.composite
+def address_sequences(draw):
+    """Strided, random-indexed or repeated-address word sequences."""
+    words = draw(st.integers(1, 600))
+    kind = draw(st.sampled_from(("strided", "indexed", "repeated")))
+    if kind == "strided":
+        return expand_pattern(strided(
+            words, stride=draw(st.integers(1, 24)),
+            record_words=draw(st.integers(1, 4)),
+            start=draw(st.integers(0, 4096))))
+    if kind == "indexed":
+        return expand_pattern(indexed(
+            words, draw(st.sampled_from((16, 512, 1 << 22))),
+            seed=draw(st.integers(0, 1 << 16))))
+    pool = draw(st.lists(st.integers(0, 1 << 12), min_size=1,
+                         max_size=6))
+    return np.asarray(draw(st.lists(st.sampled_from(pool),
+                                    min_size=1, max_size=words)))
+
+
+class TestArrayWalk:
+    """The array walk against the per-access reference walk.
+
+    Both simulation backends share :class:`DramModel`, so the backend
+    differential gate cannot see a wrong walk; these can.
+    """
+
+    @settings(deadline=None)
+    @given(dram_models(), address_sequences())
+    def test_array_walk_equals_per_access_walk(self, model, addresses):
+        reference = DramModel(model.config, precharge=model.precharge,
+                              channel_fault=model.channel_fault)
+        reference._walk_arrays = reference._walk_per_access
+        assert model.service(addresses) == reference.service(addresses)
+
+    def test_per_access_walk_only_for_uncertain_precharge(self):
+        addresses = np.arange(512)
+        for precharge in (None, PrechargeFault(interval=8)):
+            model = DramModel(DramConfig(), precharge=precharge)
+            model._walk_per_access = None
+            assert model.service(addresses).row_misses > 0
+        model = DramModel(DramConfig(), precharge=PrechargeFault(
+            interval=8, probability=0.5))
+        model._walk_arrays = None
+        assert model.service(addresses).forced_precharges > 0
+
+
+def lru_filter(addresses, capacity):
+    """The controller cache as an explicit LRU: the reference."""
+    cache = OrderedDict()
+    misses = []
+    for addr in addresses.tolist():
+        if addr in cache:
+            cache.move_to_end(addr)
+            continue
+        misses.append(addr)
+        cache[addr] = None
+        if len(cache) > capacity:
+            cache.popitem(last=False)
+    return np.asarray(misses, dtype=np.int64)
+
+
+class TestCacheFilter:
+    @settings(deadline=None)
+    @given(st.integers(1, 256), st.integers(-2, 2),
+           st.sampled_from(("random", "cyclic")),
+           st.integers(1, 1500), st.integers(0, 1 << 16))
+    def test_filter_equals_lru(self, capacity, offset, kind, words,
+                               seed):
+        # Reuse gaps around the capacity: draw from (or cycle over)
+        # capacity + offset distinct addresses.
+        span = max(1, capacity + offset)
+        if kind == "cyclic":
+            addresses = np.arange(words, dtype=np.int64) % span
+        else:
+            addresses = np.random.default_rng(seed).integers(
+                0, span, size=words, dtype=np.int64)
+        system = MemorySystem(MachineConfig(
+            dram=DramConfig(controller_cache_words=capacity)))
+        filtered = system._filter_cache(indexed(words, span), addresses)
+        expected = lru_filter(addresses, capacity)
+        assert filtered.dtype == expected.dtype
+        assert np.array_equal(filtered, expected)
 
 
 class TestMemorySystem:
