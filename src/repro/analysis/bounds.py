@@ -28,9 +28,10 @@ microcode loader's cycles-per-word) evaluated at their best case: no
 resource sharing, no reloads, no lane contention.  The **upper bound**
 charges every instruction its worst-case serialized cost (host issue
 slot + controller pipeline + worst-case duration + any round trip),
-where the worst-case duration inflates memory streams by the maximum
-bandwidth-sharing slowdown (``num_ags / bank-conflict factor``) and
-kernels by a full microcode reload.
+where the worst-case duration measures memory streams on the board's
+DRAM (the hardware board's precharge bug included) and inflates them
+by the maximum bandwidth-sharing slowdown (``num_ags /
+bank-conflict factor``), and kernels by a full microcode reload.
 
 Soundness arguments for every formula live in ``docs/analysis.md``;
 the differential gate (``repro gate``, :mod:`repro.engine.gate`)
@@ -215,16 +216,20 @@ def _kernel_bounds(instr: StreamInstruction, kernel: CompiledKernel,
 
 
 def _memory_bounds(instr: StreamInstruction, memory: MemorySystem,
+                   worst: MemorySystem,
                    machine: MachineConfig) -> tuple[float, float, dict]:
     """Min/max duration of one memory stream transfer.
 
     Minimum: the stream alone at its measured page-policy rate
     (``exclusive_cycles``); the sharing server only ever scales rates
-    *down*.  Maximum: the same transfer at the worst sustained shared
-    rate, ``bank_conflict_factor / num_ags`` of isolated.
+    *down*.  Maximum: the transfer at its isolated rate on ``worst``
+    -- the board's DRAM, precharge bug included -- slowed to the worst
+    sustained shared rate, ``bank_conflict_factor / num_ags`` of
+    isolated.
     """
     measurement = memory.measure(instr.pattern)
-    steady = measurement.words / measurement.rate_words_per_cycle
+    slowest = worst.measure(instr.pattern)
+    steady = slowest.words / slowest.rate_words_per_cycle
     sharing = (1.0 if machine.num_ags <= 1
                else machine.num_ags / _BANK_CONFLICT_FACTOR)
     detail = {
@@ -235,14 +240,19 @@ def _memory_bounds(instr: StreamInstruction, memory: MemorySystem,
         "dram_core_cycles": float(measurement.dram_core_cycles),
     }
     return (float(measurement.exclusive_cycles),
-            float(measurement.startup_cycles + steady * sharing),
+            float(slowest.startup_cycles + steady * sharing),
             detail)
 
 
 def _instruction_bounds(image: StreamProgramImage,
-                        machine: MachineConfig) -> list[InstructionBounds]:
+                        machine: MachineConfig,
+                        board: BoardConfig) -> list[InstructionBounds]:
     srf = StreamRegisterFile(machine)
     memory = MemorySystem(machine)
+    # The hardware board's precharge bug only slows a stream, so the
+    # minimum stays bug-free and only the maximum is charged it.
+    worst = (MemorySystem(machine, precharge_bug=True)
+             if board.precharge_bug else memory)
     referenced: set[str] = set()
     rows: list[InstructionBounds] = []
     for instr in image.instructions:
@@ -253,7 +263,7 @@ def _instruction_bounds(image: StreamProgramImage,
             resource = "clusters"
         elif instr.op.is_memory:
             minimum, maximum, detail = _memory_bounds(
-                instr, memory, machine)
+                instr, memory, worst, machine)
             resource = "ags"
         elif instr.op is StreamOpType.MICROCODE_LOAD:
             kernel = image.kernels[instr.kernel]
@@ -601,7 +611,7 @@ def compute_bounds(image: StreamProgramImage,
     """Statically bracket one compiled image on one configuration."""
     machine = machine or MachineConfig()
     board = board or BoardConfig.hardware()
-    rows = _instruction_bounds(image, machine)
+    rows = _instruction_bounds(image, machine, board)
     components = _component_bounds(rows, machine, board)
     path_cycles, path_resources = _path_bound(image, rows, machine,
                                               board)

@@ -25,11 +25,13 @@ from repro.analysis.bounds import (
 from repro.analysis.lint import lint_catalog, lint_image
 from repro.analysis.rules.consistency import probe_bundle
 from repro.core import BoardConfig, MachineConfig
+from repro.core.config import DramConfig
 from repro.engine.gate import (
     GATE_BENCH_SCHEMA,
     GATE_SCHEMA,
     MAX_MEAN_TIGHTNESS,
     MIN_BOTTLENECK_MATCHES,
+    processor,
     run_gate,
     validate_gate_report,
 )
@@ -172,6 +174,27 @@ class TestPaperMatrixGate:
         assert cell["identical"] is True
         assert report["ok"] is False
         assert "BRACKET FAILURE" in capsys.readouterr().err
+
+
+class TestOffDefaultMachines:
+    def test_hardware_upper_bound_charges_the_precharge_bug(self):
+        # A witness from searching machines off the default: with two
+        # slow channels, MPEG's streams lose more to the hardware
+        # board's precharge bug than the whole upper bound's slack
+        # (917,520 simulated cycles against 906,722 when the maximum
+        # was measured bug-free).
+        machine = MachineConfig(
+            scoreboard_slots=4, num_ags=1,
+            dram=DramConfig(channels=2, t_rp=6, clock_ratio=3))
+        board = BoardConfig.hardware()
+        bundle = build_app("mpeg", machine=machine, seed=1)
+        analysis = compute_bounds(bundle.image, machine=machine,
+                                  board=board)
+        simulated = processor("vector", bundle.kernels, board,
+                              machine).run(bundle.image)
+        assert analysis.brackets(simulated.metrics.total_cycles), (
+            analysis.lower_bound_cycles, simulated.metrics.total_cycles,
+            analysis.upper_bound_cycles)
 
 
 class TestAdvisor:
