@@ -205,17 +205,17 @@ class DramModel:
         follows[1:] = keys[by_bank[1:]] == keys[by_bank[:-1]]
         prev = np.full(n, -1, dtype=np.int64)
         prev[by_bank[1:][follows[1:]]] = by_bank[:-1][follows[1:]]
-        # The row the bank holds open; -1 before its first access, as
-        # in the per-access walk.
-        open_row = np.where(prev >= 0, row[prev], -1)
+        # A bank is open from its first access on, holding the row of
+        # its predecessor (any row id, negative ones too).
+        is_open = prev >= 0
         forced_count = 0
         if config.page_policy == "closed":
             miss = np.ones(n, dtype=bool)
             latency = np.full(n, config.t_rcd + config.t_cl)
         else:
-            miss = open_row != row
+            miss = ~is_open | (row[prev] != row)
             latency = np.where(
-                open_row >= 0, config.t_rp + config.t_rcd + config.t_cl,
+                is_open, config.t_rp + config.t_rcd + config.t_cl,
                 config.t_rcd + config.t_cl)
             if self.precharge is not None:
                 # Position of each access in its bank's same-row streak;
@@ -232,7 +232,7 @@ class DramModel:
         # Slack recurrence over the misses; ``slack`` is global, so
         # each channel's walk is offset by the slack before it.
         miss_at = np.flatnonzero(miss)
-        anchor = np.where(prev >= 0, prev, starts[channel] - 1)[miss_at]
+        anchor = np.where(is_open, prev, starts[channel] - 1)[miss_at]
         gap = (anchor + 1 + latency[miss_at] - miss_at).tolist()
         since = np.searchsorted(miss_at, anchor, side="right").tolist()
         slack = 0
@@ -280,7 +280,8 @@ class DramModel:
         first_latency = config.t_rcd + config.t_cl
         bus = 0
         bank_ready = [0] * nbanks
-        open_row = [-1] * nbanks
+        # The row each bank holds open; None while it is closed.
+        open_row: list[int | None] = [None] * nbanks
         run_length = [0] * nbanks
         hits = misses = forced = 0
         fault = self.precharge
@@ -301,14 +302,15 @@ class DramModel:
                 run_length[b] += 1
                 hits += 1
             else:
-                latency = miss_latency if open_row[b] >= 0 else first_latency
+                latency = (first_latency if open_row[b] is None
+                           else miss_latency)
                 ready = bank_ready[b] + latency
                 start = max(ready, bus)
                 bus = start + 1
                 bank_ready[b] = bus
                 # Closed-page: the bank auto-precharges after the
                 # access, so the next one pays activate+CAS again.
-                open_row[b] = -1 if closed_page else r
+                open_row[b] = None if closed_page else r
                 run_length[b] = 1
                 misses += 1
         return bus, hits, misses, forced

@@ -140,19 +140,21 @@ def dram_models(draw):
 
 @st.composite
 def address_sequences(draw):
-    """Strided, random-indexed or repeated-address word sequences."""
+    """Strided, random-indexed or repeated-address word sequences;
+    strided starts and repeated addresses may be negative, so rows
+    with negative ids are walked too."""
     words = draw(st.integers(1, 600))
     kind = draw(st.sampled_from(("strided", "indexed", "repeated")))
     if kind == "strided":
         return expand_pattern(strided(
             words, stride=draw(st.integers(1, 24)),
             record_words=draw(st.integers(1, 4)),
-            start=draw(st.integers(0, 4096))))
+            start=draw(st.integers(-4096, 4096))))
     if kind == "indexed":
         return expand_pattern(indexed(
             words, draw(st.sampled_from((16, 512, 1 << 22))),
             seed=draw(st.integers(0, 1 << 16))))
-    pool = draw(st.lists(st.integers(0, 1 << 12), min_size=1,
+    pool = draw(st.lists(st.integers(-(1 << 12), 1 << 12), min_size=1,
                          max_size=6))
     return np.asarray(draw(st.lists(st.sampled_from(pool),
                                     min_size=1, max_size=words)))
@@ -172,6 +174,21 @@ class TestArrayWalk:
                               channel_fault=model.channel_fault)
         reference._walk_arrays = reference._walk_per_access
         assert model.service(addresses) == reference.service(addresses)
+
+    @pytest.mark.parametrize("walk", ["_walk_arrays", "_walk_per_access"])
+    def test_first_access_to_row_minus_one_opens_it(self, walk):
+        # One bank of one-word rows: word -1 is row -1, word 0 row 0.
+        config = DramConfig(channels=1, banks_per_channel=1, row_words=1,
+                            t_rp=2, t_rcd=3, t_cl=5, reorder_window=1)
+        model = DramModel(config)
+        model._walk_arrays = getattr(model, walk)
+        first = model.service(np.array([-1]))
+        assert (first.row_hits, first.row_misses) == (0, 1)
+        assert first.mem_cycles == config.t_rcd + config.t_cl + 1
+        both = model.service(np.array([-1, 0]))
+        assert (both.row_hits, both.row_misses) == (0, 2)
+        assert both.mem_cycles == (first.mem_cycles + config.t_rp
+                                   + config.t_rcd + config.t_cl + 1)
 
     def test_per_access_walk_only_for_uncertain_precharge(self):
         addresses = np.arange(512)
