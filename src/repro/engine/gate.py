@@ -33,6 +33,7 @@ warm cache would compare a result with itself.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -156,8 +157,9 @@ def processor(backend: str, kernels, board: BoardConfig,
 
 
 # ----------------------------------------------------------------------
-# Fuzzed streamc corpus (seeded, deterministic -- no hypothesis).
+# Fuzzed streamc programs: one generator, seeded here, drawn in tests.
 # ----------------------------------------------------------------------
+@functools.cache
 def _fuzz_specs():
     from repro.isa.kernel_ir import KernelBuilder
     from repro.streamc.program import KernelSpec, same_words
@@ -176,68 +178,92 @@ def _fuzz_specs():
     return {n: make(f"vfuzz{n}", n) for n in (1, 2, 3)}
 
 
-def fuzz_corpus(count: int, seed: int = 0) -> list:
-    """``count`` seeded random-but-well-formed stream program images.
+class FuzzChooser:
+    """The draws a fuzz program is made of, from ``random.Random``.
 
-    Mirrors the shape distribution of the hypothesis strategy in
-    ``tests/test_fuzz_streamc.py`` (load/kernel/store/host-read mixes
-    over live streams) but draws from ``random.Random(seed)``, so the
-    corpus -- and therefore the gate verdict -- is
-    reproducible from the seed alone.
+    The tests' Hypothesis strategy overrides the three methods to
+    draw from a ``draw`` instead, so both make the same programs.
+    """
+
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+
+    def integer(self, low: int, high: int) -> int:
+        return self.rng.randint(low, high)
+
+    def choice(self, options: list):
+        return self.rng.choice(options)
+
+    def coin(self) -> bool:
+        return self.rng.random() < 0.5
+
+
+def fuzz_program(choose: FuzzChooser, name: str = "fuzz"):
+    """One random-but-well-formed stream program (unbuilt).
+
+    Load/kernel/store/host-read mixes over live streams, kept far from
+    SRF capacity, with at least one kernel so the run has cluster
+    work.
     """
     from repro.streamc import StreamProgram
 
     specs = _fuzz_specs()
+    program = StreamProgram(name, max_batch_elements=512)
+    source = program.array("src", np.arange(4096, dtype=float) % 7)
+    sink = program.alloc_array("sink", 8192)
+    live = []
+    budget = 20000
+    sink_cursor = 0
+    kernels = 0
+    for step in range(choose.integer(3, 25)):
+        action = choose.choice(["load", "kernel", "store",
+                                "kernel", "load"])
+        if action == "load" or not live:
+            words = choose.integer(8, 1024)
+            if words > budget:
+                continue
+            start = choose.integer(0, 4096 - words)
+            live.append(program.load(source, start=start, words=words,
+                                     name=f"l{step}"))
+            budget -= words
+        elif action == "kernel":
+            arity = min(choose.integer(1, 3), len(live))
+            picks = [live[choose.integer(0, len(live) - 1)]
+                     for _ in range(arity)]
+            # Kernels read streams elementwise: when lengths differ,
+            # use the shortest for every input.
+            if len({s.words for s in picks}) > 1:
+                shortest = min(picks, key=lambda s: s.words)
+                picks = [shortest] * arity
+            out = program.kernel1(specs[arity], picks, name=f"k{step}")
+            live.append(out)
+            budget -= out.words
+            kernels += 1
+        else:
+            stream = live[choose.integer(0, len(live) - 1)]
+            if sink_cursor + stream.words <= 8192:
+                program.store(stream, sink, start=sink_cursor)
+                sink_cursor += stream.words
+            if choose.coin():
+                program.host_read(tag=f"hr{step}")
+        if len(live) > 6:
+            live = live[-6:]     # let old streams die
+    if not kernels:
+        out = program.kernel1(specs[1], [live[0]], name="kfinal")
+        program.store(out, sink, start=0)
+    return program
+
+
+def fuzz_corpus(count: int, seed: int = 0) -> list:
+    """``count`` seeded :func:`fuzz_program` images.
+
+    The draws come from ``random.Random(seed)``, so the corpus -- and
+    therefore the gate verdict -- is reproducible from the seed alone.
+    """
+    choose = FuzzChooser(random.Random(seed))
     images = []
-    rng = random.Random(seed)
     for index in range(count):
-        program = StreamProgram(f"fuzz{index}",
-                                max_batch_elements=512)
-        source = program.array(
-            "src", np.arange(4096, dtype=float) % 7)
-        sink = program.alloc_array("sink", 8192)
-        live = []
-        budget = 20000
-        sink_cursor = 0
-        kernels = 0
-        for step in range(rng.randint(3, 25)):
-            action = rng.choice(["load", "kernel", "store",
-                                 "kernel", "load"])
-            if action == "load" or not live:
-                words = rng.randint(8, 1024)
-                if words > budget:
-                    continue
-                start = rng.randint(0, 4096 - words)
-                live.append(program.load(
-                    source, start=start, words=words,
-                    name=f"l{step}"))
-                budget -= words
-            elif action == "kernel":
-                arity = min(rng.randint(1, 3), len(live))
-                picks = [live[rng.randint(0, len(live) - 1)]
-                         for _ in range(arity)]
-                if len({s.words for s in picks}) > 1:
-                    shortest = min(picks, key=lambda s: s.words)
-                    picks = [shortest] * arity
-                out = program.kernel1(specs[arity], picks,
-                                      name=f"k{step}")
-                live.append(out)
-                budget -= out.words
-                kernels += 1
-            else:
-                stream = live[rng.randint(0, len(live) - 1)]
-                if sink_cursor + stream.words <= 8192:
-                    program.store(stream, sink, start=sink_cursor)
-                    sink_cursor += stream.words
-                if rng.random() < 0.5:
-                    program.host_read(tag=f"hr{step}")
-            if len(live) > 6:
-                live = live[-6:]
-        if not kernels:
-            out = program.kernel1(specs[1], [live[0]],
-                                  name="kfinal")
-            program.store(out, sink, start=0)
-        image = program.build()
+        image = fuzz_program(choose, f"fuzz{index}").build()
         image.validate()
         images.append(image)
     return images
@@ -525,7 +551,9 @@ __all__ = [
     "MAX_MEAN_TIGHTNESS",
     "MIN_BOTTLENECK_MATCHES",
     "MIN_CELL_SPEEDUP",
+    "FuzzChooser",
     "fuzz_corpus",
+    "fuzz_program",
     "result_fingerprint",
     "run_gate",
     "validate_gate_report",

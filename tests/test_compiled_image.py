@@ -10,7 +10,7 @@ The pinned digests were computed with the scan-based compiler
 (whole-dict stream release, sort-every-call SRF allocator, a SAD
 kernel compiled per build).  A change that moves any decision or
 output bit shows here; a deliberate one must update the digest and
-say why.
+say why.  The gate's seeded fuzz corpus is pinned the same way.
 """
 
 import hashlib
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.engine.catalog import build_app
+from repro.engine.gate import fuzz_corpus
 
 SEED = 11
 
@@ -49,6 +50,11 @@ DIGESTS = {
     "rtsl":
         "0f83d0cb38bc8308b1591ca68cc56d46098acff87b1c68e733c259db92dbe2fd",
 }
+
+#: sha256 over the image_digest() of every program in the gate's
+#: fuzz corpus at its defaults, fuzz_corpus(100, seed=0).
+FUZZ_CORPUS_DIGEST = (
+    "184f4b38a2bd208c5e8ef4df6d3b22351cb1ad5eb47d1cd477ffb3ae1f0b9344")
 
 #: checksums() of each BLAS output, compared within 1e-9 of its
 #: absolute sum.
@@ -113,3 +119,12 @@ def test_compiled_image_is_pinned(app):
         scale = 1e-9 * want[0]
         assert checksums(image.outputs[name]) == pytest.approx(
             want, rel=0, abs=scale), name
+
+
+def test_gate_fuzz_corpus_is_pinned():
+    # The gate's verdict is only reproducible from its seed while the
+    # corpus is; a rerun of one commit cannot see a corpus that moved.
+    digests = "".join(image_digest(image.name, image)
+                      for image in fuzz_corpus(100, seed=0))
+    assert (hashlib.sha256(digests.encode()).hexdigest()
+            == FUZZ_CORPUS_DIGEST)

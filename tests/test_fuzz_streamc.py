@@ -1,21 +1,19 @@
 """Fuzzing the stream compiler + simulator with random programs.
 
-Hypothesis generates random but well-formed stream programs (loads,
-kernel chains over live streams, stores, host reads); every one must
-compile with valid dependencies, simulate to completion without
-deadlock, and account for every cycle.  This is the whole-system
-equivalent of the scheduler's random-graph equivalence test.
+Hypothesis draws random but well-formed stream programs (loads,
+kernel chains over live streams, stores, host reads) from the gate's
+own fuzz generator; every one must compile with valid dependencies,
+simulate to completion without deadlock, and account for every
+cycle.  This is the whole-system equivalent of the scheduler's
+random-graph equivalence test.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.common import AppBundle
 from repro.core import BoardConfig
 from repro.engine import Session, SessionConfig
-from repro.isa.kernel_ir import KernelBuilder
-from repro.streamc import StreamProgram
-from repro.streamc.program import KernelSpec
+from repro.engine.gate import FuzzChooser, fuzz_program
 
 _BOARDS = {
     "hardware": BoardConfig.hardware(),
@@ -31,67 +29,26 @@ def _run(image, board):
             AppBundle(name=image.name, image=image), board=board)
 
 
-def _make_spec(name: str, inputs: int) -> KernelSpec:
-    builder = KernelBuilder(name)
-    streams = [builder.stream_input(f"x{i}") for i in range(inputs)]
-    total = builder.reduce("fadd", streams)
-    builder.stream_output("o", builder.op("fmul", total, total))
-    return KernelSpec(
-        name, builder.build(),
-        lambda ins, p: [np.sum(ins, axis=0) ** 2])
+class _Drawn(FuzzChooser):
+    """The gate's fuzz chooser, drawing from Hypothesis."""
 
+    def __init__(self, draw):
+        self.draw = draw
 
-_SPECS = {n: _make_spec(f"fuzz{n}", n) for n in (1, 2, 3)}
+    def integer(self, low, high):
+        return self.draw(st.integers(low, high))
+
+    def choice(self, options):
+        return self.draw(st.sampled_from(options))
+
+    def coin(self):
+        return self.draw(st.booleans())
 
 
 @st.composite
 def random_program(draw):
-    program = StreamProgram("fuzz", max_batch_elements=512)
-    source = program.array("src", np.arange(4096, dtype=float) % 7)
-    sink = program.alloc_array("sink", 8192)
-    live = []
-    budget = 20000          # stay far from SRF capacity
-    sink_cursor = 0
-    steps = draw(st.integers(3, 25))
-    for step in range(steps):
-        action = draw(st.sampled_from(["load", "kernel", "store",
-                                       "kernel", "load"]))
-        if action == "load" or not live:
-            words = draw(st.integers(8, 1024))
-            if words > budget:
-                continue
-            start = draw(st.integers(0, 4096 - words))
-            live.append(program.load(source, start=start, words=words,
-                                     name=f"l{step}"))
-            budget -= words
-        elif action == "kernel":
-            arity = min(draw(st.integers(1, 3)), len(live))
-            picks = [live[draw(st.integers(0, len(live) - 1))]
-                     for _ in range(arity)]
-            shortest = min(picks, key=lambda s: s.words)
-            picks = [s for s in picks]
-            # Kernels read streams elementwise; trim via the shortest
-            # by just using it multiple times when lengths differ.
-            if len({s.words for s in picks}) > 1:
-                picks = [shortest] * arity
-            out = program.kernel1(_SPECS[arity], picks,
-                                  name=f"k{step}")
-            live.append(out)
-            budget -= out.words
-        else:
-            stream = live[draw(st.integers(0, len(live) - 1))]
-            if sink_cursor + stream.words <= 8192:
-                program.store(stream, sink, start=sink_cursor)
-                sink_cursor += stream.words
-            if draw(st.booleans()):
-                program.host_read(tag=f"hr{step}")
-        if len(live) > 6:
-            live = live[-6:]     # let old streams die
-    # Ensure at least one kernel so the run has cluster work.
-    if not any(c.kind == "kernel" for c in program._calls):
-        out = program.kernel1(_SPECS[1], [live[0]], name="kfinal")
-        program.store(out, sink, start=0)
-    return program
+    """The gate's fuzz generator (:func:`fuzz_program`), drawn."""
+    return fuzz_program(_Drawn(draw))
 
 
 class TestStreamFuzz:
