@@ -100,15 +100,6 @@ def registered_passes(scope: str | None = None) -> list[AnalysisPass]:
     return passes
 
 
-def get_pass(name: str) -> AnalysisPass:
-    _load_rules()
-    if name not in _REGISTRY:
-        raise KeyError(
-            f"unknown analysis pass {name!r}; available: "
-            f"{sorted(_REGISTRY)}")
-    return _REGISTRY[name]
-
-
 def run_scope(scope: str, context: AnalysisContext,
               only: set[str] | None = None) -> Iterator[Finding]:
     """Run every registered pass of ``scope`` over ``context``."""
@@ -128,7 +119,6 @@ __all__ = [
     "AnalysisPass",
     "SCOPES",
     "analysis_pass",
-    "get_pass",
     "registered_passes",
     "run_scope",
 ]

@@ -185,8 +185,7 @@ def check_memory_bounds(context: AnalysisContext) -> Iterator[Finding]:
 
     Indexed patterns wrap modulo the array length at run time, so only
     strided transfers have a statically checkable range.  Images built
-    by hand or restored from playback records carry no array extents
-    and are skipped.
+    by hand carry no array extents and are skipped.
     """
     image = context.image
     assert image is not None

@@ -1,12 +1,11 @@
 """Host-processor dispatch model.
 
-The host walks the compiled stream-instruction sequence (either the
-general dispatcher or the playback dispatcher -- the distinction only
-changes per-instruction cost) and writes each instruction into the
-scoreboard when a slot is free and the interface is ready.  A
-``host_dependency`` instruction blocks the host until the instruction
-completes plus a round-trip delay, modelling StreamC code whose
-control flow reads kernel results (the RTSL pattern).
+The host walks the compiled stream-instruction sequence and writes
+each instruction into the scoreboard when a slot is free and the
+interface is ready; the board's host MIPS sets the per-instruction
+cost.  A ``host_dependency`` instruction blocks the host until the
+instruction completes plus a round-trip delay, modelling StreamC code
+whose control flow reads kernel results (the RTSL pattern).
 
 Under fault injection (:mod:`repro.faults`) the host also models the
 response side of a flaky bridge: a dropped transfer is discovered

@@ -111,8 +111,3 @@ GROMACS = KernelSpec(
     output_record_words=(9, 1),
     description="force computation between water molecules (float)",
 )
-
-
-def reference_forces(pairs_words: np.ndarray) -> np.ndarray:
-    """Oracle wrapper used by tests."""
-    return _gromacs_apply([pairs_words], {})[0]

@@ -114,11 +114,6 @@ def read_history(path: str | pathlib.Path) -> list[dict[str, Any]]:
     return entries
 
 
-def recorded_digests(path: str | pathlib.Path) -> set[str]:
-    """Digests already present in the store."""
-    return {entry["digest"] for entry in read_history(path)}
-
-
 def append_entries(path: str | pathlib.Path,
                    entries: Iterable[dict[str, Any] | None],
                    dedup: Callable[[dict[str, Any]], str | None]
@@ -198,7 +193,6 @@ __all__ = [
     "DEFAULT_HISTORY_PATH",
     "history_entry",
     "read_history",
-    "recorded_digests",
     "append_entries",
     "append_history",
 ]

@@ -17,18 +17,12 @@ timing-relevant facts.
 
 from repro.streamc.compiler import StreamProgramImage
 from repro.streamc.descriptors import DescriptorFile
-from repro.streamc.dispatcher import PlaybackDispatcher, StreamDispatcher
 from repro.streamc.program import KernelSpec, StreamProgram, StreamRef
-from repro.streamc.record import load_record, save_record
 
 __all__ = [
     "StreamProgramImage",
     "DescriptorFile",
-    "PlaybackDispatcher",
-    "StreamDispatcher",
     "KernelSpec",
     "StreamProgram",
     "StreamRef",
-    "load_record",
-    "save_record",
 ]

@@ -81,12 +81,13 @@ class StreamProgramImage:
     mar_references: int = 0
     ucr_writes: int = 0
     #: Data-independent control flow: nothing read data while the
-    #: program was written, so it can be recorded and played back.
+    #: program was written, so the engine holds the built image per
+    #: shape and plays it back for every data seed.
     playback: bool = True
     #: Static metadata for the verifier (``repro.analysis``): memory
     #: array bounds and the compiler's SRF placement decisions.
-    #: Images restored from playback records or built by hand carry
-    #: empty lists, and the corresponding passes skip them.
+    #: Images built by hand carry empty lists, and the corresponding
+    #: passes skip them.
     arrays: list[ArrayExtent] = field(default_factory=list)
     srf_allocations: list[SrfAllocationRecord] = field(
         default_factory=list)

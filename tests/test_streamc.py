@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import MachineConfig
 from repro.isa.kernel_ir import KernelBuilder
 from repro.isa.stream_ops import StreamOpType
 from repro.memsys.patterns import indexed, strided
 from repro.streamc import (
     DescriptorFile,
-    PlaybackDispatcher,
-    StreamDispatcher,
     StreamProgram,
 )
 from repro.streamc.program import (KernelSpec, StreamProgramError,
@@ -201,33 +198,3 @@ class TestStreamProgram:
         program.array("a", np.zeros(4))
         with pytest.raises(StreamProgramError):
             program.array("a", np.zeros(4))
-
-
-class TestDispatchers:
-    def make_image(self):
-        program = StreamProgram("p")
-        data = program.array("in", np.zeros(64))
-        s = program.load(data)
-        program.kernel1(scale_spec(), [s], params={"c": 1.0})
-        return program.build()
-
-    def test_playback_returns_instructions(self):
-        image = self.make_image()
-        dispatcher = PlaybackDispatcher()
-        assert len(dispatcher.instructions(image)) == len(image)
-
-    def test_playback_rejects_non_playback_programs(self):
-        image = self.make_image()
-        image.playback = False
-        with pytest.raises(ValueError):
-            PlaybackDispatcher().instructions(image)
-
-    def test_general_dispatcher_slows_host(self):
-        from repro.core import BoardConfig
-
-        machine = MachineConfig()
-        board = BoardConfig.hardware()
-        slowed = StreamDispatcher().host_board(machine, board)
-        assert slowed.host_mips < board.host_mips
-        same = PlaybackDispatcher().host_board(machine, board)
-        assert same.host_mips == board.host_mips
