@@ -2,10 +2,9 @@
 
 Alongside the paper-table reporting helpers, this package hosts the
 static verifier (``docs/analysis.md``): multi-pass checks over
-compiled kernels and stream programs plus a differential consistency
-gate against the simulator, surfaced as ``repro lint``, and the
-static cycle-bound model (:mod:`repro.analysis.bounds`), surfaced as
-the ``BD``/``ADV`` lint rules and checked against the simulator by
+compiled kernels and stream programs, surfaced as ``repro lint``, and
+the static cycle-bound model (:mod:`repro.analysis.bounds`), surfaced
+as the ``BD``/``ADV`` lint rules and checked against the simulator by
 ``repro gate``.
 """
 

@@ -46,7 +46,7 @@ class Severity(enum.Enum):
 class Finding:
     """One rule violation (or observation) at one location.
 
-    ``rule`` is a stable id (``MC004``, ``SP006``, ``CX001``, ...;
+    ``rule`` is a stable id (``MC004``, ``SP006``, ``BD001``, ...;
     catalogued in ``docs/analysis.md``); ``location`` names the
     artifact (``kernel:dct8x8``, ``app:mpeg#12`` for instruction 12).
     """

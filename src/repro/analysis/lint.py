@@ -85,9 +85,11 @@ def preflight_image(image: "StreamProgramImage",
 _SCOPE_FAMILIES = {
     "kernel": frozenset({"MC"}),
     "image": frozenset({"SP", "BD", "ADV"}),
-    "simulator": frozenset({"CX"}),
     "repo": frozenset({"EP"}),
 }
+
+#: Every rule family a selection may name.
+RULE_FAMILIES = tuple(sorted(frozenset().union(*_SCOPE_FAMILIES.values())))
 
 
 def _rule_family(rule: str) -> str:
@@ -98,95 +100,62 @@ def _rule_family(rule: str) -> str:
 def lint_catalog(machine: MachineConfig | None = None,
                  apps: Iterable[str] | None = None,
                  kernels: Iterable[str] | None = None,
-                 consistency: bool = True,
                  repo: bool = False,
                  select: Iterable[str] | None = None) -> AnalysisReport:
-    """Sweep the whole corpus: catalog apps, library kernels, and
-    (optionally) the differential consistency pass per kernel.
+    """Sweep the whole corpus: catalog apps and library kernels.
 
     ``repo=True`` additionally runs the repository-scope passes
     (entry-point discipline).
 
     ``select`` restricts the run to rule families (``MC``, ``SP``,
-    ``BD``/``ADV``, ``CX``, ``EP``): scopes that cannot produce a
-    selected family are skipped entirely -- ``select={"EP"}`` runs
-    only the repository rules, without compiling a single kernel --
-    and findings from shared scopes are filtered to the selection.
+    ``BD``/``ADV``, ``EP``): scopes that cannot produce a selected
+    family are skipped entirely -- ``select={"EP"}`` runs only the
+    repository rules, without compiling a single kernel -- and
+    findings from shared scopes are filtered to the selection.
     """
     from repro.engine import catalog
-    from repro.kernels.library import KERNEL_LIBRARY
 
     machine = machine or MachineConfig()
     families = ({family.upper() for family in select}
                 if select is not None else None)
 
     def wants(scope: str) -> bool:
-        return (families is None
-                or bool(families & _SCOPE_FAMILIES[scope]))
+        if families is None:
+            return repo or scope != "repo"
+        return bool(families & _SCOPE_FAMILIES[scope])
 
-    needs_kernel = wants("kernel")
-    needs_image = wants("image")
-    needs_simulator = consistency and wants("simulator")
-    needs_repo = (repo if families is None
-                  else bool(families & _SCOPE_FAMILIES["repo"]))
-
+    scopes = [scope for scope in _SCOPE_FAMILIES if wants(scope)]
     app_names = sorted(apps if apps is not None else catalog.APP_NAMES)
-    kernel_names = sorted(kernels if kernels is not None
-                          else KERNEL_LIBRARY)
 
     report = AnalysisReport(subject="catalog")
-    scopes = []
-    if needs_kernel:
-        scopes.append("kernel")
-    if needs_image:
-        scopes.append("image")
-    if needs_simulator:
-        scopes.append("simulator")
-    if needs_repo:
-        scopes.append("repo")
     report.passes = [p.name for scope in scopes
                      for p in registered_passes(scope)]
 
-    # Every unique compiled kernel: the library's, plus any an app
-    # carries under a name the library does not know.  Skipped
-    # entirely for selections (like ``EP``) that never look at one.
+    # Skipped entirely for selections (like ``EP``) that never look
+    # at a compiled artifact.
     compiled: dict[str, "CompiledKernel"] = {}
     images: dict[str, "StreamProgramImage"] = {}
-    if needs_kernel or needs_image or needs_simulator:
-        compiled = {name: KERNEL_LIBRARY[name].compiled()
-                    for name in kernel_names}
-        for app in app_names:
-            bundle = catalog.build_app(app)
-            images[app] = bundle.image
-            for name in sorted(bundle.image.kernels):
-                compiled.setdefault(name, bundle.image.kernels[name])
-        report.coverage = {"apps": app_names,
-                           "kernels": sorted(compiled)}
-    else:
-        report.coverage = {"apps": [], "kernels": []}
+    if "kernel" in scopes or "image" in scopes:
+        images = {app: catalog.build_app(app).image
+                  for app in app_names}
+        compiled = catalog.compiled_kernels(images.values(), kernels)
+    report.coverage = {"apps": sorted(images), "kernels": sorted(compiled)}
 
-    if needs_kernel:
+    if "kernel" in scopes:
         for name in sorted(compiled):
             context = AnalysisContext(machine=machine,
                                       subject=f"kernel:{name}",
                                       kernel=compiled[name])
             report.extend(run_scope("kernel", context))
 
-    if needs_image:
+    if "image" in scopes:
         for app in app_names:
             context = AnalysisContext(machine=machine,
                                       subject=f"app:{app}",
                                       image=images[app])
             report.extend(run_scope("image", context))
 
-    if needs_simulator:
-        for name in sorted(compiled):
-            context = AnalysisContext(machine=machine,
-                                      subject=f"kernel:{name}",
-                                      kernel=compiled[name])
-            report.extend(run_scope("simulator", context))
-
-    if needs_repo:
+    if "repo" in scopes:
         context = AnalysisContext(machine=machine, subject="repo")
         report.extend(run_scope("repo", context))
 
@@ -197,6 +166,7 @@ def lint_catalog(machine: MachineConfig | None = None,
 
 
 __all__ = [
+    "RULE_FAMILIES",
     "lint_bundle",
     "lint_catalog",
     "lint_image",

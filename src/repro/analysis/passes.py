@@ -9,9 +9,6 @@ themselves with :func:`analysis_pass` and declare a *scope*:
 
 * ``"kernel"`` passes run once per compiled kernel;
 * ``"image"`` passes run once per compiled stream program;
-* ``"simulator"`` passes run once per compiled kernel and simulate
-  it (the AnICA-style differential consistency pass that
-  cross-checks static predictions against both backends);
 * ``"repo"`` passes inspect the source tree itself (the entry-point
   discipline lint).
 
@@ -32,15 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.streamc.compiler import StreamProgramImage
 
 #: Valid pass scopes.
-SCOPES = ("kernel", "image", "simulator", "repo")
+SCOPES = ("kernel", "image", "repo")
 
 
 @dataclass
 class AnalysisContext:
     """Everything a pass may look at.
 
-    ``machine`` is always set; ``kernel`` is set for kernel- and
-    simulator-scope passes, ``image`` for image-scope passes.
+    ``machine`` is always set; ``kernel`` is set for kernel-scope
+    passes, ``image`` for image-scope passes.
     ``subject`` names the artifact for finding locations.
     """
 

@@ -5,7 +5,6 @@ framework in :mod:`repro.analysis.passes`.  Rule-id prefixes:
 
 * ``MC###`` -- microcode / VLIW-schedule rules (:mod:`.microcode`);
 * ``SP###`` -- stream-program rules (:mod:`.stream`);
-* ``CX###`` -- analysis-vs-simulator consistency (:mod:`.consistency`);
 * ``EP###`` -- repository entry-point discipline (:mod:`.entrypoints`);
 * ``BD###`` / ``ADV###`` -- static cycle-bound model and the
   optimization advisor (:mod:`.advisor`).
@@ -15,11 +14,9 @@ The full catalogue lives in ``docs/analysis.md``.
 
 from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     advisor,
-    consistency,
     entrypoints,
     microcode,
     stream,
 )
 
-__all__ = ["advisor", "consistency", "entrypoints", "microcode",
-           "stream"]
+__all__ = ["advisor", "entrypoints", "microcode", "stream"]

@@ -13,8 +13,9 @@ cycles are real, but overlap after restructuring is assumed perfect).
 
 The advisor is deliberately silent on steady-state probe programs
 (one microcode load + one kernel invocation): every rule requires
-either memory streams or repeated kernel invocations, so the
-differential-consistency probes of :mod:`.consistency` never trip it.
+either memory streams or repeated kernel invocations, so the kernel
+probes of ``repro gate`` (:func:`repro.engine.gate.probe_image`)
+never trip it.
 """
 
 from __future__ import annotations

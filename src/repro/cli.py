@@ -17,8 +17,7 @@ Mirrors the paper's evaluation flow from a shell:
 * ``power``      -- the Section 5.5 efficiency comparison;
 * ``evaluate``   -- the paper's whole evaluation, one section per
   table or figure (``--list`` names them);
-* ``lint``       -- statically verify every catalog app/kernel and
-  cross-check the static model against the simulator
+* ``lint``       -- statically verify every catalog app/kernel
   (``docs/analysis.md``);
 * ``profile NAME`` -- hierarchical cycle-accounting profile of one
   run (``repro.profile-report/1``, ``docs/observability.md``);
@@ -34,10 +33,12 @@ Mirrors the paper's evaluation flow from a shell:
   (availability, error budget, conservation, cold p99;
   ``docs/observability.md``);
 * ``gate``       -- the differential gate: over the app matrix plus a
-  seeded fuzzed ``streamc`` corpus, byte-compare the event-driven and
-  vectorized backends, assert ``lower <= simulated <= upper`` on both,
-  and compare the static bottleneck to the dynamic critical path
-  (``repro.gate/1``; see ``docs/analysis.md``);
+  seeded fuzzed ``streamc`` corpus and one probe per compiled kernel,
+  byte-compare the event-driven and vectorized backends, assert
+  ``lower <= simulated <= upper`` on both, check each probe against
+  its kernel's static predictions, and compare the static bottleneck
+  to the dynamic critical path (``repro.gate/1``; see
+  ``docs/analysis.md``);
 * ``cache``      -- inspect or LRU-prune the content-addressed
   result cache.
 
@@ -367,12 +368,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis.lint import lint_catalog
+    from repro.analysis.lint import RULE_FAMILIES, lint_catalog
 
     select = {family.upper() for family in args.select} \
         if args.select else None
-    report = lint_catalog(consistency=not args.no_consistency,
-                          repo=args.repo, select=select)
+    unknown = sorted(select - set(RULE_FAMILIES)) if select else []
+    if unknown:
+        print(f"unknown rule family {', '.join(unknown)}; choose from "
+              f"{' '.join(RULE_FAMILIES)}", file=sys.stderr)
+        return 2
+    report = lint_catalog(repo=args.repo, select=select)
     as_json = args.json or args.format == "json"
     if as_json or args.out:
         text = report.to_json()
@@ -772,16 +777,19 @@ def _cmd_gate(args) -> int:
               file=sys.stderr)
 
     cells = [line for line in history if line["app"] != "MATRIX"]
-    failures = report["fuzz"]["failures"]
+    probes = report["probes"]
+    failures = report["fuzz"]["failures"] + probes["failures"]
     identical = (report["matrix_mismatches"] == 0
-                 and all(f["identical"] for f in failures))
+                 and all(f.get("identical", True) for f in failures))
     bracketed = (report["matrix_bracket_failures"] == 0
-                 and all(f["bracketed"] for f in failures))
+                 and all(f.get("bracketed", True) for f in failures))
     aggregate = report["aggregate"]
     verdict = (f"{'IDENTICAL' if identical else 'MISMATCH'}, "
                f"{'BRACKETED' if bracketed else 'BRACKET FAILURE'}: "
                f"{len(report['matrix'])} matrix cell(s), "
-               f"{report['fuzz']['count']} fuzz program(s) x "
+               f"{report['fuzz']['count']} fuzz program(s) and "
+               f"{probes['count']} kernel probe(s) "
+               f"({len(probes['failures'])} failing) x "
                f"{len(report['fuzz']['boards'])} board(s); "
                f"mean tightness {aggregate['mean_tightness']:.3f}, "
                f"bottleneck match {report['bottleneck_matches']}/"
@@ -918,8 +926,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="list builtin fault plans and exit")
     lint = sub.add_parser(
         "lint", help="statically verify every catalog app and kernel "
-                     "(microcode, stream program, analysis-vs-sim "
-                     "consistency; see docs/analysis.md)")
+                     "(microcode, stream program, static bounds; see "
+                     "docs/analysis.md)")
     lint.add_argument("--json", action="store_true",
                       help="emit the deterministic "
                            "repro.analysis-report/1 JSON "
@@ -934,16 +942,13 @@ def main(argv: list[str] | None = None) -> int:
     lint.add_argument("--out", default=None, metavar="PATH",
                       help="write the JSON report to PATH "
                            "(implies --format json)")
-    lint.add_argument("--no-consistency", action="store_true",
-                      help="skip the simulator consistency pass "
-                           "(no simulations are run)")
     lint.add_argument("--repo", action="store_true",
                       help="also run repository-scope rules "
                            "(entry-point discipline)")
     lint.add_argument("--select", nargs="*", default=None,
                       metavar="FAMILY",
                       help="restrict to rule families (MC SP BD ADV "
-                           "CX EP); scopes that cannot produce a "
+                           "EP); scopes that cannot produce a "
                            "selected family are skipped entirely, so "
                            "`--select EP` runs only the repository "
                            "rules without compiling anything")

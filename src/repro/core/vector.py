@@ -309,36 +309,6 @@ class _SharedServer:
                                float(measurement.startup_cycles), 0.0]
         self._recompute()
 
-    def advance(self, cycles: float) -> list[int]:
-        done = []
-        for ident, entry in self.streams.items():
-            remaining = cycles
-            startup = entry[2]
-            if startup > 0:
-                used = startup if startup < remaining else remaining
-                startup = entry[2] = entry[2] - used
-                remaining -= used
-            if remaining > 0 and startup <= 0:
-                entry[1] -= entry[3] * remaining
-            if startup <= 0 and entry[1] <= 1e-9:
-                done.append(ident)
-        if done:
-            for ident in done:
-                del self.streams[ident]
-            self._recompute()
-        return done
-
-    def next_completion_delta(self) -> float | None:
-        best = None
-        for entry in self.streams.values():
-            rate = entry[3]
-            if rate <= 0:
-                continue
-            delta = entry[2] + entry[1] / rate
-            if best is None or delta < best:
-                best = delta
-        return best
-
 
 class VectorProcessor:
     """Compiled-schedule simulator; drop-in for ``ImagineProcessor``
@@ -1063,7 +1033,7 @@ class VectorProcessor:
                                 or completions[0][0] < target):
                 target = completions[0][0]
             if streams:
-                # Inlined _SharedServer.next_completion_delta.
+                # SharedMemoryServer.next_completion_delta, inlined.
                 mem_delta = None
                 for entry in streams.values():
                     rate = entry[3]
@@ -1096,7 +1066,7 @@ class VectorProcessor:
                     idle_blame[tag] = idle_blame.get(tag, 0.0) + gap
 
             if streams and target > now:
-                # Inlined _SharedServer.advance.
+                # SharedMemoryServer.advance, inlined.
                 adv = target - now
                 done_streams = None
                 for ident, entry in streams.items():

@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.common import AppBundle
     from repro.engine.cache import PackedResult
     from repro.engine.request import RunRequest
+    from repro.isa.vliw import CompiledKernel
     from repro.streamc.compiler import StreamProgramImage
 
 
@@ -88,6 +89,23 @@ def build_app(name: str, machine: MachineConfig | None = None,
     bundle.source = (key, tuple(sorted(sizes.items())))
     bundle.machine = machine if machine is not None else MachineConfig()
     return bundle
+
+
+def compiled_kernels(images: Iterable["StreamProgramImage"],
+                     names: Iterable[str] | None = None
+                     ) -> dict[str, "CompiledKernel"]:
+    """Every unique compiled kernel: the library's (``names``, default
+    all of it), plus any kernel an image of ``images`` carries under a
+    name the library does not know (the first image's copy wins)."""
+    from repro.kernels.library import KERNEL_LIBRARY
+
+    compiled = {name: KERNEL_LIBRARY[name].compiled()
+                for name in sorted(KERNEL_LIBRARY if names is None
+                                   else names)}
+    for image in images:
+        for name in sorted(image.kernels):
+            compiled.setdefault(name, image.kernels[name])
+    return compiled
 
 
 #: Bytes of built images (:func:`bundle_for`) and packed derived
@@ -272,6 +290,7 @@ __all__ = [
     "build_app",
     "bundle_for",
     "canonical_name",
+    "compiled_kernels",
     "held_result",
     "hold_result",
     "result_key",

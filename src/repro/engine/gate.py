@@ -3,11 +3,11 @@
 The repo has three estimators of one machine's cycle count: the
 event-driven reference model, the vectorized backend, and the static
 bound interpreter (:mod:`repro.analysis.bounds`).  This module checks
-them against each other in one serial sweep over the 4x2 app matrix
-plus a seeded fuzzed ``streamc`` corpus.  Each matrix cell and each
-fuzz program runs once per backend on every selected board (matrix
-cells then repeat each backend for timing), and three comparators
-read those runs:
+them against each other in one serial sweep over the 4x2 app matrix,
+one probe program per compiled kernel, and a seeded fuzzed
+``streamc`` corpus.  Each matrix cell, probe and fuzz program runs
+once per backend on every selected board (matrix cells then repeat
+each backend for timing), and these comparators read those runs:
 
 * **equality** -- :func:`result_fingerprint` of the event run equals
   that of the vector run (the vector backend's bit-identity
@@ -18,7 +18,10 @@ read those runs:
   resource of the event run's critical path.  A disagreement is
   recorded as a *discrepancy seed*, not a failure: a sound bound that
   attributes differently from the simulator marks where a mechanistic
-  explanation is missing.
+  explanation is missing;
+* **prediction** (probes only) -- the probe's one kernel invocation
+  record against what the compiled schedule alone predicts: operation
+  counts, SRF and scratchpad traffic, and busy cycles.
 
 :func:`run_gate` returns the ``repro.gate/1`` report, which holds
 only simulated cycle counts and static bounds, so a rerun is
@@ -26,9 +29,9 @@ byte-identical, plus the ``repro.gate-bench/1`` perf-history lines,
 the only place the best-of-3 wall-clock timings go (appended per
 sweep, never deduplicated).
 
-Processors are constructed directly here -- this *is* the sanctioned
-engine-side construction site -- because routing both runs through a
-warm cache would compare a result with itself.
+Processors come straight from :func:`repro.engine.session.processor`,
+not through a ``Session``, because routing both runs through a warm
+cache would compare a result with itself.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.core.config import BoardConfig, MachineConfig
+from repro.engine.session import processor
 
 #: Schema for the gate report document.
 GATE_SCHEMA = "repro.gate/1"
@@ -136,24 +140,6 @@ def result_fingerprint(result) -> str:
         "critpath": build_critpath(result),
     }
     return json.dumps(document, sort_keys=True, default=str)
-
-
-def processor(backend: str, kernels, board: BoardConfig,
-              machine: MachineConfig):
-    """A fresh fault-free, untraced processor of ``backend``
-    (``"event"`` or ``"vector"``): the differential replays' one
-    construction site."""
-    if backend == "vector":
-        from repro.core.vector import VectorProcessor
-
-        cls = VectorProcessor
-    else:
-        from repro.core.processor import ImagineProcessor
-
-        cls = ImagineProcessor
-    return cls(machine=machine, board=board, kernels=kernels)
-
-
 
 
 # ----------------------------------------------------------------------
@@ -285,10 +271,11 @@ def _run(backend: str, image, kernels, board: BoardConfig,
     The first run is untimed: compiling the vector schedule tables is
     a one-off cost warm runs never pay.
     """
-    result = processor(backend, kernels, board, machine).run(image)
+    options = {"machine": machine, "board": board, "kernels": kernels}
+    result = processor(backend, **options).run(image)
     best = float("inf")
     for _ in range(timed):
-        fresh = processor(backend, kernels, board, machine)
+        fresh = processor(backend, **options)
         started = time.perf_counter()
         fresh.run(image)
         best = min(best, time.perf_counter() - started)
@@ -327,6 +314,116 @@ def _compare(image, kernels, mode: str, machine: MachineConfig,
     return analysis, results["event"], fields, seconds
 
 
+# ----------------------------------------------------------------------
+# Kernel probes: each compiled schedule against its own predictions.
+# ----------------------------------------------------------------------
+#: Main-loop iterations each probe invocation runs per cluster.
+PROBE_ITERATIONS = 8
+
+
+def probe_image(kernel, num_clusters: int):
+    """A minimal runnable image: load microcode, invoke the kernel.
+
+    The image is synthetic (no functional data, no memory traffic), so
+    it exercises exactly the quantities the static model predicts.
+    """
+    from repro.isa.stream_ops import StreamInstruction, StreamOpType
+    from repro.streamc.compiler import StreamProgramImage
+
+    instructions = [
+        StreamInstruction(op=StreamOpType.MICROCODE_LOAD,
+                          kernel=kernel.name,
+                          words=kernel.microcode_words, index=0),
+        StreamInstruction(op=StreamOpType.KERNEL, deps=[0],
+                          kernel=kernel.name,
+                          stream_elements=_probe_elements(
+                              kernel, num_clusters),
+                          tag=kernel.name, index=1),
+    ]
+    return StreamProgramImage(
+        name=f"probe.{kernel.name}", instructions=instructions,
+        kernels={kernel.name: kernel})
+
+
+def _probe_elements(kernel, num_clusters: int) -> int:
+    return (kernel.elements_per_iteration * num_clusters
+            * PROBE_ITERATIONS)
+
+
+def probe_predictions(kernel, machine: MachineConfig) -> dict[str, int]:
+    """The probe invocation's record as the compiled kernel alone
+    predicts it: per-iteration counts times iterations and clusters,
+    and busy cycles as II x iterations plus prologue, epilogue and
+    outer-loop overhead."""
+    from repro.isa.kernel_ir import FuClass
+
+    clusters = machine.num_clusters
+    iterations = kernel.iterations_for(
+        _probe_elements(kernel, clusters), clusters)
+    factor = iterations * clusters
+    return {
+        "instructions": kernel.instructions_per_iteration * factor,
+        "arith_ops": kernel.arith_ops_per_iteration * factor,
+        "flops": kernel.flops_per_iteration * factor,
+        "srf_words": (kernel.words_in_per_iteration
+                      + kernel.words_out_per_iteration) * factor,
+        "sp_accesses": kernel.sp_accesses_per_iteration * factor,
+        "comm_ops": kernel.comm_ops_per_iteration * factor,
+        "dsq_ops": kernel.graph.fu_count(FuClass.DSQ) * factor,
+        "busy_cycles": (iterations * kernel.ii + kernel.prologue_cycles
+                        + kernel.epilogue_cycles
+                        + kernel.outer_overhead_cycles),
+    }
+
+
+def probe_failures(kernels, boards: Iterable[str],
+                   machine: MachineConfig) -> list[dict[str, Any]]:
+    """Run every kernel's probe on every board through the
+    equality, bracketing and prediction comparators.
+
+    Returns one failure entry per failing cell, naming the kernel and
+    board: a probe that raises carries ``error``; one that recorded
+    other than one invocation carries the comparator fields and
+    ``error``; any other failure carries the comparator fields and
+    ``quantities``, ``{quantity: {"static", "simulated"}}`` for each
+    prediction the run missed.
+    """
+    from repro.core import SimulationError
+    from repro.host.processor import HostError
+
+    failures = []
+    for name in sorted(kernels):
+        image = probe_image(kernels[name], machine.num_clusters)
+        predicted = probe_predictions(kernels[name], machine)
+        for mode in boards:
+            try:
+                _, event, fields, _ = _compare(image, image.kernels,
+                                               mode, machine)
+            except (SimulationError, HostError) as error:
+                failures.append({"kernel": name, "board_mode": mode,
+                                 "error": f"{type(error).__name__}: "
+                                          f"{error}"})
+                continue
+            records = event.metrics.kernel_invocations
+            if len(records) != 1:
+                failures.append({"kernel": name, **fields,
+                                 "error": f"recorded {len(records)} "
+                                          f"kernel invocations, "
+                                          f"expected 1"})
+                continue
+            simulated = vars(records[0])
+            quantities = {
+                quantity: {"static": static,
+                           "simulated": simulated[quantity]}
+                for quantity, static in predicted.items()
+                if simulated[quantity] != static}
+            if quantities or not (fields["identical"]
+                                  and fields["bracketed"]):
+                failures.append({"kernel": name, **fields,
+                                 "quantities": quantities})
+    return failures
+
+
 def run_gate(apps: Iterable[str] | None = None,
              boards: Iterable[str] = BOARD_MODES,
              fuzz: int = 100, fuzz_seed: int = 0,
@@ -339,7 +436,7 @@ def run_gate(apps: Iterable[str] | None = None,
     optional ``callable(str)`` for live per-cell reporting.
     """
     from repro.analysis.bounds import normalize_resource, resources_match
-    from repro.engine.catalog import APP_NAMES, build_app
+    from repro.engine.catalog import APP_NAMES, build_app, compiled_kernels
     from repro.obs.critpath import critpath_summary
 
     apps = [name.lower() for name in (apps or APP_NAMES)]
@@ -347,9 +444,10 @@ def run_gate(apps: Iterable[str] | None = None,
     say = progress if progress is not None else (lambda message: None)
     machine = MachineConfig()
 
-    matrix, timings, seeds, tightnesses = [], [], [], []
+    matrix, timings, seeds, tightnesses, images = [], [], [], [], []
     for app in apps:
         bundle = build_app(app)
+        images.append(bundle.image)
         for mode in boards:
             analysis, event, fields, seconds = _compare(
                 bundle.image, bundle.kernels, mode, machine,
@@ -385,6 +483,11 @@ def run_gate(apps: Iterable[str] | None = None,
                 f"vector={seconds['vector']:.3f}s "
                 f"{_cell_word(cell)}")
 
+    kernels = compiled_kernels(images)
+    probes = probe_failures(kernels, boards, machine)
+    say(f"kernel probes: {len(kernels)} compiled kernels x "
+        f"{len(boards)} boards, {len(probes)} failure(s)")
+
     fuzz_failures = []
     fuzz_max_tightness = 0.0
     images = fuzz_corpus(fuzz, seed=fuzz_seed) if fuzz else []
@@ -409,7 +512,7 @@ def run_gate(apps: Iterable[str] | None = None,
                    and sorted(boards) == sorted(BOARD_MODES))
     report = {
         "schema": GATE_SCHEMA,
-        "ok": _gate_ok(counts, fuzz_failures, full_matrix,
+        "ok": _gate_ok(counts, fuzz_failures + probes, full_matrix,
                        mean_tightness),
         "matrix": matrix,
         **counts,
@@ -419,6 +522,7 @@ def run_gate(apps: Iterable[str] | None = None,
                  "boards": boards,
                  "failures": fuzz_failures,
                  "max_tightness": fuzz_max_tightness},
+        "probes": {"count": len(kernels), "failures": probes},
         "aggregate": {
             "mean_tightness": mean_tightness,
             "max_tightness": max(tightnesses, default=0.0),
@@ -445,7 +549,7 @@ def _matrix_counts(matrix: list[dict[str, Any]]) -> dict[str, int]:
     }
 
 
-def _gate_ok(counts: dict[str, int], fuzz_failures: list,
+def _gate_ok(counts: dict[str, int], failures: list,
              full_matrix: bool, mean_tightness: float) -> bool:
     """Every comparator passed; the tightness and attribution targets
     count only on the full matrix they are calibrated for."""
@@ -454,7 +558,7 @@ def _gate_ok(counts: dict[str, int], fuzz_failures: list,
         and counts["bottleneck_matches"] >= MIN_BOTTLENECK_MATCHES)
     return (counts["matrix_mismatches"] == 0
             and counts["matrix_bracket_failures"] == 0
-            and not fuzz_failures and targets_met)
+            and not failures and targets_met)
 
 
 def _history(report: dict[str, Any], timings: list[dict[str, float]]
@@ -501,7 +605,7 @@ def validate_gate_report(report: dict[str, Any]) -> None:
     for key in ("ok", "matrix", "matrix_mismatches",
                 "matrix_bracket_failures", "bottleneck_matches",
                 "bottleneck_cells", "discrepancy_seeds", "fuzz",
-                "aggregate"):
+                "probes", "aggregate"):
         if key not in report:
             raise ValueError(f"missing report key {key!r}")
     cell_keys = {"app", "board_mode", "lower", "upper",
@@ -536,11 +640,32 @@ def validate_gate_report(report: dict[str, Any]) -> None:
                 "max_tightness"):
         if key not in fuzz:
             raise ValueError(f"missing fuzz key {key!r}")
+    probes = report["probes"]
+    for key in ("count", "failures"):
+        if key not in probes:
+            raise ValueError(f"missing probes key {key!r}")
+    for failure in probes["failures"]:
+        _check_probe_failure(failure)
     aggregate = report["aggregate"]
     if report["ok"] != _gate_ok(
-            _matrix_counts(report["matrix"]), fuzz["failures"],
+            _matrix_counts(report["matrix"]),
+            fuzz["failures"] + probes["failures"],
             aggregate["full_matrix"], aggregate["mean_tightness"]):
         raise ValueError("ok flag inconsistent with recorded failures")
+
+
+def _check_probe_failure(failure: dict[str, Any]) -> None:
+    """A probe failure names its cell and says why it failed."""
+    why = ({"error"} if "error" in failure
+           else {"identical", "bracketed", "quantities"})
+    missing = ({"kernel", "board_mode"} | why) - set(failure)
+    if missing:
+        raise ValueError(f"probe failure missing {sorted(missing)}: "
+                         f"{failure}")
+    for quantity, values in failure.get("quantities", {}).items():
+        if values["static"] == values["simulated"]:
+            raise ValueError(f"probe {failure['kernel']}: {quantity} "
+                             f"recorded as a divergence without one")
 
 
 __all__ = [
@@ -551,9 +676,13 @@ __all__ = [
     "MAX_MEAN_TIGHTNESS",
     "MIN_BOTTLENECK_MATCHES",
     "MIN_CELL_SPEEDUP",
+    "PROBE_ITERATIONS",
     "FuzzChooser",
     "fuzz_corpus",
     "fuzz_program",
+    "probe_failures",
+    "probe_image",
+    "probe_predictions",
     "result_fingerprint",
     "run_gate",
     "validate_gate_report",

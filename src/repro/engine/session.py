@@ -209,30 +209,32 @@ def backend_for(mode: str, tracer: "Tracer | None" = None,
             and faults is None else "event")
 
 
-def processor_class(backend: str) -> type:
-    """The simulator class of ``backend`` (``"event"`` or
-    ``"vector"``)."""
+def processor(backend: str, **options: Any):
+    """A fresh simulator of ``backend`` (``"event"`` or ``"vector"``)
+    built with ``options`` (``machine``, ``board``, ``kernels``,
+    ``tracer``, ``faults``, ``strict``): the engine's one processor
+    construction site."""
     if backend == "vector":
         from repro.core.vector import VectorProcessor
 
-        return VectorProcessor
+        return VectorProcessor(**options)
     from repro.core.processor import ImagineProcessor
 
-    return ImagineProcessor
+    return ImagineProcessor(**options)
 
 
 def _simulate(bundle: "AppBundle", request: RunRequest, backend: str,
               tracer: "Tracer | None" = None) -> "RunResult":
     """Run ``bundle`` under ``request``'s configuration on ``backend``
     (``"event"`` or ``"vector"``); raises on simulation failure."""
-    processor = processor_class(backend)(
+    return processor(
+        backend,
         machine=request.effective_machine(),
         board=request.effective_board(),
         kernels=bundle.kernels,
         tracer=tracer,
         faults=request.fault_plan(),
-        strict=request.strict)
-    return processor.run(bundle.image)
+        strict=request.strict).run(bundle.image)
 
 
 def _capture(bundle: "AppBundle", request: RunRequest, backend: str,
@@ -871,5 +873,5 @@ __all__ = [
     "backend_for",
     "engine_counts",
     "get_default_session",
-    "processor_class",
+    "processor",
 ]

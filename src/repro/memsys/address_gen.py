@@ -37,7 +37,8 @@ def expand_pattern(pattern: AccessPattern,
     else:
         rng = np.random.default_rng(pattern.seed)
         span = max(1, pattern.index_range_words - record + 1)
-        starts = rng.integers(0, span, size=records, dtype=np.int64)
+        starts = pattern.start + rng.integers(0, span, size=records,
+                                              dtype=np.int64)
     addresses = (starts[:, None] + offsets[None, :]).reshape(-1)
     return addresses[:words]
 

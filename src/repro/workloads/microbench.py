@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import BoardConfig, MachineConfig
-from repro.engine.session import backend_for, processor_class
+from repro.engine.session import backend_for, processor
 from repro.isa.kernel_ir import KernelBuilder
 from repro.kernels.copy import SRFCOPY
 from repro.kernels.sort import SORT32
@@ -93,9 +93,8 @@ def _run_kernel_bench(spec: KernelSpec, stream_words: int,
         stream = program.kernel(spec, [stream],
                                 params={"c": 1.0})[0]
     image = program.build()
-    processor = processor_class(backend_for(backend))(
-        machine=machine, board=board, kernels=image.kernels)
-    return processor.run(image)
+    return processor(backend_for(backend), machine=machine, board=board,
+                     kernels=image.kernels).run(image)
 
 
 def bench_cluster_ops(machine: MachineConfig,
@@ -140,9 +139,8 @@ def bench_srf(machine: MachineConfig,
     for _ in range(64):
         a, b = program.kernel(SRFCOPY, [a, b])
     image = program.build()
-    processor = processor_class(backend_for(backend))(
-        machine=machine, board=board, kernels=image.kernels)
-    result = processor.run(image)
+    result = processor(backend_for(backend), machine=machine, board=board,
+                       kernels=image.kernels).run(image)
     return MicrobenchResult(
         "SRF", result.metrics.srf_gbytes, machine.srf_peak_gbytes,
         "GB/s", result.power.watts)
@@ -157,9 +155,8 @@ def bench_memory(machine: MachineConfig,
         pattern = indexed(8192, 16, seed=i)
         program.load(data, pattern=pattern, name=f"idx{i}")
     image = program.build()
-    processor = processor_class(backend_for(backend))(
-        machine=machine, board=board, kernels=image.kernels)
-    result = processor.run(image)
+    result = processor(backend_for(backend), machine=machine, board=board,
+                       kernels=image.kernels).run(image)
     return MicrobenchResult(
         "MEM", result.metrics.mem_gbytes, machine.mem_peak_gbytes,
         "GB/s", result.power.watts)
@@ -175,9 +172,8 @@ def bench_host(machine: MachineConfig,
                           tag="hostbench")
         for i in range(512)
     ]
-    processor = processor_class(backend_for(backend))(
-        machine=machine, board=board)
-    result = processor.run(instructions, name="bench_host")
+    result = processor(backend_for(backend), machine=machine,
+                       board=board).run(instructions, name="bench_host")
     return MicrobenchResult(
         "Host interface", result.metrics.host_mips,
         board.host_peak_mips, "MIPS", result.power.watts)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import BoardConfig, MachineConfig
-from repro.engine.session import backend_for, processor_class
+from repro.engine.session import backend_for, processor
 from repro.isa.kernel_ir import KernelBuilder
 from repro.isa.stream_ops import StreamInstruction, StreamOpType
 from repro.isa.vliw import CompiledKernel
@@ -105,9 +105,8 @@ def kernel_length_sweep(main_loop_cycles: int, prologue_cycles: int,
                            params={"c": float(i), "c2": i, "c3": -i,
                                    "c4": i + 1})
         image = program.build()
-        processor = processor_class(backend_for(backend))(
-            machine=machine, board=board, kernels=image.kernels)
-        result = processor.run(image)
+        result = processor(backend_for(backend), machine=machine,
+                           board=board, kernels=image.kernels).run(image)
         points.append(KernelSweepPoint(
             main_loop_cycles, prologue_cycles, length,
             result.metrics.gops))
@@ -176,9 +175,9 @@ def memory_length_sweep(stream_lengths: list[int], address_generators: int,
                     index=len(instructions), tag=name)
                 instructions.append(load)
                 previous = load.index
-            processor = processor_class(backend_for(backend))(
-                machine=machine, board=board)
-            result = processor.run(instructions, name=f"mem_{length}")
+            result = processor(backend_for(backend), machine=machine,
+                               board=board).run(instructions,
+                                                name=f"mem_{length}")
             points.append(MemorySweepPoint(
                 name, length, result.metrics.mem_gbytes))
     return points

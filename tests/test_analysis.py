@@ -161,7 +161,7 @@ class TestVerifierCleanCorpus:
         rule -- the seed corpus is clean.  The bound model's advisor
         (BD/ADV, info severity) is the one expected voice: the paper
         apps really do leave overlap on the table (Figures 7-8)."""
-        report = lint_catalog(consistency=False)
+        report = lint_catalog()
         assert report.clean
         assert all(f.severity is Severity.INFO
                    and f.rule.startswith(("ADV", "BD"))
@@ -170,25 +170,14 @@ class TestVerifierCleanCorpus:
         assert len(report.coverage["kernels"]) >= len(KERNEL_LIBRARY)
         assert report.exit_code == 0
 
-    def test_table2_consistency_no_divergence(self):
-        """The differential gate: static predictions match the
-        simulator for every Table 2 kernel."""
-        report = lint_catalog(apps=(), kernels=TABLE2_KERNELS,
-                              consistency=True)
-        divergences = [f for f in report.findings
-                       if f.rule.startswith("CX")]
-        assert not divergences, report.render()
-        assert "consistency.simulator" in report.passes
-
     def test_repo_scope_entry_points_clean(self):
-        report = lint_catalog(apps=(), kernels=("vsum7",),
-                              consistency=False, repo=True)
+        report = lint_catalog(apps=(), kernels=("vsum7",), repo=True)
         assert "repo.entrypoints" in report.passes
         assert not [f for f in report.findings if f.rule == "EP001"]
 
     def test_report_is_deterministic(self):
-        first = lint_catalog(consistency=False).to_json()
-        second = lint_catalog(consistency=False).to_json()
+        first = lint_catalog().to_json()
+        second = lint_catalog().to_json()
         assert first == second
         assert f'"schema": "{REPORT_SCHEMA}"' in first
 
@@ -325,7 +314,7 @@ class TestLintCli:
         from repro.cli import main
 
         out = tmp_path / "report.json"
-        code = main(["lint", "--no-consistency", "--out", str(out)])
+        code = main(["lint", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["schema"] == REPORT_SCHEMA
@@ -334,7 +323,18 @@ class TestLintCli:
     def test_render_mentions_passes(self, capsys):
         from repro.cli import main
 
-        code = main(["lint", "--no-consistency"])
+        code = main(["lint"])
         captured = capsys.readouterr()
         assert code == 0
         assert "pass(es)" in captured.out
+
+    @pytest.mark.parametrize("family", ["XYZ", "CX"])
+    def test_unknown_family_is_rejected(self, family, capsys):
+        from repro.cli import main
+
+        code = main(["lint", "--select", "EP", family])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert family in captured.err
+        assert "ADV BD EP MC SP" in captured.err
+        assert "pass(es)" not in captured.out

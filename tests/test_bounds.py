@@ -23,7 +23,6 @@ from repro.analysis.bounds import (
     validate_bounds_report,
 )
 from repro.analysis.lint import lint_catalog, lint_image
-from repro.analysis.rules.consistency import probe_bundle
 from repro.core import BoardConfig, MachineConfig
 from repro.core.config import DramConfig
 from repro.engine.gate import (
@@ -31,11 +30,14 @@ from repro.engine.gate import (
     GATE_SCHEMA,
     MAX_MEAN_TIGHTNESS,
     MIN_BOTTLENECK_MATCHES,
-    processor,
+    probe_failures,
+    probe_image,
+    probe_predictions,
     run_gate,
     validate_gate_report,
 )
-from repro.engine.catalog import build_app
+from repro.engine.catalog import APP_NAMES, build_app, compiled_kernels
+from repro.engine.session import processor
 from repro.kernels import KERNEL_LIBRARY
 from tests.test_fuzz_streamc import _BOARDS, _run, random_program
 
@@ -99,6 +101,48 @@ class TestPaperMatrixGate:
                    for e in entries)
         assert entries[-1]["app"] == "MATRIX"
         assert entries[-1]["bottleneck_match"]
+
+    def test_kernel_probes_match_their_predictions(self):
+        """Every compiled kernel's probe is identical on both backends,
+        bracketed by its bounds and recorded as its schedule predicts,
+        on both boards."""
+        kernels = compiled_kernels(
+            [build_app(app).image for app in APP_NAMES])
+        assert set(KERNEL_LIBRARY) < set(kernels)
+        assert probe_failures(kernels, _BOARD_MODES,
+                              MachineConfig()) == []
+
+    def test_probe_fails_on_a_perturbed_invocation_record(
+            self, monkeypatch):
+        # Both backends record one more busy cycle than the schedule
+        # predicts: they still agree, so only the prediction
+        # comparator can catch it.  The records are replaced, not
+        # mutated: the vector backend shares them with its cache.
+        import dataclasses
+
+        from repro.core.processor import ImagineProcessor
+        from repro.core.vector import VectorProcessor
+
+        for cls in (ImagineProcessor, VectorProcessor):
+            def perturbed(self, image, _run=cls.run):
+                result = _run(self, image)
+                result.metrics.kernel_invocations = [
+                    dataclasses.replace(
+                        record, busy_cycles=record.busy_cycles + 1)
+                    for record in result.metrics.kernel_invocations]
+                return result
+
+            monkeypatch.setattr(cls, "run", perturbed)
+        machine = MachineConfig()
+        kernel = KERNEL_LIBRARY["vsum7"].compiled()
+        static = probe_predictions(kernel, machine)["busy_cycles"]
+        [failure] = probe_failures({"vsum7": kernel}, ["hardware"],
+                                   machine)
+        assert failure["kernel"] == "vsum7"
+        assert failure["board_mode"] == "hardware"
+        assert failure["identical"] and failure["bracketed"]
+        assert failure["quantities"] == {
+            "busy_cycles": {"static": static, "simulated": static + 1}}
 
     def test_validator_rejects_tampered_report(self):
         report, _ = run_gate(apps=["depth"], boards=["isim"], fuzz=0)
@@ -190,8 +234,8 @@ class TestOffDefaultMachines:
         bundle = build_app("mpeg", machine=machine, seed=1)
         analysis = compute_bounds(bundle.image, machine=machine,
                                   board=board)
-        simulated = processor("vector", bundle.kernels, board,
-                              machine).run(bundle.image)
+        simulated = processor("vector", machine=machine, board=board,
+                              kernels=bundle.kernels).run(bundle.image)
         assert analysis.brackets(simulated.metrics.total_cycles), (
             analysis.lower_bound_cycles, simulated.metrics.total_cycles,
             analysis.upper_bound_cycles)
@@ -201,9 +245,9 @@ class TestAdvisor:
     def test_adv_silent_on_probe_steady_states(self):
         machine = MachineConfig()
         for name in sorted(KERNEL_LIBRARY):
-            bundle, _ = probe_bundle(
-                KERNEL_LIBRARY[name].compiled(), machine.num_clusters)
-            report = lint_image(bundle.image, machine=machine)
+            image = probe_image(KERNEL_LIBRARY[name].compiled(),
+                                machine.num_clusters)
+            report = lint_image(image, machine=machine)
             adv = [f for f in report.findings
                    if f.rule.startswith("ADV")]
             assert not adv, (name, [str(f) for f in adv])

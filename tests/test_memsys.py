@@ -40,6 +40,13 @@ class TestPatterns:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_random_indices_start_at_the_pattern_start(self):
+        # The same [start, start + range) the stream program's bounds
+        # check assumes for an indexed pattern.
+        addresses = expand_pattern(indexed(5, 512, start=-300, seed=3))
+        assert addresses.min() >= -300
+        assert addresses.max() < 212
+
     def test_explicit_indices(self):
         pattern = indexed(4, 100, start=1000, indices=[5, 1, 7, 3])
         assert list(expand_pattern(pattern)) == [1005, 1001, 1007, 1003]

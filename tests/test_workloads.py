@@ -141,15 +141,15 @@ def test_sweeps_run_on_the_sessions_backend(monkeypatch):
     picks the simulator: ``"auto"`` runs the vector backend, the
     reference mode the event model, with bit-identical figures."""
     import repro.workloads.streamlen as streamlen
-    from repro.engine.session import processor_class
+    from repro.engine.session import processor
 
     picked = []
 
-    def spy(backend):
+    def spy(backend, **options):
         picked.append(backend)
-        return processor_class(backend)
+        return processor(backend, **options)
 
-    monkeypatch.setattr(streamlen, "processor_class", spy)
+    monkeypatch.setattr(streamlen, "processor", spy)
     auto = kernel_length_sweep(32, 8, [64], invocations=4)
     event = kernel_length_sweep(32, 8, [64], invocations=4,
                                 backend="event")
