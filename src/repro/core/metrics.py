@@ -46,9 +46,17 @@ BUSY_CATEGORIES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelInvocationRecord:
-    """Per-invocation facts, aggregated for Tables 2 and 5."""
+    """Per-invocation facts, aggregated for Tables 2 and 5.
+
+    Frozen: the vector backend hands one record to every run of the
+    same kernel, machine and stream length in the process
+    (:func:`repro.core.vector.compile_invocations`), so a change to one
+    would reach every later run; derive a changed record with
+    :func:`dataclasses.replace`.  ``fu_cycles`` is shared the same way
+    and is read-only too.
+    """
 
     kernel: str
     stream_elements: int

@@ -43,7 +43,6 @@ the event backend.
 
 from __future__ import annotations
 
-import gc
 import time
 from collections import OrderedDict, deque
 from dataclasses import replace
@@ -54,6 +53,7 @@ import numpy as np
 from repro.core.cluster import InvocationResult
 from repro.core.config import BoardConfig, MachineConfig
 from repro.core.errors import SimulationError
+from repro.core.gcpause import collector_paused
 from repro.core.invariants import InvariantChecker
 from repro.core.metrics import (
     CycleCategory,
@@ -389,23 +389,14 @@ class VectorProcessor:
     # ------------------------------------------------------------------
     # Simulation.
     # ------------------------------------------------------------------
+    # Nearly every object allocated below (invocation records, detail
+    # dicts) survives into the RunResult, so young collections would
+    # only rescan a growing live heap: the collector is paused
+    # (:mod:`repro.core.gcpause`).
+    @collector_paused
     def run(self, program, name: str = "program") -> RunResult:
         """Simulate ``program``; same contract as
         :meth:`repro.core.processor.ImagineProcessor.run`."""
-        # Nearly every object allocated below (invocation records,
-        # detail dicts) survives into the RunResult, so gen-0
-        # collections only rescan a growing live heap.  Pause the
-        # collector for the duration; restore whatever state we found.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            return self._run(program, name)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _run(self, program, name: str = "program") -> RunResult:
         sdr_writes = sdr_references = 0
         if hasattr(program, "instructions"):
             name = getattr(program, "name", name)

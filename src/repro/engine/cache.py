@@ -58,6 +58,8 @@ import pickle
 import tempfile
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.core.gcpause import collector_paused
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.processor import RunResult
     from repro.engine.session import RunOutcome
@@ -120,7 +122,8 @@ class PackedResult:
                    _own(result.manifest))
 
     def unpack(self) -> "RunResult":
-        result = pickle.loads(self.body)
+        with collector_paused:
+            result = pickle.loads(self.body)
         result.manifest = _own(self.manifest)
         return result
 
@@ -235,10 +238,11 @@ class ResultCache:
         if parts is not None:
             head, body = parts
             try:
-                outcome, manifest = pickle.loads(head)
-                if body:
-                    outcome.result = pickle.loads(body)
-                    outcome.result.manifest = manifest
+                with collector_paused:
+                    outcome, manifest = pickle.loads(head)
+                    if body:
+                        outcome.result = pickle.loads(body)
+                        outcome.result.manifest = manifest
             except Exception:
                 # The checksums held, so the bytes are what this cache
                 # wrote; an incompatible build wrote them.

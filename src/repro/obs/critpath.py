@@ -71,6 +71,8 @@ from typing import TYPE_CHECKING, Any, Callable, TypeVar, overload
 
 import numpy as np
 
+from repro.core.gcpause import collector_paused
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import BoardConfig, MachineConfig
     from repro.core.processor import RunResult
@@ -751,21 +753,24 @@ def _top_resources(walk: _Walk) -> list[dict[str, Any]]:
 
 
 def _segments(graph: EventGraph, walk: _Walk) -> list[dict[str, Any]]:
-    """One report dict per path edge, with its leaf attribution."""
-    path = np.array(walk.path, dtype=np.intp)
-    src = np.asarray(graph.edge_src)[path]
-    dst = np.asarray(graph.edge_dst)[path]
-    kinds = np.asarray(graph.node_kind)
-    indices = np.asarray(graph.node_index)
-    times = np.asarray(graph.node_t)
-    labels = graph.node_label
+    """One report dict per path edge, with its leaf attribution.
 
-    def points(nodes: np.ndarray) -> list[dict[str, Any]]:
-        return [{"id": node, "kind": NODE_KINDS[kind], "index": index,
-                 "t": t, "label": labels[node]}
-                for node, kind, index, t in zip(
-                    nodes.tolist(), kinds[nodes].tolist(),
-                    indices[nodes].tolist(), times[nodes].tolist())]
+    The path is contiguous (each edge's ``dst`` is the next edge's
+    ``src``), so the point dict of each of its nodes is built once: a
+    segment's ``dst`` is its node's dict and its ``src`` a copy of the
+    previous node's, so no two segments share a dict.
+    """
+    path = np.array(walk.path, dtype=np.intp)
+    nodes = np.concatenate((np.asarray(graph.edge_src)[path[:1]],
+                            np.asarray(graph.edge_dst)[path]))
+    labels = graph.node_label
+    points = [{"id": node, "kind": NODE_KINDS[kind], "index": index,
+               "t": t, "label": labels[node]}
+              for node, kind, index, t in zip(
+                  nodes.tolist(),
+                  np.asarray(graph.node_kind)[nodes].tolist(),
+                  np.asarray(graph.node_index)[nodes].tolist(),
+                  np.asarray(graph.node_t)[nodes].tolist())]
 
     # Each edge's leaves in name order: the cells are sorted so.
     leaves: list[dict[str, float]] = [{} for _ in walk.path]
@@ -775,14 +780,14 @@ def _segments(graph: EventGraph, walk: _Walk) -> list[dict[str, Any]]:
                                   walk.cell_cycles.tolist()):
         leaves[index][names[name]] = value
     return [{
-        "src": src_point,
+        "src": src_point.copy(),
         "dst": dst_point,
         "type": EDGE_TYPES[type],
         "weight": weight,
         "elapsed": elapsed,
         "leaves": seg_leaves,
     } for src_point, dst_point, type, weight, elapsed, seg_leaves in zip(
-        points(src), points(dst),
+        points, points[1:],
         np.asarray(graph.edge_type)[path].tolist(),
         np.asarray(graph.edge_weight)[path].tolist(),
         walk.elapsed.tolist(), leaves)]
@@ -862,6 +867,7 @@ def partial_critpath_summary(graph: "EventGraph | None"
     }
 
 
+@collector_paused
 def build_critpath(result: "RunResult") -> dict[str, Any]:
     """Full ``repro.critpath-report/1`` for a finished run, including
     the conservation and profile-bounds cross-checks.

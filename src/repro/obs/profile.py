@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.gcpause import collector_paused
 from repro.core.metrics import CycleCategory
 from repro.isa.stream_ops import STREAM_OPS, StreamOpType
 
@@ -323,6 +324,7 @@ def stored_profile(result: "RunResult") -> dict[str, Any] | None:
     return pickle.loads(derived.profile)
 
 
+@collector_paused
 def build_profile(result: "RunResult") -> dict[str, Any]:
     """Fold one finished run into a ``repro.profile-report/1`` dict.
 

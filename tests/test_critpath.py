@@ -17,6 +17,7 @@ import json
 import pickle
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +52,7 @@ from repro.obs.critpath import (
 from repro.obs.diff import diff_profiles, render_diff
 from repro.obs.profile import build_profile
 from tests.test_fuzz_streamc import _BOARDS, _run, random_program
+from tests.test_lazy_build import SHAPES
 
 
 def _run_bundle(bundle, **kwargs):
@@ -500,6 +502,58 @@ def _edge_leaves(type, weight, detail, elapsed):
             else {})
 
 
+def _reference_segments(graph, walk):
+    """The segment builder ``critpath._segments`` replaced: two point
+    dicts per edge, its ``src`` and its ``dst``, built apart."""
+    path = np.array(walk.path, dtype=np.intp)
+    src = np.asarray(graph.edge_src)[path]
+    dst = np.asarray(graph.edge_dst)[path]
+    kinds = np.asarray(graph.node_kind)
+    indices = np.asarray(graph.node_index)
+    times = np.asarray(graph.node_t)
+    labels = graph.node_label
+
+    def points(nodes):
+        return [{"id": node, "kind": NODE_KINDS[kind], "index": index,
+                 "t": t, "label": labels[node]}
+                for node, kind, index, t in zip(
+                    nodes.tolist(), kinds[nodes].tolist(),
+                    indices[nodes].tolist(), times[nodes].tolist())]
+
+    leaves = [{} for _ in walk.path]
+    names = walk.leaf_names
+    for index, name, value in zip(walk.cell_row.tolist(),
+                                  walk.cell_leaf.tolist(),
+                                  walk.cell_cycles.tolist()):
+        leaves[index][names[name]] = value
+    return [{
+        "src": src_point,
+        "dst": dst_point,
+        "type": EDGE_TYPES[type],
+        "weight": weight,
+        "elapsed": elapsed,
+        "leaves": seg_leaves,
+    } for src_point, dst_point, type, weight, elapsed, seg_leaves in zip(
+        points(src), points(dst),
+        np.asarray(graph.edge_type)[path].tolist(),
+        np.asarray(graph.edge_weight)[path].tolist(),
+        walk.elapsed.tolist(), leaves)]
+
+
+def _reference_report(result):
+    """``build_critpath(result)`` with the reference segments."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(critpath, "_segments", _reference_segments)
+        return build_critpath(result)
+
+
+def _segment_dicts(report):
+    """Every dict a report's segment list holds."""
+    return [part for segment in report["segments"]
+            for part in (segment, segment["src"], segment["dst"],
+                         segment["leaves"])]
+
+
 def _reference_partial(graph):
     """The per-edge fold ``partial_critpath_summary`` replaced."""
     resources, leaves, top_edge = {}, {}, None
@@ -717,6 +771,7 @@ class TestColumnarWalk:
         its edge, zero-valued present leaves included."""
         walk = critpath._walk(graph)
         segments = critpath._segments(graph, walk)
+        assert repr(segments) == repr(_reference_segments(graph, walk))
         assert len(segments) == len(walk.path)
         for segment, index in zip(segments, walk.path):
             edge = graph.edge(index)
@@ -787,6 +842,41 @@ class TestColumnarWalk:
         assert repr(projection["scaled_replay_cycles"]) == repr(
             _reference_replay(graph, lambda edge: _reference_weight(
                 graph, scales, edge)))
+
+
+class TestSegmentOracle:
+    """``_segments`` builds one point dict per path node; the report
+    equals one built with the two-dicts-per-edge reference."""
+
+    @pytest.mark.parametrize("app", sorted(SHAPES))
+    def test_reports_match_the_reference_per_shape(self, app):
+        """Every board at the default and perfbench's cold-sweep
+        shapes."""
+        with Session(config=SessionConfig(cache=False)) as session:
+            for sizes in SHAPES[app]:
+                for board in BOARDS.values():
+                    result = session.run(RunRequest.for_app(
+                        app, sizes=sizes, board=board()))
+                    report = build_critpath(result)
+                    assert json.dumps(report) == json.dumps(
+                        _reference_report(result)), (app, sizes)
+                    again = build_critpath(result)
+                    parts = _segment_dicts(report)
+                    assert len({id(part) for part in parts}) == len(
+                        parts), (app, sizes)
+                    assert not {id(part) for part in parts} & {
+                        id(part) for part in _segment_dicts(again)}
+
+    @settings(max_examples=10, deadline=None)
+    @given(random_program(), st.sampled_from(sorted(_BOARDS)))
+    def test_random_programs_match_the_reference(self, program,
+                                                 board_name):
+        result = _run(program.build(), _BOARDS[board_name])
+        report = build_critpath(result)
+        assert json.dumps(report) == json.dumps(
+            _reference_report(result))
+        parts = _segment_dicts(report)
+        assert len({id(part) for part in parts}) == len(parts)
 
 
 class TestEventGraph:

@@ -17,6 +17,7 @@ Three contracts under test (``docs/engine.md``):
   ``BackendUnsupported``; ``backend="event"`` is the reference mode.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -244,6 +245,30 @@ class TestSteadyCache:
         patterns = [pattern for _, pattern in vector._STEADY_CACHE]
         assert patterns
         assert all(pattern.indices is None for pattern in patterns)
+
+
+class TestInvocationRecords:
+    def test_records_are_frozen_so_runs_stay_independent(self):
+        """The vector backend hands every run of a kernel and stream
+        length the records its process-level cache holds: changing
+        one must fail, not reach the next run."""
+        from repro.apps.common import AppBundle
+
+        image = fuzz_corpus(1, seed=3)[0]
+
+        def run():
+            with _uncached("auto") as session:
+                return session.run_bundle(
+                    AppBundle(name=image.name, image=image),
+                    board=BoardConfig.hardware())
+
+        first = run()
+        record = first.metrics.kernel_invocations[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.busy_cycles += 1000
+        second = run()
+        assert result_fingerprint(second) == result_fingerprint(first)
+        second.metrics.check_conservation(1e-3)
 
 
 class TestSessionConfigShims:
