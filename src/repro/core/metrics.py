@@ -14,6 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.core.config import MachineConfig
+from repro.core.packing import PackedParts
 
 
 class CycleCategory(enum.Enum):
@@ -78,8 +79,17 @@ class KernelInvocationRecord:
 
 
 @dataclass
-class Metrics:
-    """Mutable counter set filled in by the simulator."""
+class Metrics(PackedParts):
+    """Mutable counter set filled in by the simulator.
+
+    :attr:`kernel_invocations` travels packed
+    (:class:`~repro.core.packing.PackedParts`): unpickled metrics
+    decode it on its first read (Table 5's averages, the power and
+    timeline views, a fresh profile), which a cache hit's reports
+    never make.
+    """
+
+    _packed_parts = ("kernel_invocations",)
 
     machine: MachineConfig
     cycles: dict[CycleCategory, float] = field(

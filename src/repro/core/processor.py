@@ -30,6 +30,7 @@ from repro.core.errors import InvariantViolation, SimulationError
 from repro.core.invariants import InvariantChecker
 from repro.core.metrics import CycleCategory, Metrics
 from repro.core.microcontroller import Microcontroller
+from repro.core.packing import PackedParts
 from repro.core.power import EnergyModel, PowerReport
 from repro.core.srf import StreamRegisterFile
 from repro.core.stream_controller import Scoreboard
@@ -175,8 +176,16 @@ class InstructionTrace(Sequence[TraceEvent]):
 
 
 @dataclass
-class RunResult:
-    """Outcome of one stream-program run."""
+class RunResult(PackedParts):
+    """Outcome of one stream-program run.
+
+    :attr:`trace` travels packed
+    (:class:`~repro.core.packing.PackedParts`): an unpickled result
+    decodes it on its first read, which a cache hit's profile and
+    critical path never make.
+    """
+
+    _packed_parts = ("trace",)
 
     name: str
     metrics: Metrics

@@ -27,7 +27,7 @@ Writes are atomic (temp file + ``os.replace``), as is the
 A ``.pkl`` holds one outcome in two parts, after a one-line
 header::
 
-    repro-cache/5 head=<head bytes>:<head sha256> body=<body sha256>
+    repro-cache/6 head=<head bytes>:<head sha256> body=<body sha256>
     <head: pickled (RunOutcome without its result, the result's manifest)>
     <body: PackedResult.body, the pickled RunResult without its manifest>
 
@@ -35,7 +35,12 @@ The body is what a run computed (metrics, power, histogram, trace,
 event graph and the derived profile and critical-path walk,
 :class:`repro.obs.profile.Derived`, so a hit reads its reports
 without deriving them again); for a playback image it is the same
-for every data seed.  It is pickled once where the run happened
+for every data seed.  Three bulky parts that no report of a hit reads
+travel packed inside it (:class:`repro.core.packing.PackedParts`):
+the graph's edge details, the kernel invocation records and the
+instruction trace stay bytes until a what-if, a timeline, the gate or
+a fresh profile first reads them, and pass through a re-pickle as
+they are.  It is pickled once where the run happened
 (:class:`PackedResult`), and the store writes those bytes and their
 checksum unchanged.  The head is what belongs to this digest: the
 outcome's status and error fields and the manifest.  A failed
@@ -69,8 +74,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: (2: the event graph is stored as columns; 3: so is the instruction
 #: trace, and entries carry a checksum; 4: results carry their derived
 #: profile and critical-path walk; 5: the result's body and the
-#: per-digest head are pickled apart, each with its own checksum).
-CACHE_FORMAT = 5
+#: per-digest head are pickled apart, each with its own checksum;
+#: 6: the edge details, kernel invocations and trace travel packed).
+CACHE_FORMAT = 6
 
 #: Environment override for the size budget (bytes; unset/0 = unbounded).
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"

@@ -29,6 +29,7 @@ to worker crashes.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import dataclasses
 import time
 import weakref
@@ -370,12 +371,9 @@ def _hit_copy(outcome: RunOutcome, digest: str | None) -> RunOutcome:
     the original delivery's manifest is left untouched."""
     result = outcome.result
     if result is not None and result.manifest is not None:
-        derived = result.derived
-        result = dataclasses.replace(
-            result,
-            manifest=dataclasses.replace(
-                result.manifest, request_digest=digest, cache="hit"))
-        result.derived = derived
+        result = copy.copy(result)
+        result.manifest = dataclasses.replace(
+            result.manifest, request_digest=digest, cache="hit")
     return dataclasses.replace(outcome, result=result)
 
 

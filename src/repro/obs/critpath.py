@@ -72,6 +72,7 @@ from typing import TYPE_CHECKING, Any, Callable, TypeVar, overload
 import numpy as np
 
 from repro.core.gcpause import collector_paused
+from repro.core.packing import PackedParts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import BoardConfig, MachineConfig
@@ -195,11 +196,16 @@ class _Rows(Sequence[_R]):
         return self._row(rows[key])
 
 
+#: What an :class:`EventGraph` holds, and what its equality compares.
+_GRAPH_STATE = ("node_t", "node_kind", "node_index", "node_label",
+                "edge_src", "edge_dst", "edge_type", "edge_weight",
+                "edge_detail", "meta")
+
 #: Shared empty detail for edges recorded without any; never mutated.
 _NO_DETAIL: dict[str, Any] = {}
 
 
-class EventGraph:
+class EventGraph(PackedParts):
     """Append-only event DAG stored as columns.
 
     Nodes are created in simulation order and every edge points from
@@ -210,7 +216,14 @@ class EventGraph:
     The typed columns pickle as raw buffers and NumPy reads them
     without a copy.  :attr:`nodes` and :attr:`edges` are read-only
     row views for inspection; nothing on a hot path iterates them.
+
+    :attr:`edge_detail` travels packed
+    (:class:`~repro.core.packing.PackedParts`): an unpickled graph
+    decodes it when a fresh walk, a what-if projection or a row view
+    first reads it, and a stored walk needs none of it.
     """
+
+    _packed_parts = ("edge_detail",)
 
     #: Memoized critical-path walk, keyed by ``(nodes, edges)`` count
     #: so an append invalidates it; never pickled (a result-cache
@@ -236,14 +249,16 @@ class EventGraph:
         # The memo is derived data: keep it out of pickles (result
         # cache entries, worker results) so their bytes do not depend
         # on whether a report was built first.
-        state = self.__dict__.copy()
+        state = super().__getstate__()
         state.pop("_walk_memo", None)
         return state
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventGraph):
             return NotImplemented
-        return self.__getstate__() == other.__getstate__()
+        # Decoded values, so a packed graph equals its live original.
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in _GRAPH_STATE)
 
     def add_node(self, kind: str, index: int, t: float,
                  label: str = "") -> int:

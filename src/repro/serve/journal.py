@@ -3,7 +3,9 @@
 Every job state transition is one JSONL line, flushed and fsync'd
 before the transition is acknowledged, so a crashed or killed service
 can always reconstruct what it had promised: which jobs were
-accepted, which were running, which reached a terminal state.  On
+accepted, which were running, which reached a terminal state.  An
+admission that settles at once (an artifact hit, a coalesced
+follower) writes its two lines in one append, with one fsync.  On
 restart :meth:`JobJournal.fold` replays the log; accepted-but-
 unfinished jobs are re-enqueued (their payloads travel in the
 ``accepted`` line) or cleanly failed when their payload no longer
@@ -54,29 +56,42 @@ class JobJournal:
     # ------------------------------------------------------------------
     # Writing.
     # ------------------------------------------------------------------
-    def append(self, event: str, job_id: str,
+    def append(self, event: str, job_id: str, *,
+               then: tuple[str, dict[str, Any]] | None = None,
                **fields: Any) -> dict[str, Any]:
-        """Durably record one job event; returns the written entry."""
-        if event not in JOURNAL_EVENTS:
-            raise ValueError(f"unknown journal event {event!r}")
+        """Durably record one job event; returns its entry.
+
+        ``then`` is a second event of the same job, ``(event,
+        fields)``, written after the first in the same write and
+        fsync: the lines and their ``seq`` values are those of two
+        calls.
+        """
+        events = [(event, fields)] + ([then] if then is not None else [])
+        for kind, _ in events:
+            if kind not in JOURNAL_EVENTS:
+                raise ValueError(f"unknown journal event {kind!r}")
         with self._lock:
-            self._seq += 1
-            entry = {"schema": JOURNAL_SCHEMA, "seq": self._seq,
-                     "event": event, "job_id": job_id, **fields}
-            line = json.dumps(entry, sort_keys=True) + "\n"
+            entries = []
+            for kind, values in events:
+                self._seq += 1
+                entries.append({"schema": JOURNAL_SCHEMA,
+                                "seq": self._seq, "event": kind,
+                                "job_id": job_id, **values})
+            lines = "".join(json.dumps(entry, sort_keys=True) + "\n"
+                            for entry in entries)
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as handle:
                 if fcntl is not None:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
                 try:
-                    handle.write(line)
+                    handle.write(lines)
                     handle.flush()
                     if self.fsync:
                         os.fsync(handle.fileno())
                 finally:
                     if fcntl is not None:
                         fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        return entry
+        return entries[0]
 
     # ------------------------------------------------------------------
     # Reading.

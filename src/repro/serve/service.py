@@ -437,9 +437,10 @@ class ExperimentService:
             self._m_terminal.labels(state="completed").inc()
             self.journal.append("accepted", job.id, digest=digest,
                                 payload=job.payload,
-                                deadline_s=deadline_s)
-            self.journal.append("completed", job.id, digest=digest,
-                                served_from="artifact")
+                                deadline_s=deadline_s,
+                                then=("completed", {
+                                    "digest": digest,
+                                    "served_from": "artifact"}))
             job.admit_s = time.perf_counter() - admit_start
             self._m_latency.labels(temperature="hot").observe(
                 job.admit_s * 1e3)
@@ -460,8 +461,8 @@ class ExperimentService:
             self._m_coalesced.inc()
             self.journal.append("accepted", job.id, digest=digest,
                                 payload=job.payload,
-                                deadline_s=deadline_s)
-            self.journal.append("coalesced", job.id, into=primary_id)
+                                deadline_s=deadline_s,
+                                then=("coalesced", {"into": primary_id}))
             job.admit_s = time.perf_counter() - admit_start
             return job, None
 

@@ -274,8 +274,9 @@ class TestCache:
         a format-2 entry (one ``TraceEvent`` per instruction, no
         checksum), a format-3 entry (checksummed, but a result without
         its derived profile and walk) and a format-4 entry (one
-        checksummed pickle of the whole outcome) are each a miss, and
-        the rerun is stored as format 5."""
+        checksummed pickle of the whole outcome) and a format-5 entry
+        (head and body apart, the body's bulky parts not yet packed)
+        are each a miss, and the rerun is stored as format 6."""
         monkeypatch.setenv("REPRO_CACHE_SALT", "pinned")
         request = small_request()
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
@@ -283,7 +284,9 @@ class TestCache:
             session.run(request)
         cache = ResultCache(tmp_path)
         path = cache._object_path(digest)
-        assert path.read_bytes().startswith(b"repro-cache/5 head=")
+        entry = path.read_bytes()
+        assert entry.startswith(b"repro-cache/6 head=")
+        format_5 = entry.replace(b"repro-cache/6 ", b"repro-cache/5 ", 1)
         outcome = cache.load(digest)
 
         def checksummed(format, payload):
@@ -303,8 +306,8 @@ class TestCache:
         graph.__dict__.clear()
         graph.__dict__.update(state)
         format_1 = pickle.dumps({"format": 1, "outcome": outcome})
-        assert CACHE_FORMAT == 5
-        for old in (format_1, format_2, format_3, format_4):
+        assert CACHE_FORMAT == 6
+        for old in (format_1, format_2, format_3, format_4, format_5):
             path.write_bytes(old)
             path.with_suffix(".json").write_text("{}")
             assert cache.load(digest) is None
@@ -316,7 +319,7 @@ class TestCache:
                 assert handle.digest == digest
                 assert handle.cache_status == "miss"
             assert build_critpath(result)["checks"]["conservation"]["ok"]
-            assert path.read_bytes().startswith(b"repro-cache/5 head=")
+            assert path.read_bytes().startswith(b"repro-cache/6 head=")
             restored = cache.load(digest).result
             assert restored.event_graph == result.event_graph
             assert restored.trace == result.trace

@@ -11,6 +11,7 @@ critical-path block in watchdog diagnostics.
 
 import asyncio
 import json
+import os
 import threading
 
 import pytest
@@ -177,6 +178,19 @@ class TestRequestParsing:
 # ----------------------------------------------------------------------
 # Journal.
 # ----------------------------------------------------------------------
+def _count_fsyncs(monkeypatch):
+    """Patch ``os.fsync`` to record each call; returns the record."""
+    calls = []
+    fsync = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls
+
+
 class TestJournal:
     def test_fold_and_in_flight(self, tmp_path):
         journal = JobJournal(tmp_path / "j.jsonl", fsync=False)
@@ -208,6 +222,30 @@ class TestJournal:
         journal = JobJournal(tmp_path / "j.jsonl", fsync=False)
         with pytest.raises(ValueError, match="unknown journal event"):
             journal.append("exploded", "job-1")
+        with pytest.raises(ValueError, match="unknown journal event"):
+            journal.append("accepted", "job-1", then=("exploded", {}))
+        assert journal.replay() == []
+
+    def test_second_event_shares_the_write_and_fsync(self, tmp_path,
+                                                     monkeypatch):
+        """``then`` writes the lines, ``seq`` values and order of two
+        appends, with one fsync instead of two."""
+        fsyncs = _count_fsyncs(monkeypatch)
+        one = JobJournal(tmp_path / "one.jsonl")
+        two = JobJournal(tmp_path / "two.jsonl")
+        one.append("started", "job-0", attempt=1)
+        two.append("started", "job-0", attempt=1)
+        fsyncs.clear()
+        entry = one.append("accepted", "job-1", digest="d1",
+                           payload=DEPTH, deadline_s=60.0,
+                           then=("coalesced", {"into": "job-0"}))
+        assert len(fsyncs) == 1
+        two.append("accepted", "job-1", digest="d1", payload=DEPTH,
+                   deadline_s=60.0)
+        two.append("coalesced", "job-1", into="job-0")
+        assert len(fsyncs) == 3
+        assert one.path.read_bytes() == two.path.read_bytes()
+        assert entry == two.replay()[1]
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +360,55 @@ class TestService:
                 await service.stop()
 
         run(scenario())
+
+    def test_settled_admissions_fsync_once(self, tmp_path, monkeypatch):
+        """A hot answer and a coalesced admission each write their two
+        journal lines with one fsync, byte-identical to two appends."""
+        fsyncs = _count_fsyncs(monkeypatch)
+
+        async def scenario():
+            service = ExperimentService(service_config(
+                tmp_path, workers=1, journal_fsync=True))
+            await service.start()
+            try:
+                primary, _ = service.submit(DEPTH)
+                fsyncs.clear()
+                follower, _ = service.submit(DEPTH)
+                assert follower.coalesced_into == primary.id
+                assert len(fsyncs) == 1
+                await service.wait(follower.id, timeout_s=120)
+                fsyncs.clear()
+                hot, envelope = service.submit(DEPTH)
+                assert envelope is not None
+                assert len(fsyncs) == 1
+                return service.journal.path, follower, primary, hot
+            finally:
+                await service.stop()
+
+        path, follower, primary, hot = run(scenario())
+        lines = path.read_text().splitlines(keepends=True)
+
+        def two_appends(job, event, **fields):
+            """What two appends write for ``job``'s admission, from the
+            ``seq`` the service gave its first line."""
+            index = next(i for i, line in enumerate(lines)
+                         if json.loads(line)["job_id"] == job.id)
+            reference = JobJournal(tmp_path / f"{job.id}.jsonl",
+                                   fsync=False)
+            reference._seq = json.loads(lines[index])["seq"] - 1
+            reference.append("accepted", job.id, digest=job.digest,
+                             payload=job.payload,
+                             deadline_s=job.deadline_s)
+            reference.append(event, job.id, **fields)
+            return reference.path.read_text(), "".join(
+                lines[index:index + 2])
+
+        written, served = two_appends(follower, "coalesced",
+                                      into=primary.id)
+        assert written == served
+        written, served = two_appends(hot, "completed", digest=hot.digest,
+                                      served_from="artifact")
+        assert written == served
 
     def test_artifact_is_the_json_half_of_the_cache_entry(self,
                                                           tmp_path):
