@@ -27,7 +27,7 @@ Writes are atomic (temp file + ``os.replace``), as is the
 A ``.pkl`` holds one outcome in two parts, after a one-line
 header::
 
-    repro-cache/6 head=<head bytes>:<head sha256> body=<body sha256>
+    repro-cache/7 head=<head bytes>:<head sha256> body=<body sha256>
     <head: pickled (RunOutcome without its result, the result's manifest)>
     <body: PackedResult.body, the pickled RunResult without its manifest>
 
@@ -35,16 +35,18 @@ The body is what a run computed (metrics, power, histogram, trace,
 event graph and the derived profile and critical-path walk,
 :class:`repro.obs.profile.Derived`, so a hit reads its reports
 without deriving them again); for a playback image it is the same
-for every data seed.  Three bulky parts that no report of a hit reads
-travel packed inside it (:class:`repro.core.packing.PackedParts`):
-the graph's edge details, the kernel invocation records and the
-instruction trace stay bytes until a what-if, a timeline, the gate or
-a fresh profile first reads them, and pass through a re-pickle as
-they are.  It is pickled once where the run happened
-(:class:`PackedResult`), and the store writes those bytes and their
-checksum unchanged.  The head is what belongs to this digest: the
-outcome's status and error fields and the manifest.  A failed
-outcome has an empty body.  Both checksums are verified before
+for every data seed.  The bulky parts, which no report of a hit
+reads, travel packed inside it
+(:class:`repro.core.packing.PackedParts`): the graph's columns and
+edge details, the kernel invocation records and the instruction
+trace stay bytes until a what-if, a timeline, the gate or a fresh
+profile first reads them, and pass through a re-pickle as they are;
+the graph's shape travels beside them, and the derived walk holds
+every row a critical-path report prints.  It is pickled once where
+the run happened (:class:`PackedResult`), and the store writes those
+bytes and their checksum unchanged.  The head is what belongs to
+this digest: the outcome's status and error fields and the manifest.
+A failed outcome has an empty body.  Both checksums are verified before
 anything is unpickled, and unreadable, corrupt or other-format
 entries are treated as misses and removed, both halves.  ``repro
 cache --stats/--prune`` exposes the same machinery from the command
@@ -75,8 +77,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: trace, and entries carry a checksum; 4: results carry their derived
 #: profile and critical-path walk; 5: the result's body and the
 #: per-digest head are pickled apart, each with its own checksum;
-#: 6: the edge details, kernel invocations and trace travel packed).
-CACHE_FORMAT = 6
+#: 6: the edge details, kernel invocations and trace travel packed;
+#: 7: so do the graph's columns, and the stored walk holds every row a
+#: report prints, uncompressed).
+CACHE_FORMAT = 7
 
 #: Environment override for the size budget (bytes; unset/0 = unbounded).
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
@@ -149,14 +153,16 @@ def _header(head: bytes | memoryview, body_sha256: str) -> bytes:
 def _parts(data: bytes) -> tuple[memoryview, memoryview] | None:
     """An entry's head and body, or ``None`` unless the header names
     this format and both checksums hold."""
-    header, _, rest = data.partition(b"\n")
+    end = data.find(b"\n")
+    header = data[:end]
     try:
         size = int(header.split(b" head=", 1)[1].split(b":", 1)[0])
     except (IndexError, ValueError):
         return None
-    view = memoryview(rest)
+    # Views into ``data``: an entry's bytes are not copied.
+    view = memoryview(data)[end + 1:]
     head, body = view[:size], view[size:]
-    if size < 0 or header != _header(
+    if end < 0 or size < 0 or header != _header(
             head, hashlib.sha256(body).hexdigest()):
         return None
     return head, body

@@ -33,7 +33,7 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.core.config import BoardConfig, MachineConfig
 from repro.faults.models import FaultPlan
@@ -67,26 +67,47 @@ def code_salt() -> str:
     return _code_salt_cache
 
 
-#: Config ``repr`` -> JSON text of its ``dataclasses.asdict``.  The
-#: configs are frozen, so each serialises the same every time; repr
-#: keys it because, unlike ``==``, it tells ``1`` from ``1.0``, as the
-#: JSON does.  A process uses a handful; the memo is emptied should
-#: it ever reach :data:`_CONFIG_MEMO_SIZE`.
-_config_text: dict[str, str] = {}
-_CONFIG_MEMO_SIZE = 256
+#: What an unset machine or board config resolves to.
+_DEFAULT_MACHINE: Callable[[], MachineConfig] = MachineConfig
+_DEFAULT_BOARD: Callable[[], BoardConfig] = BoardConfig.hardware
 
 
-def _config_payload(config: MachineConfig | BoardConfig) -> dict:
-    """``dataclasses.asdict(config)``, serialised once per process;
-    every call returns a fresh copy, so no caller can change the
-    memo."""
-    key = repr(config)
-    text = _config_text.get(key)
+def _canonical(document: Any) -> str:
+    """The digest's JSON spelling: sorted keys, no spaces."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+#: Config ``repr``, default config's name or fault-plan text -> its
+#: canonical JSON text.  The configs are frozen, so each serialises
+#: the same every time; repr keys them because, unlike ``==``, it
+#: tells ``1`` from ``1.0``, as the JSON does.  A process uses a
+#: handful; the memo is emptied should it ever reach
+#: :data:`_CANONICAL_MEMO_SIZE`.
+_canonical_text: dict[str, str] = {}
+_CANONICAL_MEMO_SIZE = 256
+
+
+def _memoized(key: str, document: Callable[[], Any]) -> str:
+    """``_canonical(document())``, serialised once per ``key`` and
+    process."""
+    text = _canonical_text.get(key)
     if text is None:
-        if len(_config_text) >= _CONFIG_MEMO_SIZE:
-            _config_text.clear()
-        text = _config_text[key] = json.dumps(dataclasses.asdict(config))
-    return json.loads(text)
+        if len(_canonical_text) >= _CANONICAL_MEMO_SIZE:
+            _canonical_text.clear()
+        text = _canonical_text[key] = _canonical(document())
+    return text
+
+
+def _config_text(config: MachineConfig | BoardConfig | None,
+                 default: Callable[[], MachineConfig | BoardConfig]
+                 ) -> str:
+    """The canonical JSON text of ``dataclasses.asdict(config)``, the
+    config ``default()`` builds standing in for ``None`` (keyed by
+    its name, so an unset config is neither built nor repr'd)."""
+    if config is None:
+        return _memoized(default.__qualname__,
+                         lambda: dataclasses.asdict(default()))
+    return _memoized(repr(config), lambda: dataclasses.asdict(config))
 
 
 def _canonical_faults(faults) -> str | None:
@@ -103,7 +124,7 @@ def _canonical_faults(faults) -> str | None:
         raise TypeError(
             f"faults must be a FaultPlan, mapping or JSON text, got "
             f"{type(faults).__name__}")
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return _canonical(document)
 
 
 @dataclass(frozen=True)
@@ -176,23 +197,26 @@ class RunRequest:
         return plan
 
     def effective_machine(self) -> MachineConfig:
-        return self.machine if self.machine is not None else MachineConfig()
+        return (self.machine if self.machine is not None
+                else _DEFAULT_MACHINE())
 
     def effective_board(self) -> BoardConfig:
-        return self.board if self.board is not None else BoardConfig.hardware()
+        return self.board if self.board is not None else _DEFAULT_BOARD()
 
     # ------------------------------------------------------------------
     # Digest.
     # ------------------------------------------------------------------
     def payload(self) -> dict:
         """The JSON-stable dict that the digest is computed over: every
-        field, with the configs resolved."""
+        field, with the configs resolved.  Each call returns fresh
+        copies, so no caller can change what the digest reads."""
         return {
             "v": DIGEST_VERSION,
             "app": self.app,
             "sizes": {str(k): v for k, v in self.sizes},
-            "machine": _config_payload(self.effective_machine()),
-            "board": _config_payload(self.effective_board()),
+            "machine": json.loads(_config_text(self.machine,
+                                               _DEFAULT_MACHINE)),
+            "board": json.loads(_config_text(self.board, _DEFAULT_BOARD)),
             "faults": (json.loads(self.faults)
                        if self.faults is not None else None),
             "seed": self.seed,
@@ -200,10 +224,27 @@ class RunRequest:
         }
 
     def digest(self, salt: str | None = None) -> str:
-        """Stable content digest of this request (hex sha256)."""
-        body = json.dumps(self.payload(), sort_keys=True,
-                          separators=(",", ":"))
-        material = f"{salt if salt is not None else code_salt()}\n{body}"
+        """Stable content digest of this request (hex sha256) over
+        ``_canonical(self.payload())``, spelled from each field's
+        canonical text (the configs' and the plan's memoized) in
+        sorted key order instead of by re-serialising the payload."""
+        faults = self.faults
+        fields = {
+            # A scalar's default spelling is its canonical one.
+            "v": json.dumps(DIGEST_VERSION),
+            "app": json.dumps(self.app),
+            "sizes": _canonical({str(k): v for k, v in self.sizes}),
+            "machine": _config_text(self.machine, _DEFAULT_MACHINE),
+            "board": _config_text(self.board, _DEFAULT_BOARD),
+            "faults": ("null" if faults is None else
+                       _memoized(faults, lambda: json.loads(faults))),
+            "seed": json.dumps(self.seed),
+            "strict": json.dumps(self.strict),
+        }
+        body = ",".join(f'"{name}":{fields[name]}'
+                        for name in sorted(fields))
+        material = (f"{salt if salt is not None else code_salt()}\n"
+                    f"{{{body}}}")
         return hashlib.sha256(material.encode()).hexdigest()
 
 

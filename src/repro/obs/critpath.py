@@ -39,9 +39,10 @@ a sparse edge-index -> detail table for the few edges that carry
 detail (kernel execution, memory streams, microcode loads).  Node
 kinds and edge types are closed vocabularies (:data:`NODE_KINDS`,
 :data:`EDGE_TYPES`) whose positions are the codes.  The same columns
-are appended to while simulating, pickled as raw buffers, and read by
-NumPy without a copy; ``graph.nodes``/``graph.edges`` are read-only
-row views for inspection.
+are appended to while simulating, pickled as raw buffers (each packed
+apart, decoded on its first read), and read by NumPy without a copy;
+``graph.nodes``/``graph.edges`` are read-only row views for
+inspection.
 
 The critical path is recovered by walking backwards from the end
 node, always following the incoming edge with the latest arrival
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence, Sized
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, TypeVar, overload
 
@@ -176,12 +177,13 @@ class _Rows(Sequence[_R]):
 
     __slots__ = ("_size", "_row")
 
-    def __init__(self, size: Sized, row: Callable[[int], _R]) -> None:
+    def __init__(self, size: Callable[[], int],
+                 row: Callable[[int], _R]) -> None:
         self._size = size
         self._row = row
 
     def __len__(self) -> int:
-        return len(self._size)
+        return self._size()
 
     @overload
     def __getitem__(self, key: int) -> _R: ...
@@ -190,7 +192,7 @@ class _Rows(Sequence[_R]):
     def __getitem__(self, key: slice) -> list[_R]: ...
 
     def __getitem__(self, key: int | slice) -> _R | list[_R]:
-        rows = range(len(self._size))
+        rows = range(self._size())
         if isinstance(key, slice):
             return [self._row(i) for i in rows[key]]
         return self._row(rows[key])
@@ -217,18 +219,23 @@ class EventGraph(PackedParts):
     without a copy.  :attr:`nodes` and :attr:`edges` are read-only
     row views for inspection; nothing on a hot path iterates them.
 
-    :attr:`edge_detail` travels packed
-    (:class:`~repro.core.packing.PackedParts`): an unpickled graph
-    decodes it when a fresh walk, a what-if projection or a row view
-    first reads it, and a stored walk needs none of it.
+    Every column and :attr:`edge_detail` travel packed
+    (:class:`~repro.core.packing.PackedParts`), next to the graph's
+    ``(nodes, edges)`` counts: an unpickled graph decodes a column
+    when a fresh walk, a what-if projection, a row or an append first
+    reads it, while :attr:`shape` and the views' lengths decode
+    nothing, and a stored walk needs no column at all.
     """
 
-    _packed_parts = ("edge_detail",)
+    #: Everything but ``meta``, a few scalars the projector reads.
+    _packed_parts = _GRAPH_STATE[:-1]
 
     #: Memoized critical-path walk, keyed by ``(nodes, edges)`` count
     #: so an append invalidates it; never pickled (a result-cache
     #: entry stores it beside the graph, see :func:`walk_columns`).
     _walk_memo: tuple[tuple[int, int], _Walk] | None = None
+    #: :attr:`shape` when pickled; read while a count column is packed.
+    _counts: tuple[int, int] = (0, 0)
 
     def __init__(self, meta: dict[str, float] | None = None) -> None:
         self.node_t: array[float] = array("d")
@@ -248,10 +255,12 @@ class EventGraph(PackedParts):
     def __getstate__(self) -> dict[str, Any]:
         # The memo is derived data: keep it out of pickles (result
         # cache entries, worker results) so their bytes do not depend
-        # on whether a report was built first.
+        # on whether a report was built first.  The counts go first,
+        # so a re-pickle keeps one key order.
         state = super().__getstate__()
         state.pop("_walk_memo", None)
-        return state
+        state.pop("_counts", None)
+        return {"_counts": self.shape, **state}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventGraph):
@@ -301,17 +310,24 @@ class EventGraph(PackedParts):
 
     @property
     def nodes(self) -> Sequence[GraphNode]:
-        return _Rows(self.node_label, self.node)
+        return _Rows(lambda: self.shape[0], self.node)
 
     @property
     def edges(self) -> Sequence[GraphEdge]:
-        return _Rows(self.edge_src, self.edge)
+        return _Rows(lambda: self.shape[1], self.edge)
 
     @property
     def shape(self) -> tuple[int, int]:
         """``(nodes, edges)``: what is derived from the graph is keyed
-        by it, so an append invalidates it."""
-        return (len(self.node_label), len(self.edge_src))
+        by it, so an append invalidates it.  A count column still
+        packed cannot have grown, so its pickled count stands in."""
+        state = self.__dict__
+        nodes, edges = self._counts
+        if "node_label" in state:
+            nodes = len(state["node_label"])
+        if "edge_src" in state:
+            edges = len(state["edge_src"])
+        return (nodes, edges)
 
     @property
     def end(self) -> GraphNode:
@@ -512,11 +528,18 @@ def _leaf_component(leaf: str) -> str:
 # ----------------------------------------------------------------------
 # Extraction.
 # ----------------------------------------------------------------------
+def _column(dtype: type = np.float64) -> Any:
+    """An array field of :class:`_Walk`, empty by default."""
+    return field(default_factory=lambda: np.zeros(0, dtype=dtype),
+                 compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class _Walk:
     """One critical-path walk: the path as indices of edges the graph
-    owns, plus the aggregates every report reads.  Per-segment dicts
-    are not kept; :func:`build_critpath` assembles them."""
+    owns, the rows of its nodes and edges that a report prints, and
+    the aggregates every report reads.  Per-segment dicts are not
+    kept; :func:`build_critpath` assembles them from the walk alone."""
 
     path: list[int]
     path_cycles: float
@@ -530,22 +553,29 @@ class _Walk:
     #: Resource names by critical cycles, ``unattributed`` excluded.
     ranked: list[str]
     #: Per path edge, its elapsed cycles.
-    elapsed: np.ndarray = field(default_factory=lambda: np.zeros(0),
-                                compare=False, repr=False)
+    elapsed: np.ndarray = _column()
     #: The leaves the path names, sorted.
     leaf_names: tuple[str, ...] = ()
     #: The path edges' leaf attribution (see :func:`_attribute`) as
     #: sparse cells: path position, column into ``leaf_names`` and
     #: cycles, by position and then leaf name.  A cell may hold 0.0;
     #: :func:`build_critpath`'s segments read them.
-    cell_row: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int32),
-        compare=False, repr=False)
-    cell_leaf: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int32),
-        compare=False, repr=False)
-    cell_cycles: np.ndarray = field(default_factory=lambda: np.zeros(0),
-                                    compare=False, repr=False)
+    cell_row: np.ndarray = _column(np.int32)
+    cell_leaf: np.ndarray = _column(np.int32)
+    cell_cycles: np.ndarray = _column()
+    #: The path's nodes, source first (one more than its edges, or
+    #: none): id, kind code, instruction index, time, and label as an
+    #: index into ``labels``.
+    point_id: np.ndarray = _column(np.int32)
+    point_kind: np.ndarray = _column(np.uint8)
+    point_index: np.ndarray = _column(np.int32)
+    point_t: np.ndarray = _column()
+    point_label: np.ndarray = _column(np.int32)
+    #: Each distinct label of the path's nodes, in order of first use.
+    labels: tuple[str, ...] = ()
+    #: Per path edge, its type code and weight.
+    edge_code: np.ndarray = _column(np.uint8)
+    edge_weight: np.ndarray = _column()
 
 
 def _best_incoming(t: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -600,6 +630,14 @@ def _walk(graph: EventGraph) -> _Walk:
     on_path = np.array(path, dtype=np.intp)
     path_code = code[on_path]
     elapsed = t[dst[on_path]] - t[src[on_path]]
+    # The path is contiguous: each edge's ``dst`` is the next one's
+    # ``src``.
+    points = np.concatenate((src[on_path[:1]], dst[on_path]))
+    node_label = graph.node_label
+    labels: dict[str, int] = {}
+    point_label = np.array(
+        [labels.setdefault(node_label[node], len(labels))
+         for node in points.tolist()], dtype=np.int32)
     path_details = [details.get(edge, _NO_DETAIL) for edge in path]
     leaf_names, leaf_cycles, leaf_present = _attribute(
         path_code, weight[on_path], elapsed, path_details)
@@ -693,6 +731,14 @@ def _walk(graph: EventGraph) -> _Walk:
         cell_row=cell_row.astype(np.int32),
         cell_leaf=cell_leaf.astype(np.int32),
         cell_cycles=cell_cycles,
+        point_id=points,
+        point_kind=np.asarray(graph.node_kind)[points],
+        point_index=np.asarray(graph.node_index)[points],
+        point_t=t[points],
+        point_label=point_label,
+        labels=tuple(labels),
+        edge_code=path_code,
+        edge_weight=weight[on_path],
     )
 
 
@@ -710,38 +756,42 @@ def _cached_walk(graph: EventGraph) -> _Walk:
 
 #: :class:`_Walk` fields a cache entry stores as they are.
 _STORED_AS_IS = ("path_cycles", "leaves", "edge_types", "memory_driver",
-                 "resources", "ranked", "leaf_names")
+                 "resources", "ranked", "leaf_names", "labels")
+#: :class:`_Walk` array fields a cache entry stores as raw bytes.
+_STORED_AS_BYTES = {
+    "path": np.int32,
+    "cell_row": np.int32, "cell_leaf": np.int32, "cell_cycles": np.float64,
+    "point_id": np.int32, "point_kind": np.uint8, "point_index": np.int32,
+    "point_t": np.float64, "point_label": np.int32,
+    "edge_code": np.uint8, "edge_weight": np.float64,
+}
 
 
 def walk_columns(graph: EventGraph) -> dict[str, Any]:
     """The graph's walk as the compact columns a result-cache entry
-    stores: the path's edge indices (int32) and its leaf cells
-    (int32 position and leaf column, float64 cycles) as raw bytes, and
-    the sorted leaf names and aggregates as they are.  Per-edge
-    elapsed cycles are left out; :func:`_attach_walk` reads them from
-    the graph."""
+    stores: the path's edge indices, leaf cells, node rows and edge
+    rows as raw bytes, and the sorted leaf names, the distinct node
+    labels and the aggregates as they are.  Together they are all a
+    report of the walk reads, so :func:`_attach_walk` reads nothing
+    of the graph but its shape."""
     walk = _cached_walk(graph)
     return {name: getattr(walk, name) for name in _STORED_AS_IS} | {
-        "path": np.asarray(walk.path, dtype=np.int32).tobytes(),
-        "cell_row": walk.cell_row.tobytes(),
-        "cell_leaf": walk.cell_leaf.tobytes(),
-        "cell_cycles": walk.cell_cycles.tobytes(),
-    }
+        name: np.asarray(getattr(walk, name), dtype=dtype).tobytes()
+        for name, dtype in _STORED_AS_BYTES.items()}
 
 
 def _attach_walk(graph: EventGraph, columns: dict[str, Any]) -> None:
     """Memoize on ``graph`` the walk :func:`walk_columns` stored for
-    it.  The cells become read-only views of the stored bytes."""
-    path = np.frombuffer(columns["path"], dtype=np.int32)
-    t = np.asarray(graph.node_t)
+    it.  The arrays become read-only views of the stored bytes; each
+    edge's elapsed cycles are its end node's time less its start
+    node's, as the walk computed them."""
+    arrays = {name: np.frombuffer(columns[name], dtype=dtype)
+              for name, dtype in _STORED_AS_BYTES.items()}
+    t = arrays["point_t"]
     graph._walk_memo = (graph.shape, _Walk(
         **{name: columns[name] for name in _STORED_AS_IS},
-        path=path.tolist(),
-        elapsed=(t[np.asarray(graph.edge_dst)[path]]
-                 - t[np.asarray(graph.edge_src)[path]]),
-        cell_row=np.frombuffer(columns["cell_row"], dtype=np.int32),
-        cell_leaf=np.frombuffer(columns["cell_leaf"], dtype=np.int32),
-        cell_cycles=np.frombuffer(columns["cell_cycles"]),
+        **arrays | {"path": arrays["path"].tolist()},
+        elapsed=t[1:] - t[:-1],
     ))
 
 
@@ -767,7 +817,7 @@ def _top_resources(walk: _Walk) -> list[dict[str, Any]]:
     } for name in walk.ranked[:3]]
 
 
-def _segments(graph: EventGraph, walk: _Walk) -> list[dict[str, Any]]:
+def _segments(walk: _Walk) -> list[dict[str, Any]]:
     """One report dict per path edge, with its leaf attribution.
 
     The path is contiguous (each edge's ``dst`` is the next edge's
@@ -775,17 +825,13 @@ def _segments(graph: EventGraph, walk: _Walk) -> list[dict[str, Any]]:
     segment's ``dst`` is its node's dict and its ``src`` a copy of the
     previous node's, so no two segments share a dict.
     """
-    path = np.array(walk.path, dtype=np.intp)
-    nodes = np.concatenate((np.asarray(graph.edge_src)[path[:1]],
-                            np.asarray(graph.edge_dst)[path]))
-    labels = graph.node_label
+    labels = walk.labels
     points = [{"id": node, "kind": NODE_KINDS[kind], "index": index,
-               "t": t, "label": labels[node]}
-              for node, kind, index, t in zip(
-                  nodes.tolist(),
-                  np.asarray(graph.node_kind)[nodes].tolist(),
-                  np.asarray(graph.node_index)[nodes].tolist(),
-                  np.asarray(graph.node_t)[nodes].tolist())]
+               "t": t, "label": labels[label]}
+              for node, kind, index, t, label in zip(
+                  walk.point_id.tolist(), walk.point_kind.tolist(),
+                  walk.point_index.tolist(), walk.point_t.tolist(),
+                  walk.point_label.tolist())]
 
     # Each edge's leaves in name order: the cells are sorted so.
     leaves: list[dict[str, float]] = [{} for _ in walk.path]
@@ -802,17 +848,15 @@ def _segments(graph: EventGraph, walk: _Walk) -> list[dict[str, Any]]:
         "elapsed": elapsed,
         "leaves": seg_leaves,
     } for src_point, dst_point, type, weight, elapsed, seg_leaves in zip(
-        points, points[1:],
-        np.asarray(graph.edge_type)[path].tolist(),
-        np.asarray(graph.edge_weight)[path].tolist(),
-        walk.elapsed.tolist(), leaves)]
+        points, points[1:], walk.edge_code.tolist(),
+        walk.edge_weight.tolist(), walk.elapsed.tolist(), leaves)]
 
 
 def critpath_summary(result: "RunResult") -> dict[str, Any] | None:
     """Compact critical-path block for profile reports and history
     lines; ``None`` when the run recorded no event graph."""
     graph = getattr(result, "event_graph", None)
-    if graph is None or not graph.nodes:
+    if graph is None or not graph.shape[0]:
         return None
     walk = _result_walk(result)
     top = _top_resources(walk)
@@ -893,7 +937,7 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
     from repro.obs.profile import profile_components, stored_profile
 
     graph = getattr(result, "event_graph", None)
-    if graph is None or not graph.nodes:
+    if graph is None or not graph.shape[0]:
         raise CritpathError(
             f"run {result.name!r} carries no event graph (produced "
             f"by an older simulator build?)")
@@ -909,6 +953,7 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
                       else profile_components(result)), total)
 
     manifest = result.manifest
+    nodes, edges = graph.shape
     return {
         "schema": CRITPATH_SCHEMA,
         "kind": "run",
@@ -918,9 +963,8 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
                            if manifest is not None else None),
         "total_cycles": total,
         "path_cycles": path_cycles,
-        "graph": {"nodes": len(graph.node_label),
-                  "edges": len(graph.edge_src)},
-        "segments": _segments(graph, walk),
+        "graph": {"nodes": nodes, "edges": edges},
+        "segments": _segments(walk),
         "critical_leaves": dict(walk.leaves),
         "critical_edge_types": dict(walk.edge_types),
         "memory_driver": dict(walk.memory_driver),
@@ -1231,7 +1275,7 @@ def build_whatif(result: "RunResult", scales: dict[str, float],
     measured speedup and prediction error when a validation rerun is
     supplied."""
     graph = getattr(result, "event_graph", None)
-    if graph is None or not graph.nodes:
+    if graph is None or not graph.shape[0]:
         raise CritpathError(
             f"run {result.name!r} carries no event graph")
     projection = project_whatif(graph, scales)

@@ -43,7 +43,6 @@ the exclusive tree, never inside it.
 from __future__ import annotations
 
 import pickle
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -273,23 +272,10 @@ class Derived:
     #: from the result's manifest.
     profile: bytes
     #: The critical-path walk as columns
-    #: (:func:`repro.obs.critpath.walk_columns`).
+    #: (:func:`repro.obs.critpath.walk_columns`): all that a
+    #: critical-path report reads, so a hit's reports decode none of
+    #: the graph's packed parts.
     walk: dict[str, Any]
-
-    # Pickled compressed: the leaf cells repeat a few values, and
-    # zlib at level 1 shrinks the three fields to 14-38% of their size
-    # (RTSL 8.5 -> 3.2 KB, QRD 63 -> 14 KB at default size) for well
-    # under a millisecond each way, which keeps a cache entry within
-    # 10% of its size without them.
-    def __getstate__(self) -> bytes:
-        return zlib.compress(
-            pickle.dumps((self.shape, self.profile, self.walk)), 1)
-
-    def __setstate__(self, state: bytes) -> None:
-        shape, profile, walk = pickle.loads(zlib.decompress(state))
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "walk", walk)
 
 
 def derive(result: "RunResult") -> None:
@@ -303,7 +289,7 @@ def derive(result: "RunResult") -> None:
     from repro.obs.critpath import walk_columns
 
     graph = getattr(result, "event_graph", None)
-    if graph is None or not graph.node_label:
+    if graph is None or not graph.shape[0]:
         return
     result.derived = None
     profile = build_profile(result)

@@ -504,7 +504,8 @@ def _edge_leaves(type, weight, detail, elapsed):
 
 def _reference_segments(graph, walk):
     """The segment builder ``critpath._segments`` replaced: two point
-    dicts per edge, its ``src`` and its ``dst``, built apart."""
+    dicts per edge, its ``src`` and its ``dst``, built apart from the
+    graph's columns (``_segments`` reads only the walk)."""
     path = np.array(walk.path, dtype=np.intp)
     src = np.asarray(graph.edge_src)[path]
     dst = np.asarray(graph.edge_dst)[path]
@@ -543,7 +544,8 @@ def _reference_segments(graph, walk):
 def _reference_report(result):
     """``build_critpath(result)`` with the reference segments."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(critpath, "_segments", _reference_segments)
+        patch.setattr(critpath, "_segments", lambda walk:
+                      _reference_segments(result.event_graph, walk))
         return build_critpath(result)
 
 
@@ -770,7 +772,7 @@ class TestColumnarWalk:
         """Every segment's leaves are the name-sorted per-edge split of
         its edge, zero-valued present leaves included."""
         walk = critpath._walk(graph)
-        segments = critpath._segments(graph, walk)
+        segments = critpath._segments(walk)
         assert repr(segments) == repr(_reference_segments(graph, walk))
         assert len(segments) == len(walk.path)
         for segment, index in zip(segments, walk.path):
@@ -805,7 +807,7 @@ class TestColumnarWalk:
                      "memory_driver", "resources", "ranked"):
             assert repr(getattr(walk, name)) == repr(
                 getattr(reference, name)), name
-        for segment, index in zip(critpath._segments(graph, walk),
+        for segment, index in zip(critpath._segments(walk),
                                   walk.path):
             edge = graph.edge(index)
             leaves = _edge_leaves(edge.type, edge.weight, edge.detail,

@@ -176,6 +176,69 @@ class TestDigest:
             f"s\n{body}".encode()).hexdigest()
         assert request_.payload() == payload
 
+    @given(
+        app=st.sampled_from(APP_NAMES),
+        sizes=st.dictionaries(
+            st.sampled_from(("height", "width", "frames", "rows")),
+            st.one_of(st.sampled_from((1, 1.0, True)),
+                      st.integers(-(2 ** 40), 2 ** 40),
+                      st.floats(allow_nan=False))),
+        machine=st.one_of(st.none(), st.builds(
+            MachineConfig,
+            clock_hz=st.sampled_from((200e6, 200000000, 1.5e8)),
+            num_ags=st.sampled_from((1, 2, 3)),
+            lrf_kbytes=st.sampled_from((9.7, 9, 12.0)),
+            dram=st.builds(DramConfig,
+                           clock_ratio=st.sampled_from((1, 2, 2.0)),
+                           page_policy=st.sampled_from(("open",
+                                                        "closed"))))),
+        board=st.one_of(st.none(), st.sampled_from(
+            (BoardConfig.hardware(), BoardConfig.isim())), st.builds(
+            BoardConfig, host_mips=st.sampled_from((2.03, 2, 4.0)))),
+        faults=st.one_of(st.none(), st.sampled_from(sorted(BUILTIN_PLANS))),
+        spelling=st.sampled_from(("plan", "dict", "text", "indented")),
+        seed=st.one_of(st.none(), st.integers(-(2 ** 63), 2 ** 63)),
+        strict=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_digest_is_the_canonical_payload_hash(
+            self, app, sizes, machine, board, faults, spelling, seed,
+            strict):
+        """The digest spelled from memoized per-field texts hashes
+        exactly ``json.dumps(payload(), sort_keys=True,
+        separators=(",", ":"))``, spelled as the payload
+        ``dataclasses.asdict`` gives on every call is; a plan given as
+        non-canonical text digests as its canonical form would."""
+        plan = None if faults is None else BUILTIN_PLANS[faults]
+        if plan is None or spelling == "plan":
+            form = plan
+        elif spelling == "dict":
+            form = plan.as_dict()
+        else:
+            form = json.dumps(plan.as_dict(),
+                              indent=1 if spelling == "indented" else None)
+        request = RunRequest(app=app, sizes=sizes, machine=machine,
+                             board=board, faults=form, seed=seed,
+                             strict=strict)
+        expected = {
+            "v": DIGEST_VERSION,
+            "app": app,
+            "sizes": sizes,
+            "machine": dataclasses.asdict(request.effective_machine()),
+            "board": dataclasses.asdict(request.effective_board()),
+            "faults": None if plan is None else json.loads(json.dumps(
+                plan.as_dict())),
+            "seed": seed,
+            "strict": strict,
+        }
+        body = json.dumps(expected, sort_keys=True, separators=(",", ":"))
+        # ``==`` would tell neither 1 from 1.0 nor key order apart.
+        assert json.dumps(request.payload(), sort_keys=True,
+                          separators=(",", ":")) == body
+        for salt in ("s", ""):
+            assert request.digest(salt=salt) == hashlib.sha256(
+                f"{salt}\n{body}".encode()).hexdigest()
+
     def test_payload_callers_cannot_change_the_memo(self):
         request = small_request(machine=MachineConfig(num_ags=3))
         digest = request.digest(salt="s")
@@ -274,9 +337,11 @@ class TestCache:
         a format-2 entry (one ``TraceEvent`` per instruction, no
         checksum), a format-3 entry (checksummed, but a result without
         its derived profile and walk) and a format-4 entry (one
-        checksummed pickle of the whole outcome) and a format-5 entry
+        checksummed pickle of the whole outcome), a format-5 entry
         (head and body apart, the body's bulky parts not yet packed)
-        are each a miss, and the rerun is stored as format 6."""
+        and a format-6 entry (the graph's columns not yet packed, a
+        stored walk that reads them) are each a miss, and the rerun is
+        stored as format 7."""
         monkeypatch.setenv("REPRO_CACHE_SALT", "pinned")
         request = small_request()
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
@@ -285,8 +350,10 @@ class TestCache:
         cache = ResultCache(tmp_path)
         path = cache._object_path(digest)
         entry = path.read_bytes()
-        assert entry.startswith(b"repro-cache/6 head=")
-        format_5 = entry.replace(b"repro-cache/6 ", b"repro-cache/5 ", 1)
+        assert entry.startswith(b"repro-cache/7 head=")
+        format_5, format_6 = (
+            entry.replace(b"repro-cache/7 ", f"repro-cache/{old} ".encode(),
+                          1) for old in (5, 6))
         outcome = cache.load(digest)
 
         def checksummed(format, payload):
@@ -306,8 +373,9 @@ class TestCache:
         graph.__dict__.clear()
         graph.__dict__.update(state)
         format_1 = pickle.dumps({"format": 1, "outcome": outcome})
-        assert CACHE_FORMAT == 6
-        for old in (format_1, format_2, format_3, format_4, format_5):
+        assert CACHE_FORMAT == 7
+        for old in (format_1, format_2, format_3, format_4, format_5,
+                    format_6):
             path.write_bytes(old)
             path.with_suffix(".json").write_text("{}")
             assert cache.load(digest) is None
@@ -319,7 +387,7 @@ class TestCache:
                 assert handle.digest == digest
                 assert handle.cache_status == "miss"
             assert build_critpath(result)["checks"]["conservation"]["ok"]
-            assert path.read_bytes().startswith(b"repro-cache/6 head=")
+            assert path.read_bytes().startswith(b"repro-cache/7 head=")
             restored = cache.load(digest).result
             assert restored.event_graph == result.event_graph
             assert restored.trace == result.trace

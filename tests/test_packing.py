@@ -1,11 +1,14 @@
 """Packed result parts: a cache hit decodes only what its reports read.
 
-The event graph's edge details, the kernel invocation records and the
-instruction trace travel as bytes inside a result's pickle
-(:mod:`repro.core.packing`).  These tests pin that the profile and
-critical path of a disk hit or a held result decode none of them, that
-each part read later equals the live run's, that concurrent first
-reads agree, and that a warm ``repro profile`` imports no scipy.
+The event graph's columns and edge details, the kernel invocation
+records and the instruction trace travel as bytes inside a result's
+pickle (:mod:`repro.core.packing`).  These tests pin that the profile
+and critical path of a disk hit or a held result decode none of them
+(the stored walk holds every row a report prints, and the graph's
+shape travels beside its columns), that each part read later equals
+the live run's, that an append to an unpickled graph keeps its shape
+exact, that concurrent first reads agree, and that a warm ``repro
+profile`` imports no scipy.
 """
 
 import copy
@@ -19,9 +22,14 @@ import threading
 
 import pytest
 
+from repro.analysis import render_timeline
 from repro.core.packing import undecoded
 from repro.engine import RunRequest, Session, SessionConfig
-from repro.obs.critpath import build_critpath, build_whatif
+from repro.obs.critpath import (
+    build_critpath,
+    build_whatif,
+    critpath_summary,
+)
 from repro.obs.profile import build_profile
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -51,7 +59,11 @@ def _parts(result):
             undecoded(result.event_graph))
 
 
-ALL_PACKED = (("trace",), ("kernel_invocations",), ("edge_detail",))
+#: Every column of the event graph, and its edge details.
+GRAPH_PARTS = ("node_t", "node_kind", "node_index", "node_label",
+               "edge_src", "edge_dst", "edge_type", "edge_weight",
+               "edge_detail")
+ALL_PACKED = (("trace",), ("kernel_invocations",), GRAPH_PARTS)
 
 
 def _reports(result):
@@ -59,7 +71,8 @@ def _reports(result):
     reads after its timed window."""
     reports = (json.dumps(build_profile(result), sort_keys=True),
                json.dumps(build_critpath(result), sort_keys=True))
-    assert len(result.event_graph.nodes) == result.event_graph.shape[0]
+    graph = result.event_graph
+    assert (len(graph.nodes), len(graph.edges)) == graph.shape
     assert sum(result.instruction_histogram.values()) > 0
     return reports
 
@@ -67,9 +80,9 @@ def _reports(result):
 @pytest.mark.parametrize("app,board,sizes", CELLS)
 def test_a_disk_hit_decodes_no_part(tmp_path, app, board, sizes):
     """``session.run`` (which stamps the hit), both reports, the graph's
-    node view and shape and the histogram leave every part packed;
-    read afterwards, each part equals the live run's, and so does a
-    what-if projection from the hit."""
+    views' lengths and shape and the histogram leave every part
+    packed; read afterwards, each part equals the live run's, and so
+    do a what-if projection and a timeline from the hit."""
     request = _request(app, board, sizes)
     config = SessionConfig(cache_dir=tmp_path)
     with Session(config=config) as session:
@@ -80,6 +93,7 @@ def test_a_disk_hit_decodes_no_part(tmp_path, app, board, sizes):
     assert _reports(hit) == _reports(live)
     assert _parts(hit) == ALL_PACKED
 
+    assert render_timeline(hit) == render_timeline(live)
     scales = {"dram": 2.0}
     assert build_whatif(hit, scales) == build_whatif(live, scales)
     assert hit.event_graph.edge_detail == live.event_graph.edge_detail
@@ -105,6 +119,44 @@ def test_a_held_result_decodes_no_part(tmp_path, app, sizes):
     _reports(held)
     assert _parts(held) == ALL_PACKED
     assert held.trace == live.trace
+
+
+def test_an_append_to_an_unpickled_graph_keeps_its_shape(tmp_path):
+    """An unpickled graph's shape is its pickled counts while its count
+    columns stay packed, and follows them once an append decodes them:
+    the stored walk no longer applies, so the next report walks the
+    longer graph afresh."""
+    request = RunRequest.for_app("depth", sizes={"height": 16,
+                                                 "width": 64})
+    config = SessionConfig(cache_dir=tmp_path)
+    with Session(config=config) as session:
+        session.run(request)
+    with Session(config=config) as session:
+        hit = session.run(request)
+    graph = hit.event_graph
+    nodes, edges = graph.shape
+    before = critpath_summary(hit)["path_cycles"]
+    assert undecoded(graph) == GRAPH_PARTS
+
+    # A partial decode leaves the counts as they were.
+    assert len(graph.node_t) == nodes
+    assert graph.shape == (nodes, edges)
+    end = graph.end
+    node = graph.add_node("end", -1, end.t + 5.0)
+    assert graph.shape == (nodes + 1, edges)
+    graph.add_edge(end.ident, node, "retire", 0.0)
+    assert graph.shape == (nodes + 1, edges + 1)
+    assert (len(graph.nodes), len(graph.edges)) == graph.shape
+    report = build_critpath(hit)
+    assert report["graph"] == {"nodes": nodes + 1, "edges": edges + 1}
+    assert report["path_cycles"] == pytest.approx(before + 5.0)
+    assert build_profile(hit)["critpath"]["path_cycles"] == \
+        report["path_cycles"]
+
+    again = pickle.loads(pickle.dumps(graph))
+    assert undecoded(again) == GRAPH_PARTS
+    assert again.shape == (nodes + 1, edges + 1)
+    assert again == graph
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +204,7 @@ def test_graph_equality_compares_decoded_values(small_result):
     either way round; a changed edge detail is not."""
     graph = small_result.event_graph
     packed = pickle.loads(pickle.dumps(graph))
-    assert undecoded(packed) == ("edge_detail",)
+    assert undecoded(packed) == GRAPH_PARTS
     assert packed == graph
     assert graph == pickle.loads(pickle.dumps(graph))
 
@@ -164,12 +216,15 @@ def test_graph_equality_compares_decoded_values(small_result):
 
 def test_concurrent_first_reads_agree(small_result):
     """Threads reading a packed part for the first time, all at once,
-    get the same object, equal to the live run's, and none raises."""
+    get the same object, equal to the live run's, and none raises; a
+    shape read racing the decode of a count column reads the same."""
     getters = {
         "trace": lambda result: result.trace,
         "kernel_invocations":
             lambda result: result.metrics.kernel_invocations,
         "edge_detail": lambda result: result.event_graph.edge_detail,
+        "node_label": lambda result: result.event_graph.node_label,
+        "shape": lambda result: result.event_graph.shape,
     }
     expected = {name: get(small_result) for name, get in getters.items()}
     data = pickle.dumps(small_result)
@@ -200,8 +255,9 @@ def test_concurrent_first_reads_agree(small_result):
             assert errors == []
             assert len(seen) == len(readers)
             for name, value in seen:
-                assert value is getters[name](result)
                 assert value == expected[name]
+                if name != "shape":
+                    assert value is getters[name](result)
     finally:
         sys.setswitchinterval(interval)
 
