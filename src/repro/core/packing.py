@@ -2,7 +2,7 @@
 
 A cache hit's reports read the stored profile and critical-path walk
 (:class:`repro.obs.profile.Derived`), not the bulky parts they were
-derived from: the event graph's columns and edge details, the
+derived from: the event graph's node labels and edge details, the
 per-invocation kernel records and the instruction trace.  A class that mixes in
 :class:`PackedParts` names such attributes in ``_packed_parts``; each
 is pickled into its own bytes inside the object's pickle, and an

@@ -202,10 +202,11 @@ class RunResult(PackedParts):
     #: critical-path extraction and what-if projection
     #: (:mod:`repro.obs.critpath`).
     event_graph: EventGraph | None = None
-    #: The profile and critical-path walk the engine derived when it
-    #: completed the run (:func:`repro.obs.profile.derive`); pickled
-    #: with the result, so a cache entry carries them.  Not an
-    #: ``__init__`` argument: ``dataclasses.replace`` resets it.
+    #: The profile and critical-path walk every report reads
+    #: (:func:`repro.obs.profile.derive`), derived once when the engine
+    #: completes the run or a report first asks; pickled with the
+    #: result, so a cache entry carries them.  Not an ``__init__``
+    #: argument: ``dataclasses.replace`` resets it.
     derived: "Derived | None" = field(default=None, init=False,
                                       repr=False, compare=False)
 

@@ -27,7 +27,7 @@ Writes are atomic (temp file + ``os.replace``), as is the
 A ``.pkl`` holds one outcome in two parts, after a one-line
 header::
 
-    repro-cache/7 head=<head bytes>:<head sha256> body=<body sha256>
+    repro-cache/8 head=<head bytes>:<head sha256> body=<body sha256>
     <head: pickled (RunOutcome without its result, the result's manifest)>
     <body: PackedResult.body, the pickled RunResult without its manifest>
 
@@ -35,16 +35,17 @@ The body is what a run computed (metrics, power, histogram, trace,
 event graph and the derived profile and critical-path walk,
 :class:`repro.obs.profile.Derived`, so a hit reads its reports
 without deriving them again); for a playback image it is the same
-for every data seed.  The bulky parts, which no report of a hit
-reads, travel packed inside it
-(:class:`repro.core.packing.PackedParts`): the graph's columns and
-edge details, the kernel invocation records and the instruction
+for every data seed.  The derived walk holds every row a
+critical-path report prints, so no report of a hit reads the bulky
+parts, which travel packed inside the body
+(:class:`repro.core.packing.PackedParts`): the graph's node labels
+and edge details, the kernel invocation records and the instruction
 trace stay bytes until a what-if, a timeline, the gate or a fresh
-profile first reads them, and pass through a re-pickle as they are;
-the graph's shape travels beside them, and the derived walk holds
-every row a critical-path report prints.  It is pickled once where
-the run happened (:class:`PackedResult`), and the store writes those
-bytes and their checksum unchanged.  The head is what belongs to
+profile first reads them, and pass through a re-pickle as they are.
+The graph's typed columns are raw buffers that unpickle without a
+decode step.  The body is pickled once where the run happened
+(:class:`PackedResult`), and the store writes those bytes and their
+checksum unchanged.  The head is what belongs to
 this digest: the outcome's status and error fields and the manifest.
 A failed outcome has an empty body.  Both checksums are verified before
 anything is unpickled, and unreadable, corrupt or other-format
@@ -79,8 +80,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: per-digest head are pickled apart, each with its own checksum;
 #: 6: the edge details, kernel invocations and trace travel packed;
 #: 7: so do the graph's columns, and the stored walk holds every row a
-#: report prints, uncompressed).
-CACHE_FORMAT = 7
+#: report prints, uncompressed; 8: the walk pickles as itself and only
+#: the graph's labels and edge details stay packed).
+CACHE_FORMAT = 8
 
 #: Environment override for the size budget (bytes; unset/0 = unbounded).
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"

@@ -114,8 +114,9 @@ def compiled_kernels(images: Iterable["StreamProgramImage"],
 #: held.  A held image takes 0.1-0.4 MB at perfbench's reduced shapes
 #: and 0.6 MB (DEPTH) / 1 MB (QRD) at default size; a held result is
 #: charged its body, the bytes the result cache stores for every seed
-#: of its shape: 92-269 KB at the reduced shapes.  The six images and
-#: twelve results of those shapes take 4.1 MB together.
+#: of its shape: 92-269 KB at the reduced shapes and 377-731 KB at
+#: default size (format 8).  The six images and twelve results of the
+#: reduced shapes take 4.1 MB together.
 HELD_BYTES_BUDGET = 5 << 20
 
 

@@ -279,7 +279,7 @@ def _derive(outcome: RunOutcome) -> RunOutcome:
     (:func:`repro.obs.profile.derive`).  A graph the walk rejects
     leaves the run underived: it is stored and returned all the same,
     and its readers derive, and raise, when asked."""
-    if outcome.completed and outcome.result.derived is None:
+    if outcome.completed:
         from repro.obs.critpath import CritpathError
         from repro.obs.profile import derive
 

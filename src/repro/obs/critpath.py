@@ -39,10 +39,10 @@ a sparse edge-index -> detail table for the few edges that carry
 detail (kernel execution, memory streams, microcode loads).  Node
 kinds and edge types are closed vocabularies (:data:`NODE_KINDS`,
 :data:`EDGE_TYPES`) whose positions are the codes.  The same columns
-are appended to while simulating, pickled as raw buffers (each packed
-apart, decoded on its first read), and read by NumPy without a copy;
-``graph.nodes``/``graph.edges`` are read-only row views for
-inspection.
+are appended to while simulating, pickled as raw buffers and read by
+NumPy without a copy (the labels and the detail table travel packed,
+decoded on their first read); ``graph.nodes``/``graph.edges`` are
+read-only row views for inspection.
 
 The critical path is recovered by walking backwards from the end
 node, always following the incoming edge with the latest arrival
@@ -65,10 +65,12 @@ the simulator and report prediction error.
 from __future__ import annotations
 
 import math
+import pickle
 from array import array
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, TypeVar, overload
+from typing import (TYPE_CHECKING, Any, Callable, NamedTuple, TypeVar,
+                    overload)
 
 import numpy as np
 
@@ -177,13 +179,12 @@ class _Rows(Sequence[_R]):
 
     __slots__ = ("_size", "_row")
 
-    def __init__(self, size: Callable[[], int],
-                 row: Callable[[int], _R]) -> None:
+    def __init__(self, size: Sized, row: Callable[[int], _R]) -> None:
         self._size = size
         self._row = row
 
     def __len__(self) -> int:
-        return self._size()
+        return len(self._size)
 
     @overload
     def __getitem__(self, key: int) -> _R: ...
@@ -192,7 +193,7 @@ class _Rows(Sequence[_R]):
     def __getitem__(self, key: slice) -> list[_R]: ...
 
     def __getitem__(self, key: int | slice) -> _R | list[_R]:
-        rows = range(self._size())
+        rows = range(len(self._size))
         if isinstance(key, slice):
             return [self._row(i) for i in rows[key]]
         return self._row(rows[key])
@@ -219,23 +220,16 @@ class EventGraph(PackedParts):
     without a copy.  :attr:`nodes` and :attr:`edges` are read-only
     row views for inspection; nothing on a hot path iterates them.
 
-    Every column and :attr:`edge_detail` travel packed
-    (:class:`~repro.core.packing.PackedParts`), next to the graph's
-    ``(nodes, edges)`` counts: an unpickled graph decodes a column
-    when a fresh walk, a what-if projection, a row or an append first
-    reads it, while :attr:`shape` and the views' lengths decode
-    nothing, and a stored walk needs no column at all.
+    :attr:`node_label` and :attr:`edge_detail`, the two columns of
+    Python objects, travel packed
+    (:class:`~repro.core.packing.PackedParts`): an unpickled graph
+    decodes them when a fresh walk, a what-if projection, a row or an
+    append first reads them.  A derived walk
+    (:class:`repro.obs.profile.Derived`) holds every row a report
+    prints, so a hit's reports read neither.
     """
 
-    #: Everything but ``meta``, a few scalars the projector reads.
-    _packed_parts = _GRAPH_STATE[:-1]
-
-    #: Memoized critical-path walk, keyed by ``(nodes, edges)`` count
-    #: so an append invalidates it; never pickled (a result-cache
-    #: entry stores it beside the graph, see :func:`walk_columns`).
-    _walk_memo: tuple[tuple[int, int], _Walk] | None = None
-    #: :attr:`shape` when pickled; read while a count column is packed.
-    _counts: tuple[int, int] = (0, 0)
+    _packed_parts = ("node_label", "edge_detail")
 
     def __init__(self, meta: dict[str, float] | None = None) -> None:
         self.node_t: array[float] = array("d")
@@ -251,16 +245,6 @@ class EventGraph(PackedParts):
         #: Machine facts the projector needs (``num_ags``,
         #: ``issue_overhead``, ``host_issue_cycles``, ``total_cycles``).
         self.meta: dict[str, float] = {} if meta is None else meta
-
-    def __getstate__(self) -> dict[str, Any]:
-        # The memo is derived data: keep it out of pickles (result
-        # cache entries, worker results) so their bytes do not depend
-        # on whether a report was built first.  The counts go first,
-        # so a re-pickle keeps one key order.
-        state = super().__getstate__()
-        state.pop("_walk_memo", None)
-        state.pop("_counts", None)
-        return {"_counts": self.shape, **state}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventGraph):
@@ -310,24 +294,17 @@ class EventGraph(PackedParts):
 
     @property
     def nodes(self) -> Sequence[GraphNode]:
-        return _Rows(lambda: self.shape[0], self.node)
+        return _Rows(self.node_t, self.node)
 
     @property
     def edges(self) -> Sequence[GraphEdge]:
-        return _Rows(lambda: self.shape[1], self.edge)
+        return _Rows(self.edge_src, self.edge)
 
     @property
     def shape(self) -> tuple[int, int]:
         """``(nodes, edges)``: what is derived from the graph is keyed
-        by it, so an append invalidates it.  A count column still
-        packed cannot have grown, so its pickled count stands in."""
-        state = self.__dict__
-        nodes, edges = self._counts
-        if "node_label" in state:
-            nodes = len(state["node_label"])
-        if "edge_src" in state:
-            edges = len(state["edge_src"])
-        return (nodes, edges)
+        by it, so an append invalidates it."""
+        return (len(self.node_t), len(self.edge_src))
 
     @property
     def end(self) -> GraphNode:
@@ -528,20 +505,16 @@ def _leaf_component(leaf: str) -> str:
 # ----------------------------------------------------------------------
 # Extraction.
 # ----------------------------------------------------------------------
-def _column(dtype: type = np.float64) -> Any:
-    """An array field of :class:`_Walk`, empty by default."""
-    return field(default_factory=lambda: np.zeros(0, dtype=dtype),
-                 compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class _Walk:
+class _Walk(NamedTuple):
     """One critical-path walk: the path as indices of edges the graph
     owns, the rows of its nodes and edges that a report prints, and
     the aggregates every report reads.  Per-segment dicts are not
-    kept; :func:`build_critpath` assembles them from the walk alone."""
+    kept; :func:`build_critpath` assembles them from the walk alone,
+    so a walk stored with a result-cache entry
+    (:class:`repro.obs.profile.Derived`) reads nothing of the graph.
+    A tuple, it pickles its field values in order, without names."""
 
-    path: list[int]
+    path: np.ndarray
     path_cycles: float
     #: Critical cycles per leaf, in ``(-cycles, leaf)`` order.
     leaves: dict[str, float]
@@ -552,30 +525,35 @@ class _Walk:
     resources: dict[str, dict[str, float | int]]
     #: Resource names by critical cycles, ``unattributed`` excluded.
     ranked: list[str]
-    #: Per path edge, its elapsed cycles.
-    elapsed: np.ndarray = _column()
     #: The leaves the path names, sorted.
     leaf_names: tuple[str, ...] = ()
     #: The path edges' leaf attribution (see :func:`_attribute`) as
     #: sparse cells: path position, column into ``leaf_names`` and
     #: cycles, by position and then leaf name.  A cell may hold 0.0;
     #: :func:`build_critpath`'s segments read them.
-    cell_row: np.ndarray = _column(np.int32)
-    cell_leaf: np.ndarray = _column(np.int32)
-    cell_cycles: np.ndarray = _column()
+    cell_row: np.ndarray = np.zeros(0, np.int32)
+    cell_leaf: np.ndarray = np.zeros(0, np.int32)
+    cell_cycles: np.ndarray = np.zeros(0, np.float64)
     #: The path's nodes, source first (one more than its edges, or
     #: none): id, kind code, instruction index, time, and label as an
     #: index into ``labels``.
-    point_id: np.ndarray = _column(np.int32)
-    point_kind: np.ndarray = _column(np.uint8)
-    point_index: np.ndarray = _column(np.int32)
-    point_t: np.ndarray = _column()
-    point_label: np.ndarray = _column(np.int32)
+    point_id: np.ndarray = np.zeros(0, np.int32)
+    point_kind: np.ndarray = np.zeros(0, np.uint8)
+    point_index: np.ndarray = np.zeros(0, np.int32)
+    point_t: np.ndarray = np.zeros(0, np.float64)
+    point_label: np.ndarray = np.zeros(0, np.int32)
     #: Each distinct label of the path's nodes, in order of first use.
     labels: tuple[str, ...] = ()
     #: Per path edge, its type code and weight.
-    edge_code: np.ndarray = _column(np.uint8)
-    edge_weight: np.ndarray = _column()
+    edge_code: np.ndarray = np.zeros(0, np.uint8)
+    edge_weight: np.ndarray = np.zeros(0, np.float64)
+
+    @property
+    def elapsed(self) -> np.ndarray:
+        """Per path edge, its elapsed cycles: its end node's time less
+        its start node's, as the walk computed them (the path is
+        contiguous)."""
+        return self.point_t[1:] - self.point_t[:-1]
 
 
 def _best_incoming(t: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -600,7 +578,8 @@ def _best_incoming(t: np.ndarray, src: np.ndarray, dst: np.ndarray,
 
 def _walk(graph: EventGraph) -> _Walk:
     """Walk backwards from the end node along latest-arrival edges
-    and aggregate the path (uncached; see :func:`_cached_walk`)."""
+    and aggregate the path (uncached; a result keeps its walk, see
+    :func:`repro.obs.profile.derive`)."""
     if not graph.node_label:
         raise CritpathError("empty event graph")
     end = graph.end
@@ -713,7 +692,7 @@ def _walk(graph: EventGraph) -> _Walk:
         key=lambda name: (-resources[name]["critical_cycles"], name))
 
     return _Walk(
-        path=path,
+        path=np.array(path, dtype=np.int32),
         path_cycles=sum(elapsed.tolist()),
         leaves={leaf: leaves[leaf]
                 for leaf in sorted(leaves,
@@ -726,7 +705,6 @@ def _walk(graph: EventGraph) -> _Walk:
                        for name in sorted(memory_driver)},
         resources=resources,
         ranked=ranked,
-        elapsed=elapsed,
         leaf_names=sorted_names,
         cell_row=cell_row.astype(np.int32),
         cell_leaf=cell_leaf.astype(np.int32),
@@ -740,72 +718,6 @@ def _walk(graph: EventGraph) -> _Walk:
         edge_code=path_code,
         edge_weight=weight[on_path],
     )
-
-
-def _cached_walk(graph: EventGraph) -> _Walk:
-    """The graph's walk, computed once per graph shape and shared by
-    the profile's ``critpath`` block, :func:`critpath_summary` and
-    :func:`build_critpath`.  Callers copy before returning anything
-    from it."""
-    key = graph.shape
-    memo = graph._walk_memo
-    if memo is None or memo[0] != key:
-        memo = graph._walk_memo = (key, _walk(graph))
-    return memo[1]
-
-
-#: :class:`_Walk` fields a cache entry stores as they are.
-_STORED_AS_IS = ("path_cycles", "leaves", "edge_types", "memory_driver",
-                 "resources", "ranked", "leaf_names", "labels")
-#: :class:`_Walk` array fields a cache entry stores as raw bytes.
-_STORED_AS_BYTES = {
-    "path": np.int32,
-    "cell_row": np.int32, "cell_leaf": np.int32, "cell_cycles": np.float64,
-    "point_id": np.int32, "point_kind": np.uint8, "point_index": np.int32,
-    "point_t": np.float64, "point_label": np.int32,
-    "edge_code": np.uint8, "edge_weight": np.float64,
-}
-
-
-def walk_columns(graph: EventGraph) -> dict[str, Any]:
-    """The graph's walk as the compact columns a result-cache entry
-    stores: the path's edge indices, leaf cells, node rows and edge
-    rows as raw bytes, and the sorted leaf names, the distinct node
-    labels and the aggregates as they are.  Together they are all a
-    report of the walk reads, so :func:`_attach_walk` reads nothing
-    of the graph but its shape."""
-    walk = _cached_walk(graph)
-    return {name: getattr(walk, name) for name in _STORED_AS_IS} | {
-        name: np.asarray(getattr(walk, name), dtype=dtype).tobytes()
-        for name, dtype in _STORED_AS_BYTES.items()}
-
-
-def _attach_walk(graph: EventGraph, columns: dict[str, Any]) -> None:
-    """Memoize on ``graph`` the walk :func:`walk_columns` stored for
-    it.  The arrays become read-only views of the stored bytes; each
-    edge's elapsed cycles are its end node's time less its start
-    node's, as the walk computed them."""
-    arrays = {name: np.frombuffer(columns[name], dtype=dtype)
-              for name, dtype in _STORED_AS_BYTES.items()}
-    t = arrays["point_t"]
-    graph._walk_memo = (graph.shape, _Walk(
-        **{name: columns[name] for name in _STORED_AS_IS},
-        **arrays | {"path": arrays["path"].tolist()},
-        elapsed=t[1:] - t[:-1],
-    ))
-
-
-def _result_walk(result: "RunResult") -> _Walk:
-    """The walk of ``result``'s graph: the memoized one, else the one
-    derived with the run (:class:`repro.obs.profile.Derived`), else a
-    fresh walk."""
-    graph = result.event_graph
-    derived = getattr(result, "derived", None)
-    memo = graph._walk_memo
-    if (derived is not None and derived.shape == graph.shape
-            and (memo is None or memo[0] != derived.shape)):
-        _attach_walk(graph, derived.walk)
-    return _cached_walk(graph)
 
 
 def _top_resources(walk: _Walk) -> list[dict[str, Any]]:
@@ -834,7 +746,7 @@ def _segments(walk: _Walk) -> list[dict[str, Any]]:
                   walk.point_label.tolist())]
 
     # Each edge's leaves in name order: the cells are sorted so.
-    leaves: list[dict[str, float]] = [{} for _ in walk.path]
+    leaves: list[dict[str, float]] = [{} for _ in range(len(walk.path))]
     names = walk.leaf_names
     for index, name, value in zip(walk.cell_row.tolist(),
                                   walk.cell_leaf.tolist(),
@@ -855,10 +767,14 @@ def _segments(walk: _Walk) -> list[dict[str, Any]]:
 def critpath_summary(result: "RunResult") -> dict[str, Any] | None:
     """Compact critical-path block for profile reports and history
     lines; ``None`` when the run recorded no event graph."""
-    graph = getattr(result, "event_graph", None)
-    if graph is None or not graph.shape[0]:
-        return None
-    walk = _result_walk(result)
+    from repro.obs.profile import derive
+
+    derived = derive(result)
+    return None if derived is None else _summary(derived.walk)
+
+
+def _summary(walk: _Walk) -> dict[str, Any]:
+    """:func:`critpath_summary` of a walk."""
     top = _top_resources(walk)
     return {
         "path_cycles": walk.path_cycles,
@@ -934,26 +850,24 @@ def build_critpath(result: "RunResult") -> dict[str, Any]:
     Deterministic for a given run: maps are emitted in sorted or
     rank order and nothing wall-clock dependent is included.
     """
-    from repro.obs.profile import profile_components, stored_profile
+    from repro.obs.profile import derive
 
-    graph = getattr(result, "event_graph", None)
-    if graph is None or not graph.shape[0]:
+    derived = derive(result)
+    if derived is None:
         raise CritpathError(
             f"run {result.name!r} carries no event graph (produced "
             f"by an older simulator build?)")
-    walk = _result_walk(result)
+    walk = derived.walk
     total = float(result.metrics.total_cycles)
     path_cycles = walk.path_cycles
     residual = abs(path_cycles - total)
     conservation_ok = residual <= PATH_TOLERANCE * max(total, 1.0)
 
-    profile = stored_profile(result)
     bounds = _profile_bounds(
-        walk.leaves, (profile["components"] if profile is not None
-                      else profile_components(result)), total)
+        walk.leaves, pickle.loads(derived.profile)["components"], total)
 
     manifest = result.manifest
-    nodes, edges = graph.shape
+    nodes, edges = derived.shape
     return {
         "schema": CRITPATH_SCHEMA,
         "kind": "run",
@@ -1342,6 +1256,5 @@ __all__ = [
     "render_critpath",
     "render_whatif",
     "validate_critpath",
-    "walk_columns",
     "whatif_configs",
 ]

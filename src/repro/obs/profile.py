@@ -55,6 +55,7 @@ from repro.isa.stream_ops import STREAM_OPS, StreamOpType
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import MachineConfig
     from repro.core.processor import InstructionTrace, RunResult
+    from repro.obs.critpath import _Walk
 
 #: Version tag for the profile-report layout.
 PROFILE_SCHEMA = "repro.profile-report/1"
@@ -254,15 +255,18 @@ def profile_components(result: "RunResult") -> dict[str, dict[str, Any]]:
     return components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derived:
     """A finished run's profile and critical-path walk, derived once
-    when the engine completes the run (:func:`derive`) and stored with
-    its result-cache entry, so a cache hit re-derives neither.
+    (:func:`derive`) and kept on :attr:`RunResult.derived`, the one
+    memo every report reads.  The engine derives when it completes a
+    run, so the result-cache entry stores them and a hit re-derives
+    neither.
 
     They hold while the run's event graph keeps the shape it had: an
     append, or another graph (``dataclasses.replace`` on a result
-    resets :attr:`RunResult.derived`), derives afresh.
+    resets :attr:`RunResult.derived`), derives afresh.  With slots it
+    pickles its fields without their names.
     """
 
     #: The event graph's ``(nodes, edges)`` when derived.
@@ -271,43 +275,33 @@ class Derived:
     #: unset; each read unpickles a fresh copy and stamps the digest
     #: from the result's manifest.
     profile: bytes
-    #: The critical-path walk as columns
-    #: (:func:`repro.obs.critpath.walk_columns`): all that a
-    #: critical-path report reads, so a hit's reports decode none of
-    #: the graph's packed parts.
-    walk: dict[str, Any]
+    #: The critical-path walk: all that a critical-path report reads,
+    #: so a hit's reports decode none of the graph's packed parts.
+    walk: "_Walk"
 
 
-def derive(result: "RunResult") -> None:
-    """Derive ``result``'s profile and critical-path walk once and keep
-    them on :attr:`RunResult.derived` (the walk also memoized on its
-    event graph).  A run without an event graph is left as it is.
+@collector_paused
+def derive(result: "RunResult") -> Derived | None:
+    """``result``'s profile and critical-path walk: the ones it holds
+    while its event graph keeps their shape, else walked and folded
+    now and kept on :attr:`RunResult.derived`.  ``None`` for a run
+    without an event graph.
 
     Raises :class:`~repro.obs.critpath.CritpathError` when the graph
-    admits no walk; the result is then left underived.
+    admits no walk; the result is then left as it was.
     """
-    from repro.obs.critpath import walk_columns
+    from repro.obs import critpath
 
     graph = getattr(result, "event_graph", None)
     if graph is None or not graph.shape[0]:
-        return
-    result.derived = None
-    profile = build_profile(result)
-    profile["request_digest"] = None
-    result.derived = Derived(shape=graph.shape,
-                             profile=pickle.dumps(profile),
-                             walk=walk_columns(graph))
-
-
-def stored_profile(result: "RunResult") -> dict[str, Any] | None:
-    """A fresh copy of the profile derived with the run
-    (``request_digest`` unset), or ``None`` when the run was not
-    derived or its event graph has changed since."""
-    derived = getattr(result, "derived", None)
-    graph = getattr(result, "event_graph", None)
-    if derived is None or graph is None or derived.shape != graph.shape:
         return None
-    return pickle.loads(derived.profile)
+    derived = result.derived
+    if derived is None or derived.shape != graph.shape:
+        walk = critpath._walk(graph)
+        derived = result.derived = Derived(
+            shape=graph.shape, profile=pickle.dumps(_fold(result, walk)),
+            walk=walk)
+    return derived
 
 
 @collector_paused
@@ -317,22 +311,22 @@ def build_profile(result: "RunResult") -> dict[str, Any]:
     The document is deterministic for a given run: every map is
     emitted in declaration or sorted order and nothing wall-clock
     dependent is included, so serialising it with ``json.dumps`` is
-    byte-stable across processes, job counts and hash seeds.  A run
-    the engine derived (:func:`derive`) returns a copy of its stored
-    profile.
+    byte-stable across processes, job counts and hash seeds.  Each
+    call returns a fresh copy of the run's derived profile
+    (:func:`derive`).
     """
-    profile = stored_profile(result)
-    if profile is None:
-        profile = _fold(result)
+    derived = derive(result)
+    profile = (_fold(result, None) if derived is None
+               else pickle.loads(derived.profile))
     manifest = result.manifest
     profile["request_digest"] = (manifest.request_digest
                                  if manifest is not None else None)
     return profile
 
 
-def _fold(result: "RunResult") -> dict[str, Any]:
-    """The profile of ``result``, derived afresh (``request_digest``
-    unset)."""
+def _fold(result: "RunResult", walk: "_Walk | None") -> dict[str, Any]:
+    """The profile of ``result`` with ``walk`` its critical path
+    (``request_digest`` unset)."""
     metrics = result.metrics
     total = float(metrics.total_cycles)
     components = profile_components(result)
@@ -348,7 +342,7 @@ def _fold(result: "RunResult") -> dict[str, Any]:
     figure11 = {category.value: fractions[category]
                 for category in CycleCategory}
 
-    from repro.obs.critpath import critpath_summary
+    from repro.obs.critpath import _summary
 
     return {
         "schema": PROFILE_SCHEMA,
@@ -357,7 +351,7 @@ def _fold(result: "RunResult") -> dict[str, Any]:
         "board_mode": result.board.mode,
         "request_digest": None,
         "total_cycles": total,
-        "critpath": critpath_summary(result),
+        "critpath": None if walk is None else _summary(walk),
         "summary": {
             "busy_fraction": clusters["busy_total"] / max(total, 1e-30),
             "stall_fraction": clusters["stall_total"] / max(total, 1e-30),
@@ -506,7 +500,6 @@ __all__ = [
     "derive",
     "kernel_catalog_profile",
     "profile_components",
-    "stored_profile",
     "validate_profile",
     "render_profile",
 ]

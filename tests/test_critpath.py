@@ -15,7 +15,6 @@ critical-path-move detection; and the ``repro critpath`` /
 import dataclasses
 import json
 import pickle
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,8 +190,8 @@ def qrd_result():
 
 
 def _unwalked(result):
-    """``result`` with an equal event graph that has never been
-    walked (a pickle round trip drops the memo)."""
+    """``result`` with an equal event graph and nothing derived
+    (``dataclasses.replace`` resets :attr:`RunResult.derived`)."""
     return dataclasses.replace(
         result, event_graph=pickle.loads(pickle.dumps(
             result.event_graph)))
@@ -760,7 +759,7 @@ class TestColumnarWalk:
     @given(event_graphs())
     def test_walk_matches_the_object_walk(self, graph):
         walk, reference = critpath._walk(graph), _reference_walk(graph)
-        assert walk.path == reference.path
+        assert walk.path.tolist() == reference.path
         for name in ("path_cycles", "leaves", "edge_types",
                      "memory_driver", "resources", "ranked"):
             assert repr(getattr(walk, name)) == repr(
@@ -802,7 +801,7 @@ class TestColumnarWalk:
                 app, sizes=sizes, board=BOARDS[board]()))
         graph = result.event_graph
         walk, reference = critpath._walk(graph), _reference_walk(graph)
-        assert walk.path == reference.path
+        assert walk.path.tolist() == reference.path
         for name in ("path_cycles", "leaves", "edge_types",
                      "memory_driver", "resources", "ranked"):
             assert repr(getattr(walk, name)) == repr(
@@ -931,19 +930,22 @@ class TestEventGraph:
             graph.add_node("halfway", 0, 1.0)
         assert len(graph.edges) == 3 and len(graph.nodes) == 3
 
-    def test_pickle_is_raw_columns_and_stable_across_a_walk(self):
-        graph = self._graph()
+    def test_pickle_is_raw_columns_and_stable_across_a_walk(
+            self, qrd_result):
+        result = _unwalked(qrd_result)
+        graph = result.event_graph
         before = pickle.dumps(graph)
-        critpath_summary(SimpleNamespace(event_graph=graph))
-        assert graph._walk_memo is not None
+        critpath_summary(result)
+        assert result.derived is not None
         assert pickle.dumps(graph) == before
         copy = pickle.loads(before)
-        assert copy == graph and copy._walk_memo is None
+        assert copy == graph
         assert copy.node_t.typecode == "d"
         assert copy.edge_type.tobytes() == graph.edge_type.tobytes()
         # A walk holds no buffer of the columns: recording resumes.
-        graph.add_node("end", -1, 5.0, "end")
-        graph.add_edge(2, 3, "retire", 0.0)
+        end = graph.end
+        node = graph.add_node("end", -1, end.t + 5.0, "end")
+        graph.add_edge(end.ident, node, "retire", 0.0)
 
 
 class TestDiffIntegration:

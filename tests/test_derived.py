@@ -1,19 +1,23 @@
 """Derive once, read many.
 
 The engine derives a completed run's profile and critical-path walk
-where the run executed (in process, or in the pool worker), stores
-them with the result-cache entry, and a hit reads them back: no
-profile fold and no walk on the warm path, and every report
-byte-identical to the cold run's.  A graph the walk rejects, or a
-graph that changed after the derivation, falls back to deriving on
-demand.
+where the run executed (in process, or in the pool worker), keeps
+them on the result (:attr:`RunResult.derived`, the one memo every
+report reads), stores them with the result-cache entry, and a hit
+reads them back: no profile fold and no walk on the warm path, the
+stored walk equal to a fresh one, and every report byte-identical to
+the cold run's.  A graph the walk rejects, or a graph that changed
+after the derivation, falls back to deriving on demand.
 """
 
 import dataclasses
 import json
 import pickle
+import sys
+import threading
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core import BoardConfig
@@ -24,6 +28,7 @@ from repro.obs.critpath import CritpathError, build_critpath, critpath_summary
 from repro.obs.history import history_entry
 from repro.obs.profile import build_profile
 from tests.test_lazy_build import _fresh_memo
+from tests.test_packing import CELLS, SHAPES, _request
 
 SMALL_SIZES = {
     "depth": {"height": 24, "width": 64, "disparities": 4},
@@ -206,3 +211,104 @@ def test_a_changed_graph_is_derived_afresh(tmp_path, counted):
     assert build_critpath(result)["path_cycles"] == after["critpath"][
         "path_cycles"]
     assert counted["walk"] == 3
+
+
+def assert_same_walk(stored, fresh):
+    """``stored`` equals ``fresh`` field by field: arrays in dtype and
+    value, everything else exactly, in order and to the bit."""
+    assert type(stored) is type(fresh)
+    for name, ours, theirs in zip(fresh._fields, stored, fresh):
+        if isinstance(theirs, np.ndarray):
+            assert ours.dtype == theirs.dtype, name
+            assert np.array_equal(ours, theirs), name
+        else:
+            assert ours == theirs, name
+            assert repr(ours) == repr(theirs), name
+    assert np.array_equal(stored.elapsed, fresh.elapsed)
+
+
+@pytest.mark.parametrize("app,board,sizes", CELLS)
+def test_a_hit_carries_the_walk_of_its_graph(tmp_path, app, board,
+                                             sizes):
+    request = _request(app, board, sizes)
+    config = SessionConfig(cache_dir=tmp_path)
+    with Session(config=config) as session:
+        session.run(request)
+    with Session(config=config) as session:
+        hit = session.run(request)
+    assert hit.manifest.cache == "hit"
+    derived = hit.derived
+    assert derived.shape == hit.event_graph.shape
+    assert_same_walk(derived.walk, critpath._walk(hit.event_graph))
+
+
+@pytest.mark.parametrize("app,sizes", [
+    (app, sizes) for app in ("depth", "qrd") for sizes in SHAPES[app]])
+def test_a_held_result_carries_the_walk_of_its_graph(tmp_path, app,
+                                                     sizes):
+    with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
+        session.run(RunRequest.for_app(app, sizes={**sizes, "seed": 1}))
+        held = session.run(RunRequest.for_app(
+            app, sizes={**sizes, "seed": 2}))
+    assert held.manifest.cache == "miss"
+    assert_same_walk(held.derived.walk, critpath._walk(held.event_graph))
+
+
+@pytest.mark.parametrize("app", sorted(SMALL_SIZES))
+def test_reading_reports_leaves_the_pickle_unchanged(app, tmp_path,
+                                                     service):
+    """Every report of a derived result, cold or a hit, reads what it
+    carries and adds nothing to it."""
+    request = RunRequest.for_app(app, sizes=SMALL_SIZES[app])
+    config = SessionConfig(cache_dir=tmp_path)
+    with Session(config=config) as session:
+        cold = session.run(request)
+    with Session(config=config) as session:
+        hit = session.run(request)
+    for result in (cold, hit):
+        assert result.derived is not None
+        before = pickle.dumps(result)
+        reports(result, service)
+        assert pickle.dumps(result) == before
+
+
+def test_concurrent_first_reads_derive_one_answer():
+    """Threads reading the reports of an underived result all at once,
+    as serve workers may, each get the serial reports, and the result
+    is left derived for its graph."""
+    with Session(config=SessionConfig(cache=False)) as session:
+        live = session.run(RunRequest.for_app(
+            "qrd", sizes=SMALL_SIZES["qrd"]))
+    assert live.derived is None
+    data = pickle.dumps(live)
+    expected = (json.dumps(build_profile(live)),
+                json.dumps(build_critpath(live)))
+    readers = [build_profile, build_critpath, critpath_summary] * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            result = pickle.loads(data)
+            barrier = threading.Barrier(len(readers))
+            seen: dict = {}
+
+            def read(reader):
+                barrier.wait(timeout=30)
+                seen.setdefault(reader, []).append(reader(result))
+
+            threads = [threading.Thread(target=read, args=(reader,))
+                       for reader in readers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert {json.dumps(report) for report
+                    in seen[build_profile]} == {expected[0]}
+            assert {json.dumps(report) for report
+                    in seen[build_critpath]} == {expected[1]}
+            assert seen[critpath_summary] == [
+                json.loads(expected[0])["critpath"]] * 2
+            assert result.derived.shape == result.event_graph.shape
+    finally:
+        sys.setswitchinterval(interval)

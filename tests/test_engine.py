@@ -338,10 +338,11 @@ class TestCache:
         checksum), a format-3 entry (checksummed, but a result without
         its derived profile and walk) and a format-4 entry (one
         checksummed pickle of the whole outcome), a format-5 entry
-        (head and body apart, the body's bulky parts not yet packed)
-        and a format-6 entry (the graph's columns not yet packed, a
-        stored walk that reads them) are each a miss, and the rerun is
-        stored as format 7."""
+        (head and body apart, the body's bulky parts not yet packed),
+        a format-6 entry (the graph's columns not yet packed, a stored
+        walk that reads them) and a format-7 entry (every column
+        packed, the walk stored as columns of bytes) are each a miss,
+        and the rerun is stored as format 8."""
         monkeypatch.setenv("REPRO_CACHE_SALT", "pinned")
         request = small_request()
         with Session(config=SessionConfig(cache_dir=tmp_path)) as session:
@@ -350,10 +351,10 @@ class TestCache:
         cache = ResultCache(tmp_path)
         path = cache._object_path(digest)
         entry = path.read_bytes()
-        assert entry.startswith(b"repro-cache/7 head=")
-        format_5, format_6 = (
-            entry.replace(b"repro-cache/7 ", f"repro-cache/{old} ".encode(),
-                          1) for old in (5, 6))
+        assert entry.startswith(b"repro-cache/8 head=")
+        format_5, format_6, format_7 = (
+            entry.replace(b"repro-cache/8 ", f"repro-cache/{old} ".encode(),
+                          1) for old in (5, 6, 7))
         outcome = cache.load(digest)
 
         def checksummed(format, payload):
@@ -373,9 +374,9 @@ class TestCache:
         graph.__dict__.clear()
         graph.__dict__.update(state)
         format_1 = pickle.dumps({"format": 1, "outcome": outcome})
-        assert CACHE_FORMAT == 7
+        assert CACHE_FORMAT == 8
         for old in (format_1, format_2, format_3, format_4, format_5,
-                    format_6):
+                    format_6, format_7):
             path.write_bytes(old)
             path.with_suffix(".json").write_text("{}")
             assert cache.load(digest) is None
@@ -387,7 +388,7 @@ class TestCache:
                 assert handle.digest == digest
                 assert handle.cache_status == "miss"
             assert build_critpath(result)["checks"]["conservation"]["ok"]
-            assert path.read_bytes().startswith(b"repro-cache/7 head=")
+            assert path.read_bytes().startswith(b"repro-cache/8 head=")
             restored = cache.load(digest).result
             assert restored.event_graph == result.event_graph
             assert restored.trace == result.trace

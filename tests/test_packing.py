@@ -1,14 +1,13 @@
 """Packed result parts: a cache hit decodes only what its reports read.
 
-The event graph's columns and edge details, the kernel invocation
+The event graph's node labels and edge details, the kernel invocation
 records and the instruction trace travel as bytes inside a result's
 pickle (:mod:`repro.core.packing`).  These tests pin that the profile
 and critical path of a disk hit or a held result decode none of them
-(the stored walk holds every row a report prints, and the graph's
-shape travels beside its columns), that each part read later equals
-the live run's, that an append to an unpickled graph keeps its shape
-exact, that concurrent first reads agree, and that a warm ``repro
-profile`` imports no scipy.
+(the stored walk holds every row a report prints), that each part
+read later equals the live run's, that an append to an unpickled
+graph keeps its shape exact, that concurrent first reads agree, and
+that a warm ``repro profile`` imports no scipy.
 """
 
 import copy
@@ -59,10 +58,8 @@ def _parts(result):
             undecoded(result.event_graph))
 
 
-#: Every column of the event graph, and its edge details.
-GRAPH_PARTS = ("node_t", "node_kind", "node_index", "node_label",
-               "edge_src", "edge_dst", "edge_type", "edge_weight",
-               "edge_detail")
+#: The event graph's columns of Python objects.
+GRAPH_PARTS = ("node_label", "edge_detail")
 ALL_PACKED = (("trace",), ("kernel_invocations",), GRAPH_PARTS)
 
 
@@ -122,10 +119,9 @@ def test_a_held_result_decodes_no_part(tmp_path, app, sizes):
 
 
 def test_an_append_to_an_unpickled_graph_keeps_its_shape(tmp_path):
-    """An unpickled graph's shape is its pickled counts while its count
-    columns stay packed, and follows them once an append decodes them:
-    the stored walk no longer applies, so the next report walks the
-    longer graph afresh."""
+    """An unpickled graph's shape follows its appends: the stored walk
+    no longer applies, so the next report walks the longer graph
+    afresh."""
     request = RunRequest.for_app("depth", sizes={"height": 16,
                                                  "width": 64})
     config = SessionConfig(cache_dir=tmp_path)
@@ -138,8 +134,9 @@ def test_an_append_to_an_unpickled_graph_keeps_its_shape(tmp_path):
     before = critpath_summary(hit)["path_cycles"]
     assert undecoded(graph) == GRAPH_PARTS
 
-    # A partial decode leaves the counts as they were.
-    assert len(graph.node_t) == nodes
+    # A partial decode leaves the shape as it was.
+    assert graph.node_label[-1] == "end"
+    assert undecoded(graph) == ("edge_detail",)
     assert graph.shape == (nodes, edges)
     end = graph.end
     node = graph.add_node("end", -1, end.t + 5.0)
@@ -216,15 +213,13 @@ def test_graph_equality_compares_decoded_values(small_result):
 
 def test_concurrent_first_reads_agree(small_result):
     """Threads reading a packed part for the first time, all at once,
-    get the same object, equal to the live run's, and none raises; a
-    shape read racing the decode of a count column reads the same."""
+    get the same object, equal to the live run's, and none raises."""
     getters = {
         "trace": lambda result: result.trace,
         "kernel_invocations":
             lambda result: result.metrics.kernel_invocations,
         "edge_detail": lambda result: result.event_graph.edge_detail,
         "node_label": lambda result: result.event_graph.node_label,
-        "shape": lambda result: result.event_graph.shape,
     }
     expected = {name: get(small_result) for name, get in getters.items()}
     data = pickle.dumps(small_result)
@@ -256,8 +251,7 @@ def test_concurrent_first_reads_agree(small_result):
             assert len(seen) == len(readers)
             for name, value in seen:
                 assert value == expected[name]
-                if name != "shape":
-                    assert value is getters[name](result)
+                assert value is getters[name](result)
     finally:
         sys.setswitchinterval(interval)
 
